@@ -1,0 +1,18 @@
+"""Atomic artifact writes: a reader never sees a half-written file."""
+
+from __future__ import annotations
+
+import os
+from pathlib import Path
+
+
+def atomic_write(path: str | Path, text: str) -> None:
+    """Write ``text`` to a sibling temp file, then rename it over ``path``.
+
+    Missing parent directories are created.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)

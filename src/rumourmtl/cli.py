@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from rumourmtl import analysis, baselines, evaluation, mtl, search as search_mod
+from rumourmtl.artifacts import atomic_write
 from rumourmtl.corpus import (
     DEFAULT_MAX_BRANCH_LEN,
     VERACITY_CLASSES,
@@ -30,7 +28,6 @@ from rumourmtl.corpus import (
     generate_synthetic,
     load_corpus,
     save_corpus,
-    split_loeo,
 )
 from rumourmtl.mtl import HyperParams, MTLModel, derive_rng
 from rumourmtl.text import EmbeddingTable, hash_embeddings, load_embeddings
@@ -134,60 +131,39 @@ def _embedding_table(cfg: RunConfig) -> EmbeddingTable:
     return hash_embeddings(cfg.embedding_dim, seed=cfg.seed)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 # ---------------------------------------------------------------------------
-# Model runners shared by evaluate/loeo
+# Model runners shared by train/loeo
 
-def _train_mtl(train_corpus: Corpus, cfg: RunConfig, tasks: Sequence[str],
-               seed: int) -> MTLModel:
-    table = _embedding_table(cfg)
-    instances = mtl.build_instances(train_corpus, table, max_branch_len=cfg.max_branch_len)
+def _train_mtl(corpus: Corpus, table: EmbeddingTable, cfg: RunConfig,
+               tasks: Sequence[str], seed: int) -> tuple[MTLModel, list[float]]:
+    instances = mtl.build_instances(corpus, table, max_branch_len=cfg.max_branch_len)
     model = MTLModel(cfg.hp, tasks, table.dimension, seed)
-    mtl.train(model, instances, seed)
-    return model
+    return model, mtl.train(model, instances, seed)
 
 
 def _onehot_probs(pred: str) -> list[float]:
     return [1.0 if c == pred else 0.0 for c in VERACITY_CLASSES]
 
 
-def _loeo_fold(model_name: str, cfg: RunConfig, event: str
-               ) -> tuple[evaluation.FoldResult, list[list[float]]]:
-    corpus = load_corpus(cfg.corpus)
-    train_corpus, test_corpus = split_loeo(corpus, event)
-    labeled = Corpus(tuple(t for t in test_corpus.threads if t.veracity_label is not None))
+def _loeo_fold(model_name: str, cfg: RunConfig, corpus: Corpus, table: EmbeddingTable,
+               event: str) -> Optional[evaluation.FoldResult]:
+    """One (model, event) fold; module-level so that a process pool can run it."""
     fold_seed = int(derive_rng(cfg.seed, f"fold:{event}").integers(2 ** 31))
-    if model_name == "majority":
-        cls = baselines.majority_fit(train_corpus)
-        preds = baselines.majority_predict(cls, labeled)
-        probs = [_onehot_probs(p) for p in preds]
-    elif model_name == "nile":
-        nile = baselines.nile_fit(train_corpus, seed=fold_seed)
-        preds = baselines.nile_predict(nile, labeled)
-        probs = [_onehot_probs(p) for p in preds]
-    else:
-        model = _train_mtl(train_corpus, cfg, MODEL_TASKS[model_name], fold_seed)
-        table = _embedding_table(cfg)
-        thread_preds = [mtl.predict_thread(model, t, table,
-                                           max_branch_len=cfg.max_branch_len)
-                        for t in labeled.threads]
-        preds = [p.veracity for p in thread_preds]
-        probs = [[float(x) for x in p.veracity_probs] for p in thread_preds]
-    gold = tuple(t.veracity_label for t in labeled.threads)
-    fold = evaluation.FoldResult(
-        event=event,
-        thread_ids=tuple(t.id for t in labeled.threads),
-        gold=gold,
-        preds=tuple(preds),
-        metrics=evaluation.compute_metrics(preds, gold, VERACITY_CLASSES),
-    )
-    return fold, probs
+
+    def fit_predict(train: Corpus, labeled: Corpus) -> tuple[list[str], list]:
+        if model_name == "majority":
+            preds = baselines.majority_predict(baselines.majority_fit(train), labeled)
+        elif model_name == "nile":
+            preds = baselines.nile_predict(baselines.nile_fit(train, seed=fold_seed), labeled)
+        else:
+            model, _ = _train_mtl(train, table, cfg, MODEL_TASKS[model_name], fold_seed)
+            thread_preds = [mtl.predict_thread(model, t, table,
+                                               max_branch_len=cfg.max_branch_len)
+                            for t in labeled.threads]
+            return [p.veracity for p in thread_preds], [p.veracity_probs for p in thread_preds]
+        return preds, [_onehot_probs(p) for p in preds]
+
+    return evaluation.loeo_fold(corpus, event, fit_predict, VERACITY_CLASSES)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +210,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     table = analysis.analyze_corpus(corpus)
     csv_text = analysis.stats_csv(table)
     if args.output:
-        _atomic_write(Path(args.output), csv_text)
+        atomic_write(args.output, csv_text)
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(csv_text)
@@ -245,15 +221,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
     corpus = load_corpus(cfg.corpus)
     out_dir = Path(cfg.output_dir)
-    table = _embedding_table(cfg)
-    instances = mtl.build_instances(corpus, table, max_branch_len=cfg.max_branch_len)
-    model = MTLModel(cfg.hp, cfg.tasks, table.dimension, cfg.seed)
-    history = mtl.train(model, instances, cfg.seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    model, history = _train_mtl(corpus, _embedding_table(cfg), cfg, cfg.tasks, cfg.seed)
     model_path = out_dir / "model.json"
     model.save(model_path)
-    _atomic_write(out_dir / "loss_history.json",
-                  json.dumps({"epoch_loss": history}, sort_keys=True) + "\n")
+    atomic_write(out_dir / "loss_history.json",
+                 json.dumps({"epoch_loss": history}, sort_keys=True) + "\n")
     print(f"wrote {model_path}")
     return 0
 
@@ -264,7 +236,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     model = MTLModel.load(args.model)
     table = _embedding_table(cfg)
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     predictions = [mtl.predict_thread(model, t, table, max_branch_len=cfg.max_branch_len)
                    for t in corpus.threads]
     mtl.dump_predictions(predictions, out_dir / "predictions.ndjson")
@@ -274,7 +245,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         metrics = evaluation.compute_metrics(
             [p.veracity for p, _ in labeled],
             [t.veracity_label for _, t in labeled], VERACITY_CLASSES)
-        _atomic_write(out_dir / "metrics.json", json.dumps({
+        atomic_write(out_dir / "metrics.json", json.dumps({
             "accuracy": metrics.accuracy,
             "macro_f": metrics.macro_f,
             "per_class_f1": metrics.per_class_f1,
@@ -292,34 +263,30 @@ def cmd_loeo(args: argparse.Namespace) -> int:
     for name in model_names:
         if name not in MODEL_NAMES:
             raise UsageError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    fold_results: dict[str, list[evaluation.FoldResult]] = {}
-    pooled: dict[str, evaluation.Metrics] = {}
-    jobs = [(name, event) for name in model_names for event in corpus.events]
+    table = _embedding_table(cfg)
+    names, events = zip(*[(name, event) for name in model_names for event in corpus.events])
+    fold_args = (names, [cfg] * len(names), [corpus] * len(names), [table] * len(names), events)
     if args.jobs > 1:
-        names, events = zip(*jobs)
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(_loeo_fold, names, [cfg] * len(jobs), events))
+            outcomes = list(pool.map(_loeo_fold, *fold_args))
     else:
-        outcomes = [_loeo_fold(name, cfg, event) for name, event in jobs]
-    for (name, _), (fold, probs) in zip(jobs, outcomes):
-        fold_results.setdefault(name, []).append(fold)
-        dump_path = out_dir / f"predictions_{name}_{fold.event}.ndjson"
-        lines = [json.dumps({"thread": tid, "event": fold.event, "model": name,
-                             "veracity": {"pred": pred, "probs": prob},
-                             "detection": None, "stance": None}, sort_keys=True)
-                 for tid, pred, prob in zip(fold.thread_ids, fold.preds, probs)]
-        _atomic_write(dump_path, "\n".join(lines) + ("\n" if lines else ""))
-    for name in model_names:
-        folds_n = fold_results[name]
-        gold = [g for f in folds_n for g in f.gold]
-        preds = [p for f in folds_n for p in f.preds]
-        pooled[name] = evaluation.compute_metrics(preds, gold, VERACITY_CLASSES)
+        outcomes = list(map(_loeo_fold, *fold_args))
+    out_dir = Path(cfg.output_dir)
+    fold_results: dict[str, list[evaluation.FoldResult]] = {name: [] for name in model_names}
+    for name, fold in zip(names, outcomes):
+        if fold is None:
+            continue
+        fold_results[name].append(fold)
+        mtl.dump_predictions(
+            [mtl.ThreadPrediction(tid, fold.event, pred, prob)
+             for tid, pred, prob in zip(fold.thread_ids, fold.preds, fold.probs)],
+            out_dir / f"predictions_{name}_{fold.event}.ndjson", model_name=name)
+    pooled = {name: evaluation.pool_folds(folds, VERACITY_CLASSES)
+              for name, folds in fold_results.items()}
     csv_doc, txt_doc = evaluation.emit_report(
         pooled, fold_results, VERACITY_CLASSES, detail_model=model_names[-1])
-    _atomic_write(out_dir / "report.csv", csv_doc)
-    _atomic_write(out_dir / "report.txt", txt_doc)
+    atomic_write(out_dir / "report.csv", csv_doc)
+    atomic_write(out_dir / "report.txt", txt_doc)
     print(f"wrote {out_dir / 'report.csv'}")
     return 0
 
@@ -329,48 +296,26 @@ def cmd_search(args: argparse.Namespace) -> int:
     corpus = load_corpus(cfg.corpus)
     if len(corpus.events) < 2:
         raise UsageError("search needs at least two events (one as development set)")
-    dev_event = (evaluation.DEFAULT_DEV_EVENT
-                 if evaluation.DEFAULT_DEV_EVENT in corpus.events
-                 else max(corpus.events,
-                          key=lambda e: (sum(1 for t in corpus.threads if t.event == e), e)))
-    train_corpus, dev_corpus = split_loeo(corpus, dev_event)
-    dev_labeled = Corpus(tuple(t for t in dev_corpus.threads
-                               if t.veracity_label is not None))
+    dev_event = evaluation.dev_event(corpus)
+    train_corpus, dev = evaluation.held_out_split(corpus, dev_event)
     table = _embedding_table(cfg)
-    space = search_mod.default_space()
+    instances = mtl.build_instances(train_corpus, table, max_branch_len=cfg.max_branch_len)
 
     def evaluate_config(config: dict, trial_seed: int):
-        hp = HyperParams(
-            num_dense_layers=config["num_dense_layers"],
-            num_lstm_layers=config["num_lstm_layers"],
-            dense_width=config["dense_width"],
-            lstm_width=config["lstm_width"],
-            l2=config["l2"],
-            batch_size=cfg.hp.batch_size,
-            epochs=cfg.hp.epochs,
-            dropout=cfg.hp.dropout,
-            learning_rate=cfg.hp.learning_rate,
-        )
-        instances = mtl.build_instances(train_corpus, table,
-                                        max_branch_len=cfg.max_branch_len)
-        model = MTLModel(hp, cfg.tasks, table.dimension, trial_seed)
+        model = MTLModel(replace(cfg.hp, **config), cfg.tasks, table.dimension, trial_seed)
         mtl.train(model, instances, trial_seed)
-        preds = [mtl.predict_thread(model, t, table, max_branch_len=cfg.max_branch_len)
-                 for t in dev_labeled.threads]
-        gold = [t.veracity_label for t in dev_labeled.threads]
-        metrics = evaluation.compute_metrics([p.veracity for p in preds], gold,
-                                             VERACITY_CLASSES)
-        macro_f = {"veracity": metrics.macro_f}
-        return macro_f, metrics.accuracy
+        preds = [mtl.predict_thread(model, t, table, max_branch_len=cfg.max_branch_len).veracity
+                 for t in dev.threads]
+        metrics = evaluation.fold_result(dev_event, dev, preds, VERACITY_CLASSES).metrics
+        return {"veracity": metrics.macro_f}, metrics.accuracy
 
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tpe_cfg = search_mod.TPEConfig(objective_mode=args.objective)
     best, history = search_mod.run_search(
-        space, evaluate_config, n_trials=args.trials, cfg=tpe_cfg, seed=cfg.seed,
+        search_mod.default_space(), evaluate_config, n_trials=args.trials, cfg=tpe_cfg, seed=cfg.seed,
         log_path=out_dir / "trials.ndjson")
-    _atomic_write(out_dir / "best_config.json",
-                  json.dumps(best.to_json_obj(), sort_keys=True) + "\n")
+    atomic_write(out_dir / "best_config.json",
+                 json.dumps(best.to_json_obj(), sort_keys=True) + "\n")
     print(f"best objective {best.objective:.4f} at trial {best.number}")
     return 0
 

@@ -84,12 +84,6 @@ class Thread:
     def posts(self) -> tuple[Post, ...]:
         return (self.source,) + self.replies
 
-    def post_by_id(self, post_id: str) -> Post:
-        for p in self.posts:
-            if p.id == post_id:
-                return p
-        raise KeyError(post_id)
-
     def validate(self) -> None:
         where = f"thread {self.source.id}"
         _check_label(self.detection_label, DETECTION_CLASSES, "detection", where)

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from rumourmtl.corpus import Corpus, split_loeo
+from rumourmtl.corpus import Corpus, CorpusError, Thread, split_loeo
 
 #: Development event used for tuning when present in the training split.
 DEFAULT_DEV_EVENT = "charliehebdo"
@@ -70,6 +70,67 @@ class FoldResult:
     gold: tuple[str, ...]
     preds: tuple[str, ...]
     metrics: Metrics
+    probs: Optional[Sequence] = None  # per-thread class probabilities, if the model gives them
+
+
+def _veracity(thread: Thread) -> Optional[str]:
+    return thread.veracity_label
+
+
+def dev_event(corpus: Corpus) -> str:
+    """The tuning event: ``DEFAULT_DEV_EVENT`` when present, else the event
+    with the most threads (ties go to the later name)."""
+    if DEFAULT_DEV_EVENT in corpus.events:
+        return DEFAULT_DEV_EVENT
+    return max(corpus.events,
+               key=lambda e: (sum(1 for t in corpus.threads if t.event == e), e))
+
+
+def held_out_split(corpus: Corpus, event: str, label_of: Callable = _veracity
+                   ) -> tuple[Corpus, Corpus]:
+    """The training split without ``event`` and the held-out labeled threads."""
+    train, test = split_loeo(corpus, event)
+    return train, Corpus(tuple(t for t in test.threads if label_of(t) is not None))
+
+
+def fold_result(event: str, labeled: Corpus, preds: Sequence[str], classes: Sequence[str],
+                label_of: Callable = _veracity, probs: Optional[Sequence] = None
+                ) -> FoldResult:
+    """Score one prediction per labeled held-out thread."""
+    preds = tuple(preds)
+    gold = tuple(label_of(t) for t in labeled.threads)
+    if len(preds) != len(gold):
+        raise ValueError(
+            f"fold {event}: predictor returned {len(preds)} predictions "
+            f"for {len(gold)} labeled threads")
+    return FoldResult(event=event, thread_ids=tuple(t.id for t in labeled.threads),
+                      gold=gold, preds=preds, metrics=compute_metrics(preds, gold, classes),
+                      probs=probs)
+
+
+def loeo_fold(corpus: Corpus, event: str,
+              fit_predict: Callable[[Corpus, Corpus], tuple[Sequence[str], Optional[Sequence]]],
+              classes: Sequence[str], label_of: Callable = _veracity
+              ) -> Optional[FoldResult]:
+    """Hold ``event`` out, train on the rest and score its labeled threads.
+
+    ``fit_predict(train_corpus, labeled)`` returns one class per labeled
+    thread and their probabilities (or None). Returns None, without
+    training, when the event has no labeled thread.
+    """
+    train, labeled = held_out_split(corpus, event, label_of)
+    if not labeled.threads:
+        return None
+    preds, probs = fit_predict(train, labeled)
+    return fold_result(event, labeled, preds, classes, label_of, probs)
+
+
+def pool_folds(folds: Sequence[FoldResult], classes: Sequence[str]) -> Metrics:
+    """Metrics over all folds' concatenated predictions."""
+    if not folds:
+        raise CorpusError("no held-out event has a labeled thread")
+    return compute_metrics([p for f in folds for p in f.preds],
+                           [g for f in folds for g in f.gold], classes)
 
 
 def loeo_evaluate(corpus: Corpus,
@@ -83,43 +144,18 @@ def loeo_evaluate(corpus: Corpus,
     ``trainer_factory(train_corpus, seed, dev_event)`` returns a predictor
     mapping a corpus to one class per labeled thread. ``label_of(thread)``
     selects the gold label (default: veracity); unlabeled threads are
-    excluded. Pooled metrics are computed over all folds' concatenated
-    predictions.
+    excluded and events without any are skipped. Pooled metrics are
+    computed over all folds' concatenated predictions.
     """
-    if label_of is None:
-        label_of = lambda t: t.veracity_label  # noqa: E731
-    events = corpus.events
-    if len(events) < 2:
+    if len(corpus.events) < 2:
         raise ValueError("LOEO needs at least two events")
-    folds = []
-    pooled_gold: list[str] = []
-    pooled_preds: list[str] = []
-    for event in events:
-        train_corpus, test_corpus = split_loeo(corpus, event)
-        labeled = Corpus(tuple(t for t in test_corpus.threads if label_of(t) is not None))
-        if not labeled.threads:
-            continue
-        dev_event = (DEFAULT_DEV_EVENT if DEFAULT_DEV_EVENT in train_corpus.events
-                     else max(train_corpus.events,
-                              key=lambda e: (sum(1 for t in train_corpus.threads
-                                                 if t.event == e), e)))
-        predictor = trainer_factory(train_corpus, seed, dev_event)
-        preds = tuple(predictor(labeled))
-        gold = tuple(label_of(t) for t in labeled.threads)
-        if len(preds) != len(gold):
-            raise ValueError(
-                f"fold {event}: predictor returned {len(preds)} predictions "
-                f"for {len(gold)} labeled threads")
-        folds.append(FoldResult(
-            event=event,
-            thread_ids=tuple(t.id for t in labeled.threads),
-            gold=gold, preds=preds,
-            metrics=compute_metrics(preds, gold, classes),
-        ))
-        pooled_gold.extend(gold)
-        pooled_preds.extend(preds)
-    pooled = compute_metrics(pooled_preds, pooled_gold, classes)
-    return folds, pooled
+
+    def fit_predict(train: Corpus, labeled: Corpus) -> tuple[Sequence[str], None]:
+        return trainer_factory(train, seed, dev_event(train))(labeled), None
+
+    folds = [f for f in (loeo_fold(corpus, event, fit_predict, classes, label_of or _veracity)
+                         for event in corpus.events) if f is not None]
+    return folds, pool_folds(folds, classes)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from rumourmtl import neural
+from rumourmtl.artifacts import atomic_write
 from rumourmtl.corpus import (
     DEFAULT_MAX_BRANCH_LEN,
     DETECTION_CLASSES,
@@ -226,24 +227,21 @@ class MTLModel:
             weights.extend(w if lbl >= 0 else 0.0 for lbl in inst.stance_labels)
         return np.array(weights)
 
-    def batch_data_loss(self, batch: Sequence[TrainingInstance], outputs: dict,
-                        cache: dict) -> float:
+    def batch_data_loss(self, batch: Sequence[TrainingInstance], outputs: dict) -> float:
         """Mean over the batch of the per-instance joint data loss."""
-        B = len(batch)
         total = 0.0
         for b, inst in enumerate(batch):
             total += _instance_loss_from_outputs(
-                {t: (outputs[t][b] if t in PER_STEP_TASKS else outputs[t][b])
-                 for t in self.tasks}, inst, self.tasks)
-        return total / B
+                {t: outputs[t][b] for t in self.tasks}, inst, self.tasks)
+        return total / len(batch)
 
     def batch_loss(self, batch: Sequence[TrainingInstance], train: bool = False,
                    dropout_masks: Optional[dict] = None, include_l2: bool = True) -> float:
         """Forward-only joint objective (used by the finite-difference oracle)."""
         x = np.stack([inst.x for inst in batch])
         mask = np.stack([inst.mask for inst in batch])
-        outputs, cache = self.forward(x, mask, train=train, dropout_masks=dropout_masks)
-        loss = self.batch_data_loss(batch, outputs, cache)
+        outputs, _ = self.forward(x, mask, train=train, dropout_masks=dropout_masks)
+        loss = self.batch_data_loss(batch, outputs)
         if include_l2:
             loss += neural.l2_penalty(self.params, self.hp.l2)
         return loss
@@ -262,7 +260,7 @@ class MTLModel:
         mask = np.stack([inst.mask for inst in batch])
         outputs, cache = self.forward(x, mask, train=train, dropout_rng=dropout_rng,
                                       dropout_masks=dropout_masks)
-        loss = self.batch_data_loss(batch, outputs, cache)
+        loss = self.batch_data_loss(batch, outputs)
 
         H = cache["H"]
         dH = np.zeros_like(H)
@@ -279,8 +277,6 @@ class MTLModel:
                     else -np.ones(inst.true_length, dtype=int)
                     for inst in batch])
                 live = labels >= 0
-                clipped = np.maximum(probs[np.arange(len(labels)), np.maximum(labels, 0)],
-                                     neural.PROB_CLIP)
                 # d/dlogits of -log p[gold] through softmax, zero where the
                 # clip is active (loss is locally constant there).
                 active = live & (probs[np.arange(len(labels)), np.maximum(labels, 0)]
@@ -289,7 +285,6 @@ class MTLModel:
                 onehot[np.arange(len(labels))[active], labels[active]] = 1.0
                 dlogits[active] = ((probs[active] - onehot[active])
                                    * row_weights[active, None])
-                del clipped
             else:
                 labels = np.array([
                     (inst.detection_label if task == "detection" else inst.veracity_label)
@@ -330,22 +325,8 @@ class MTLModel:
     # -- persistence -----------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        meta = {
-            "hyperparams": {
-                "num_dense_layers": self.hp.num_dense_layers,
-                "num_lstm_layers": self.hp.num_lstm_layers,
-                "dense_width": self.hp.dense_width,
-                "lstm_width": self.hp.lstm_width,
-                "l2": self.hp.l2,
-                "batch_size": self.hp.batch_size,
-                "epochs": self.hp.epochs,
-                "dropout": self.hp.dropout,
-                "learning_rate": self.hp.learning_rate,
-            },
-            "tasks": list(self.tasks),
-            "input_dim": self.input_dim,
-            "seed": self.seed,
-        }
+        meta = {"hyperparams": asdict(self.hp), "tasks": list(self.tasks),
+                "input_dim": self.input_dim, "seed": self.seed}
         neural.save_params(self.params, path, meta=meta)
 
     @classmethod
@@ -358,12 +339,11 @@ class MTLModel:
                 raise ValueError(f"checkpoint missing parameter block {name!r}")
             if params[name].shape != model.params[name].shape:
                 raise ValueError(f"checkpoint shape mismatch in block {name!r}")
+        for name in params:
+            if name not in model.params:
+                raise ValueError(f"checkpoint has unknown parameter block {name!r}")
         model.params = params
         return model
-
-
-def build_model(hp: HyperParams, tasks: Iterable[str], input_dim: int, seed: int) -> MTLModel:
-    return MTLModel(hp, tasks, input_dim, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +500,9 @@ class ThreadPrediction:
     event: str
     veracity: str
     veracity_probs: np.ndarray
-    detection: Optional[str]
-    detection_probs: Optional[np.ndarray]
-    stance: Optional[tuple[tuple[str, str], ...]]  # (post id, predicted stance)
+    detection: Optional[str] = None
+    detection_probs: Optional[np.ndarray] = None
+    stance: Optional[tuple[tuple[str, str], ...]] = None  # (post id, predicted stance)
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -607,7 +587,7 @@ def dump_predictions(predictions: Sequence[ThreadPrediction], path: str | Path,
         if model_name is not None:
             obj["model"] = model_name
         lines.append(json.dumps(obj, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 # ---------------------------------------------------------------------------

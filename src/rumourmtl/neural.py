@@ -19,6 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from rumourmtl.artifacts import atomic_write
+
 Params = dict[str, np.ndarray]
 
 CHECKPOINT_FORMAT = "rumourmtl-checkpoint"
@@ -302,7 +304,7 @@ def save_params(params: Params, path: str | Path, meta: Optional[dict] = None) -
             for name, p in sorted(params.items())
         },
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True))
+    atomic_write(path, json.dumps(payload, sort_keys=True))
 
 
 def load_params(path: str | Path) -> tuple[Params, dict]:

@@ -16,6 +16,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from rumourmtl.artifacts import atomic_write
+
 
 @dataclass(frozen=True)
 class SearchSpace:
@@ -198,5 +200,5 @@ def run_search(space: SearchSpace,
     best = min(ok, key=lambda t: (t.objective, t.number))
     if log_path is not None:
         lines = [json.dumps(t.to_json_obj(), sort_keys=True) for t in history]
-        Path(log_path).write_text("\n".join(lines) + "\n")
+        atomic_write(log_path, "\n".join(lines) + "\n")
     return best, history

@@ -39,7 +39,6 @@ from rumourmtl.mtl import (
     _majority_vote,
     branch_accuracy,
     build_instances,
-    build_model,
     check_gradients,
     instance_outputs,
     joint_loss,
@@ -134,7 +133,7 @@ def test_4_masked_loss_exactness(gate):
             thread_id="t", event="e")
 
     with gate(4, "masked loss exactness"):
-        model = build_model(
+        model = MTLModel(
             HyperParams(num_dense_layers=1, num_lstm_layers=1, dense_width=6,
                         lstm_width=5, dropout=0.0),
             ("veracity", "stance", "detection"), dim, 0)
@@ -148,10 +147,10 @@ def test_4_masked_loss_exactness(gate):
         extra = [instance(stance=False) for _ in range(7)]
         assert summed_stance_loss(base + extra) - summed_stance_loss(base) == 0.0
 
-        single = build_model(
+        single = MTLModel(
             HyperParams(num_dense_layers=1, num_lstm_layers=1, dense_width=6,
                         lstm_width=5, dropout=0.0), ("veracity",), dim, 3)
-        mtl3 = build_model(
+        mtl3 = MTLModel(
             HyperParams(num_dense_layers=1, num_lstm_layers=1, dense_width=6,
                         lstm_width=5, dropout=0.0),
             ("veracity", "stance", "detection"), dim, 3)

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
+from rumourmtl import cli
 from rumourmtl.cli import RunConfig, UsageError, dispatch, parse_config_text
+from rumourmtl.corpus import Corpus, load_corpus, save_corpus
 
 
 @pytest.fixture()
@@ -188,6 +191,55 @@ class TestLoeo:
         cfg = run_config(tmp_path, corpus_path)
         assert dispatch(["loeo", str(cfg), "--models", "resnet"]) == 1
         assert "unknown model" in capsys.readouterr().err
+
+    @staticmethod
+    def unlabel(corpus_path, tmp_path, events):
+        """Copy of the corpus whose threads in ``events`` are non-rumours."""
+        threads = tuple(
+            dataclasses.replace(t, detection_label="non-rumour", veracity_label=None)
+            if t.event in events else t
+            for t in load_corpus(corpus_path).threads)
+        out = tmp_path / "unlabeled.ndjson"
+        save_corpus(Corpus(threads), out)
+        return out
+
+    def test_event_without_veracity_labels_gets_no_fold(self, tmp_path, corpus_path, capsys):
+        cfg = run_config(tmp_path, self.unlabel(corpus_path, tmp_path, {"event02"}))
+        assert dispatch(["loeo", str(cfg), "--models", "majority"]) == 0
+        out_dir = tmp_path / "out"
+        assert sorted(f.name for f in out_dir.glob("predictions_*")) == [
+            "predictions_majority_event00.ndjson", "predictions_majority_event01.ndjson"]
+        assert "event02" not in (out_dir / "report.csv").read_text()
+
+    def test_no_labeled_thread_exit_1(self, tmp_path, corpus_path, capsys):
+        cfg = run_config(tmp_path, self.unlabel(
+            corpus_path, tmp_path, {"event00", "event01", "event02"}))
+        assert dispatch(["loeo", str(cfg), "--models", "majority"]) == 1
+        assert "no held-out event has a labeled thread" in capsys.readouterr().err
+
+    def test_process_pool_matches_serial(self, tmp_path, corpus_path, capsys):
+        outputs = {}
+        for jobs in ("1", "2"):
+            cfg = run_config(tmp_path, corpus_path, name=f"jobs{jobs}.cfg",
+                             output_dir=tmp_path / f"jobs{jobs}", epochs=1)
+            assert dispatch(["loeo", str(cfg), "--models", "majority,nile,single",
+                             "--jobs", jobs]) == 0
+            outputs[jobs] = {f.name: f.read_bytes()
+                             for f in sorted((tmp_path / f"jobs{jobs}").iterdir())}
+        assert len(outputs["1"]) == 11  # 3 models x 3 events + report.csv/txt
+        assert outputs["1"] == outputs["2"]
+
+    def test_corpus_loaded_once(self, tmp_path, corpus_path, capsys, monkeypatch):
+        calls = []
+
+        def counting_load(path):
+            calls.append(path)
+            return load_corpus(path)
+
+        monkeypatch.setattr(cli, "load_corpus", counting_load)
+        cfg = run_config(tmp_path, corpus_path)
+        assert dispatch(["loeo", str(cfg), "--models", "majority"]) == 0
+        assert len(calls) == 1
 
 
 class TestSearch:

@@ -12,7 +12,6 @@ from rumourmtl.mtl import (
     _majority_vote,
     branch_accuracy,
     build_instances,
-    build_model,
     check_gradients,
     dump_predictions,
     instance_outputs,
@@ -41,12 +40,12 @@ def make_instance(rng, length=3, steps=3, stance=True, detection=0, veracity=1):
 
 class TestBuildModel:
     def test_single_task_one_head(self):
-        model = build_model(MINI, ("veracity",), DIM, 0)
+        model = MTLModel(MINI, ("veracity",), DIM, 0)
         heads = {name.split("/")[0] for name in model.params if not name.startswith("lstm")}
         assert heads == {"veracity"}
 
     def test_three_heads_share_lstm(self):
-        model = build_model(MINI, ("veracity", "stance", "detection"), DIM, 0)
+        model = MTLModel(MINI, ("veracity", "stance", "detection"), DIM, 0)
         rng = np.random.default_rng(0)
         inst = make_instance(rng)
         before = instance_outputs(model, inst)
@@ -60,18 +59,18 @@ class TestBuildModel:
     def test_two_lstm_layers_same_output_shape(self):
         hp = HyperParams(num_lstm_layers=2, num_dense_layers=1, dense_width=6,
                          lstm_width=5, dropout=0.0)
-        model = build_model(hp, ("veracity",), DIM, 0)
+        model = MTLModel(hp, ("veracity",), DIM, 0)
         inst = make_instance(np.random.default_rng(1))
         out = instance_outputs(model, inst)
         assert out["veracity"].shape == (3,)
 
     def test_invalid_task_set(self):
         with pytest.raises(ValueError, match="veracity is required"):
-            build_model(MINI, ("stance",), DIM, 0)
+            MTLModel(MINI, ("stance",), DIM, 0)
 
     def test_invalid_hp(self):
         with pytest.raises(ValueError):
-            build_model(HyperParams(dropout=1.5), ("veracity",), DIM, 0)
+            MTLModel(HyperParams(dropout=1.5), ("veracity",), DIM, 0)
 
     def test_strict_validation_enforces_search_space(self):
         with pytest.raises(ValueError, match="outside the search space"):
@@ -79,8 +78,8 @@ class TestBuildModel:
         HyperParams().validate(strict=True)
 
     def test_seed_deterministic_init(self):
-        a = build_model(MINI, ("veracity", "stance"), DIM, 7)
-        b = build_model(MINI, ("veracity", "stance"), DIM, 7)
+        a = MTLModel(MINI, ("veracity", "stance"), DIM, 7)
+        b = MTLModel(MINI, ("veracity", "stance"), DIM, 7)
         for name in a.params:
             np.testing.assert_array_equal(a.params[name], b.params[name])
 
@@ -88,7 +87,7 @@ class TestBuildModel:
 class TestJointLoss:
     def test_veracity_only_instance(self):
         rng = np.random.default_rng(2)
-        model = build_model(MINI, ("veracity", "stance", "detection"), DIM, 3)
+        model = MTLModel(MINI, ("veracity", "stance", "detection"), DIM, 3)
         inst = make_instance(rng, stance=False, detection=None, veracity=2)
         outputs = instance_outputs(model, inst)
         expected = -math.log(outputs["veracity"][2])
@@ -129,7 +128,7 @@ class TestJointLoss:
 class TestMaskedLossExactness:
     def test_unlabeled_instances_add_exactly_zero_stance_loss(self):
         rng = np.random.default_rng(4)
-        model = build_model(MINI, ("veracity", "stance", "detection"), DIM, 5)
+        model = MTLModel(MINI, ("veracity", "stance", "detection"), DIM, 5)
 
         def summed_stance_loss(instances):
             total = 0.0
@@ -144,8 +143,8 @@ class TestMaskedLossExactness:
 
     def test_mtl3_equals_single_task_on_veracity_only_instance(self):
         rng = np.random.default_rng(5)
-        single = build_model(MINI, ("veracity",), DIM, 11)
-        mtl3 = build_model(MINI, ("veracity", "stance", "detection"), DIM, 11)
+        single = MTLModel(MINI, ("veracity",), DIM, 11)
+        mtl3 = MTLModel(MINI, ("veracity", "stance", "detection"), DIM, 11)
         # identical init streams: shared LSTM and veracity head coincide
         for name in single.params:
             np.testing.assert_array_equal(single.params[name], mtl3.params[name])
@@ -158,7 +157,7 @@ class TestMaskedLossExactness:
 class TestHardSharing:
     def test_stance_only_step_moves_shared_but_not_veracity_head(self):
         rng = np.random.default_rng(6)
-        model = build_model(MINI, ("veracity", "stance"), DIM, 13)
+        model = MTLModel(MINI, ("veracity", "stance"), DIM, 13)
         probe = make_instance(rng)
         before = instance_outputs(model, probe)["veracity"].copy()
         stance_only = [make_instance(rng, detection=None, veracity=None)
@@ -282,7 +281,7 @@ class TestPredictThread:
         corpus = generate_synthetic(GeneratorSpec(events=1, threads_per_event=3), 4)
         thread = corpus.threads[0]
         table = hash_embeddings(DIM, 0)
-        model = build_model(MINI, ("veracity", "stance", "detection"), DIM, 1)
+        model = MTLModel(MINI, ("veracity", "stance", "detection"), DIM, 1)
         pred = predict_thread(model, thread, table)
         assert pred.veracity in ("false", "true", "unverified")
         assert pred.detection in ("non-rumour", "rumour")
@@ -291,7 +290,7 @@ class TestPredictThread:
     def test_dump_format(self, tmp_path):
         corpus = generate_synthetic(GeneratorSpec(events=1, threads_per_event=2), 4)
         table = hash_embeddings(DIM, 0)
-        model = build_model(MINI, ("veracity",), DIM, 1)
+        model = MTLModel(MINI, ("veracity",), DIM, 1)
         preds = [predict_thread(model, t, table) for t in corpus.threads]
         path = tmp_path / "preds.ndjson"
         dump_predictions(preds, path, model_name="single")
@@ -344,7 +343,7 @@ class TestGradientCheck:
 
     def test_unused_head_gets_only_l2_gradient(self):
         rng = np.random.default_rng(9)
-        model = build_model(MINI, ("veracity", "stance", "detection"), DIM, 2)
+        model = MTLModel(MINI, ("veracity", "stance", "detection"), DIM, 2)
         inst = make_instance(rng, stance=False, detection=None)
         _, grads, _ = model.loss_and_grads([inst], include_l2=False)
         for name, g in grads.items():
@@ -354,7 +353,7 @@ class TestGradientCheck:
 
 class TestCheckpointRoundTrip:
     def test_save_load(self, tmp_path):
-        model = build_model(MINI, ("veracity", "stance"), DIM, 17)
+        model = MTLModel(MINI, ("veracity", "stance"), DIM, 17)
         path = tmp_path / "m.json"
         model.save(path)
         loaded = MTLModel.load(path)
@@ -363,9 +362,34 @@ class TestCheckpointRoundTrip:
         for name in model.params:
             np.testing.assert_array_equal(loaded.params[name], model.params[name])
 
+    def tampered_checkpoint(self, tmp_path, edit):
+        path = tmp_path / "m.json"
+        MTLModel(MINI, ("veracity",), DIM, 17).save(path)
+        payload = json.loads(path.read_text())
+        edit(payload["params"])
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_missing_block_rejected(self, tmp_path):
+        path = self.tampered_checkpoint(tmp_path, lambda p: p.pop("veracity/out/b"))
+        with pytest.raises(ValueError, match="missing parameter block 'veracity/out/b'"):
+            MTLModel.load(path)
+
+    def test_shape_mismatch_rejected(self, tmp_path):
+        path = self.tampered_checkpoint(tmp_path, lambda p: p.update(
+            {"veracity/out/b": {"shape": [1], "data": [0.0]}}))
+        with pytest.raises(ValueError, match="shape mismatch in block 'veracity/out/b'"):
+            MTLModel.load(path)
+
+    def test_unknown_block_rejected(self, tmp_path):
+        path = self.tampered_checkpoint(tmp_path, lambda p: p.update(
+            {"bogus/W": {"shape": [1], "data": [0.0]}}))
+        with pytest.raises(ValueError, match="unknown parameter block 'bogus/W'"):
+            MTLModel.load(path)
+
     def test_branch_accuracy_runs(self):
         instances = [make_instance(np.random.default_rng(10)) for _ in range(3)]
-        model = build_model(MINI, ("veracity", "stance", "detection"), DIM, 0)
+        model = MTLModel(MINI, ("veracity", "stance", "detection"), DIM, 0)
         acc = branch_accuracy(model, instances)
         assert set(acc) == {"veracity", "stance", "detection"}
         assert all(0.0 <= v <= 1.0 for v in acc.values())
