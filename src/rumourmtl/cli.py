@@ -233,7 +233,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
     corpus = load_corpus(cfg.corpus)
-    model = MTLModel.load(args.model)
+    try:
+        model = MTLModel.load(args.model)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"bad checkpoint {args.model}: {exc}") from None
     table = _embedding_table(cfg)
     out_dir = Path(cfg.output_dir)
     predictions = [mtl.predict_thread(model, t, table, max_branch_len=cfg.max_branch_len)
@@ -298,6 +301,9 @@ def cmd_search(args: argparse.Namespace) -> int:
         raise UsageError("search needs at least two events (one as development set)")
     dev_event = evaluation.dev_event(corpus)
     train_corpus, dev = evaluation.held_out_split(corpus, dev_event)
+    if not dev.threads or all(t.veracity_label is None for t in train_corpus.threads):
+        raise UsageError(f"search needs veracity-labeled threads both in the dev event "
+                         f"{dev_event!r} and outside it")
     table = _embedding_table(cfg)
     instances = mtl.build_instances(train_corpus, table, max_branch_len=cfg.max_branch_len)
 

@@ -116,11 +116,14 @@ def loeo_fold(corpus: Corpus, event: str,
 
     ``fit_predict(train_corpus, labeled)`` returns one class per labeled
     thread and their probabilities (or None). Returns None, without
-    training, when the event has no labeled thread.
+    training, when the event has no labeled thread; raises ``CorpusError``
+    when no other event has one.
     """
     train, labeled = held_out_split(corpus, event, label_of)
     if not labeled.threads:
         return None
+    if all(label_of(t) is None for t in train.threads):
+        raise CorpusError(f"fold {event}: no labeled thread outside the held-out event")
     preds, probs = fit_predict(train, labeled)
     return fold_result(event, labeled, preds, classes, label_of, probs)
 

@@ -177,22 +177,20 @@ class MTLModel:
             cache["lstm"].append(layer_cache)
             inp = hs
         H = inp
-        lengths = mask.sum(axis=1).astype(int)
-        last_idx = np.maximum(lengths - 1, 0)
-        h_last = H[np.arange(B), last_idx]
-        cache.update(H=H, lengths=lengths, last_idx=last_idx)
+        last_idx = np.maximum(mask.sum(axis=1).astype(int) - 1, 0)
+        cache["H"] = H
         p = self.hp.dropout if train else 0.0
         outputs: dict = {}
         cache["heads"] = {}
         for task in self.tasks:
+            # Head rows: every valid step for stance, the last valid step
+            # of each instance for thread tasks.
             if task in PER_STEP_TASKS:
                 rows_b, rows_t = np.nonzero(mask)
-                feat = H[rows_b, rows_t]
             else:
-                rows_b = rows_t = None
-                feat = h_last
+                rows_b, rows_t = np.arange(B), last_idx
             dense_caches = []
-            a = feat
+            a = H[rows_b, rows_t]
             for i in range(self.hp.num_dense_layers):
                 a, dc = neural.dense_forward(self._layer(f"{task}/dense{i}"), a)
                 dense_caches.append(dc)
@@ -214,34 +212,17 @@ class MTLModel:
 
     # -- loss ------------------------------------------------------------
 
-    def _stance_step_weights(self, batch: Sequence[TrainingInstance]) -> np.ndarray:
-        """Per-valid-row weights for the stance loss: labeled steps of an
-        instance share weight 1/n_labeled; unlabeled rows weigh zero."""
-        weights = []
-        for inst in batch:
-            if inst.stance_labels is None:
-                weights.extend([0.0] * inst.true_length)
-                continue
-            labeled = int(np.sum(inst.stance_labels >= 0))
-            w = 1.0 / labeled if labeled else 0.0
-            weights.extend(w if lbl >= 0 else 0.0 for lbl in inst.stance_labels)
-        return np.array(weights)
-
-    def batch_data_loss(self, batch: Sequence[TrainingInstance], outputs: dict) -> float:
-        """Mean over the batch of the per-instance joint data loss."""
-        total = 0.0
-        for b, inst in enumerate(batch):
-            total += _instance_loss_from_outputs(
-                {t: outputs[t][b] for t in self.tasks}, inst, self.tasks)
-        return total / len(batch)
+    def batch_data_loss(self, batch: Sequence[TrainingInstance], probs: dict
+                        ) -> tuple[float, dict]:
+        """Batch-mean masked data loss and its gradient w.r.t. each head's
+        logits, from the head probabilities of ``forward``'s cache."""
+        return _masked_loss(batch, probs)
 
     def batch_loss(self, batch: Sequence[TrainingInstance], train: bool = False,
                    dropout_masks: Optional[dict] = None, include_l2: bool = True) -> float:
         """Forward-only joint objective (used by the finite-difference oracle)."""
-        x = np.stack([inst.x for inst in batch])
-        mask = np.stack([inst.mask for inst in batch])
-        outputs, _ = self.forward(x, mask, train=train, dropout_masks=dropout_masks)
-        loss = self.batch_data_loss(batch, outputs)
+        _, cache = self.forward(*_stack(batch), train=train, dropout_masks=dropout_masks)
+        loss, _ = self.batch_data_loss(batch, _head_probs(cache))
         if include_l2:
             loss += neural.l2_penalty(self.params, self.hp.l2)
         return loss
@@ -255,62 +236,24 @@ class MTLModel:
         The objective is the batch-mean data loss plus (optionally) the
         model-level L2 penalty. Returns (loss, grads, cache).
         """
-        B = len(batch)
-        x = np.stack([inst.x for inst in batch])
-        mask = np.stack([inst.mask for inst in batch])
-        outputs, cache = self.forward(x, mask, train=train, dropout_rng=dropout_rng,
-                                      dropout_masks=dropout_masks)
-        loss = self.batch_data_loss(batch, outputs)
+        _, cache = self.forward(*_stack(batch), train=train, dropout_rng=dropout_rng,
+                                dropout_masks=dropout_masks)
+        loss, dlogits = self.batch_data_loss(batch, _head_probs(cache))
 
-        H = cache["H"]
-        dH = np.zeros_like(H)
+        dH = np.zeros_like(cache["H"])
         grads: Params = {name: np.zeros_like(p) for name, p in self.params.items()}
         for task in self.tasks:
             head = cache["heads"][task]
-            probs = head["probs"]
-            K = probs.shape[-1]
-            dlogits = np.zeros_like(probs)
-            if task in PER_STEP_TASKS:
-                row_weights = self._stance_step_weights(batch) / B
-                labels = np.concatenate([
-                    inst.stance_labels if inst.stance_labels is not None
-                    else -np.ones(inst.true_length, dtype=int)
-                    for inst in batch])
-                live = labels >= 0
-                # d/dlogits of -log p[gold] through softmax, zero where the
-                # clip is active (loss is locally constant there).
-                active = live & (probs[np.arange(len(labels)), np.maximum(labels, 0)]
-                                 > neural.PROB_CLIP)
-                onehot = np.zeros_like(probs)
-                onehot[np.arange(len(labels))[active], labels[active]] = 1.0
-                dlogits[active] = ((probs[active] - onehot[active])
-                                   * row_weights[active, None])
-            else:
-                labels = np.array([
-                    (inst.detection_label if task == "detection" else inst.veracity_label)
-                    if (inst.detection_label if task == "detection" else inst.veracity_label)
-                    is not None else -1
-                    for inst in batch])
-                live = labels >= 0
-                gold_p = probs[np.arange(B), np.maximum(labels, 0)]
-                active = live & (gold_p > neural.PROB_CLIP)
-                onehot = np.zeros_like(probs)
-                onehot[np.arange(B)[active], labels[active]] = 1.0
-                dlogits[active] = (probs[active] - onehot[active]) / B
-            d_a_drop = dlogits @ self.params[f"{task}/out/W"].T
-            grads[f"{task}/out/W"] += head["a_drop"].T @ dlogits
-            grads[f"{task}/out/b"] += dlogits.sum(axis=0)
+            d_a_drop = dlogits[task] @ self.params[f"{task}/out/W"].T
+            grads[f"{task}/out/W"] += head["a_drop"].T @ dlogits[task]
+            grads[f"{task}/out/b"] += dlogits[task].sum(axis=0)
             d_a = neural.dropout_backward(d_a_drop, head["dropout_mask"])
             for i in reversed(range(self.hp.num_dense_layers)):
                 d_a, layer_grads = neural.dense_backward(
                     self._layer(f"{task}/dense{i}"), head["dense_caches"][i], d_a)
                 for key, g in layer_grads.items():
                     grads[f"{task}/dense{i}/{key}"] += g
-            rows_b, rows_t = head["rows"]
-            if task in PER_STEP_TASKS:
-                np.add.at(dH, (rows_b, rows_t), d_a)
-            else:
-                np.add.at(dH, (np.arange(B), cache["last_idx"]), d_a)
+            np.add.at(dH, head["rows"], d_a)
         d_up = dH
         for l in reversed(range(self.hp.num_lstm_layers)):
             d_up, layer_grads = neural.lstm_backward(
@@ -349,20 +292,65 @@ class MTLModel:
 # ---------------------------------------------------------------------------
 # Joint loss (data term; L2 is a model-level addition during training)
 
-def _instance_loss_from_outputs(outputs: dict, inst: TrainingInstance,
-                                tasks: Sequence[str]) -> float:
+def _stack(batch: Sequence[TrainingInstance]) -> tuple[np.ndarray, np.ndarray]:
+    return np.stack([inst.x for inst in batch]), np.stack([inst.mask for inst in batch])
+
+
+def _head_probs(cache: dict) -> dict:
+    return {task: head["probs"] for task, head in cache["heads"].items()}
+
+
+def _head_labels(batch: Sequence[TrainingInstance], task: str
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Gold class of each row of ``task``'s head (-1 where unlabeled) and
+    the row's weight in the batch-mean loss.
+
+    Thread tasks have one row per instance, stance one per valid step,
+    instance after instance. An instance's n labeled rows weigh (1/n)/B
+    each: 1/B for a thread label, a mean over its labeled steps for stance.
+    """
+    B = len(batch)
+    if task in PER_STEP_TASKS:
+        labels = np.concatenate([np.full(inst.true_length, -1) if inst.stance_labels is None
+                                 else inst.stance_labels for inst in batch])
+        owner = np.repeat(np.arange(B), [inst.true_length for inst in batch])
+    else:
+        labels = np.array([-1 if (y := getattr(inst, f"{task}_label")) is None else y
+                           for inst in batch])
+        owner = np.arange(B)
+    live = labels >= 0
+    n_labeled = np.bincount(owner, weights=live, minlength=B)
+    weights = np.zeros(len(labels))
+    weights[live] = (1.0 / n_labeled[owner[live]]) / B
+    return labels, weights
+
+
+def _masked_loss(batch: Sequence[TrainingInstance], probs: dict) -> tuple[float, dict]:
+    """Batch-mean masked joint data loss and its gradient w.r.t. the logits.
+
+    ``probs`` maps each task to its head's probability rows, laid out as
+    ``_head_labels`` describes. Unlabeled rows add exactly zero to the loss
+    and get zero gradient.
+    """
     loss = 0.0
-    if "veracity" in tasks and inst.veracity_label is not None:
-        loss += neural.cross_entropy(outputs["veracity"], inst.veracity_label)
-    if "detection" in tasks and inst.detection_label is not None:
-        loss += neural.cross_entropy(outputs["detection"], inst.detection_label)
-    if "stance" in tasks and inst.stance_labels is not None:
-        labeled = [(t, int(lbl)) for t, lbl in enumerate(inst.stance_labels) if lbl >= 0]
-        if labeled:
-            step_losses = [neural.cross_entropy(outputs["stance"][t], lbl)
-                           for t, lbl in labeled]
-            loss += float(np.mean(step_losses))
-    return loss
+    dlogits = {}
+    for task, p in probs.items():
+        labels, weights = _head_labels(batch, task)
+        rows = np.flatnonzero(labels >= 0)
+        gold = labels[rows]
+        loss += float(weights[rows] @ neural.cross_entropy(p[rows], gold))
+        # d/dlogits of -log p[gold] through softmax, zero where the clip is
+        # active (loss is locally constant there).
+        active = p[rows, gold] > neural.PROB_CLIP
+        rows, gold = rows[active], gold[active]
+        g = p[rows]
+        g[np.arange(len(rows)), gold] -= 1.0
+        d = np.zeros_like(p)
+        # Thread rows divide by B rather than multiply by their weight 1/B;
+        # the two differ in the last bit, and trained parameters follow it.
+        d[rows] = g * weights[rows, None] if task in PER_STEP_TASKS else g / len(batch)
+        dlogits[task] = d
+    return loss, dlogits
 
 
 def joint_loss(outputs: dict, inst: TrainingInstance) -> float:
@@ -372,7 +360,9 @@ def joint_loss(outputs: dict, inst: TrainingInstance) -> float:
     veracity, (T, K) rows for stance. Tasks whose label is absent
     contribute exactly zero.
     """
-    return _instance_loss_from_outputs(outputs, inst, tuple(outputs))
+    probs = {task: p[:inst.true_length] if task in PER_STEP_TASKS else p[None]
+             for task, p in outputs.items()}
+    return _masked_loss([inst], probs)[0]
 
 
 def instance_outputs(model: MTLModel, inst: TrainingInstance) -> dict:
@@ -469,25 +459,16 @@ def train(model: MTLModel, instances: Sequence[TrainingInstance], seed: int,
 
 def branch_accuracy(model: MTLModel, instances: Sequence[TrainingInstance]) -> dict[str, float]:
     """Eval-mode accuracy per task over labeled branches (steps for stance)."""
-    hits = {t: 0 for t in model.tasks}
-    totals = {t: 0 for t in model.tasks}
+    hits = dict.fromkeys(model.tasks, 0)
+    totals = dict.fromkeys(model.tasks, 0)
     for start in range(0, len(instances), 256):
         batch = instances[start:start + 256]
-        x = np.stack([inst.x for inst in batch])
-        mask = np.stack([inst.mask for inst in batch])
-        outputs, cache = model.forward(x, mask, train=False)
-        for b, inst in enumerate(batch):
-            if "veracity" in model.tasks and inst.veracity_label is not None:
-                hits["veracity"] += int(np.argmax(outputs["veracity"][b]) == inst.veracity_label)
-                totals["veracity"] += 1
-            if "detection" in model.tasks and inst.detection_label is not None:
-                hits["detection"] += int(np.argmax(outputs["detection"][b]) == inst.detection_label)
-                totals["detection"] += 1
-            if "stance" in model.tasks and inst.stance_labels is not None:
-                for t, lbl in enumerate(inst.stance_labels):
-                    if lbl >= 0:
-                        hits["stance"] += int(np.argmax(outputs["stance"][b, t]) == lbl)
-                        totals["stance"] += 1
+        _, cache = model.forward(*_stack(batch), train=False)
+        for task, p in _head_probs(cache).items():
+            labels, _ = _head_labels(batch, task)
+            live = labels >= 0
+            hits[task] += int(np.sum(np.argmax(p[live], axis=1) == labels[live]))
+            totals[task] += int(np.sum(live))
     return {t: (hits[t] / totals[t] if totals[t] else float("nan")) for t in model.tasks}
 
 

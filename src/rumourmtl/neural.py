@@ -50,11 +50,14 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def cross_entropy(probs: np.ndarray, gold: int) -> float:
-    """-log p[gold] with probability clipping."""
-    if not 0 <= gold < probs.shape[-1]:
+def cross_entropy(probs: np.ndarray, gold: int | np.ndarray) -> float | np.ndarray:
+    """-log p[gold] with probability clipping, row by row: ``probs`` is
+    (..., K) and ``gold`` one class index per row."""
+    gold = np.asarray(gold)
+    if np.any((gold < 0) | (gold >= probs.shape[-1])):
         raise IndexError(f"gold class {gold} out of range for {probs.shape[-1]} classes")
-    return float(-np.log(max(float(probs[..., gold]), PROB_CLIP)))
+    picked = np.take_along_axis(probs, gold[..., None], axis=-1)[..., 0]
+    return -np.log(np.maximum(picked, PROB_CLIP))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +312,7 @@ def save_params(params: Params, path: str | Path, meta: Optional[dict] = None) -
 
 def load_params(path: str | Path) -> tuple[Params, dict]:
     payload = json.loads(Path(path).read_text())
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")

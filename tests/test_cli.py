@@ -153,10 +153,16 @@ class TestTrainEvaluate:
         assert ((tmp_path / "a" / "model.json").read_bytes()
                 == (tmp_path / "b" / "model.json").read_bytes())
 
-    def test_missing_checkpoint_exit_2(self, tmp_path, corpus_path, capsys):
+    def test_missing_checkpoint_exit_1(self, tmp_path, corpus_path, capsys):
         cfg = run_config(tmp_path, corpus_path)
-        assert dispatch(["evaluate", str(cfg), "--model",
-                         str(tmp_path / "nope.json")]) == 2
+        assert dispatch(["train", str(cfg), "--epochs", "1"]) == 0
+        payload = json.loads((tmp_path / "out" / "model.json").read_text())
+        payload["params"]["veracity/out/b"] = {"shape": [1], "data": [0.0]}
+        reshaped = tmp_path / "reshaped.json"
+        reshaped.write_text(json.dumps(payload))
+        for bad in (tmp_path / "nope.json", reshaped):
+            assert dispatch(["evaluate", str(cfg), "--model", str(bad)]) == 1
+            assert "bad checkpoint" in capsys.readouterr().err
 
 
 class TestLoeo:
@@ -217,6 +223,13 @@ class TestLoeo:
         assert dispatch(["loeo", str(cfg), "--models", "majority"]) == 1
         assert "no held-out event has a labeled thread" in capsys.readouterr().err
 
+    def test_fold_without_labeled_training_thread_exit_1(self, tmp_path, corpus_path, capsys):
+        cfg = run_config(tmp_path, self.unlabel(corpus_path, tmp_path, {"event01", "event02"}))
+        for jobs in ("1", "2"):
+            assert dispatch(["loeo", str(cfg), "--models", "majority", "--jobs", jobs]) == 1
+            assert ("fold event00: no labeled thread outside the held-out event"
+                    in capsys.readouterr().err)
+
     def test_process_pool_matches_serial(self, tmp_path, corpus_path, capsys):
         outputs = {}
         for jobs in ("1", "2"):
@@ -253,6 +266,15 @@ class TestSearch:
         assert best["status"] == "ok"
         assert {"num_dense_layers", "num_lstm_layers", "dense_width",
                 "lstm_width", "l2"} <= set(best["config"])
+
+    def test_unlabeled_dev_or_training_split_exit_1(self, tmp_path, corpus_path, capsys):
+        # event02 is the dev event: all events have 6 threads, ties go to the later name
+        for unlabeled in ({"event02"}, {"event00", "event01"}):
+            cfg = run_config(tmp_path, TestLoeo.unlabel(corpus_path, tmp_path, unlabeled),
+                             epochs=1, tasks="veracity")
+            assert dispatch(["search", str(cfg), "--trials", "2"]) == 1
+            assert "dev event 'event02'" in capsys.readouterr().err
+            assert not (tmp_path / "out" / "trials.ndjson").exists()
 
 
 class TestDispatch:

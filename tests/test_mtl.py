@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -19,6 +20,7 @@ from rumourmtl.mtl import (
     predict_thread,
     train,
 )
+from rumourmtl.neural import PROB_CLIP
 from rumourmtl.text import hash_embeddings
 
 MINI = HyperParams(num_dense_layers=1, num_lstm_layers=1, dense_width=6,
@@ -152,6 +154,61 @@ class TestMaskedLossExactness:
         single_loss = joint_loss(instance_outputs(single, inst), inst)
         mtl3_loss = joint_loss(instance_outputs(mtl3, inst), inst)
         assert abs(single_loss - mtl3_loss) < 1e-12
+
+
+class TestSingleLoss:
+    """The loss value and its gradient come from one masked computation."""
+
+    @staticmethod
+    def mixed_batch():
+        rng = np.random.default_rng(12)
+        model = MTLModel(MINI, ("veracity", "stance", "detection"), DIM, 3)
+        # Class 0 is almost impossible, so the last instance's gold
+        # veracity probability falls below the clip.
+        model.params["veracity/out/b"][0] = -60.0
+        partly = dataclasses.replace(make_instance(rng, detection=None),
+                                     stance_labels=np.array([2, -1, 0]))
+        batch = [make_instance(rng), partly,
+                 make_instance(rng, length=2, stance=False, detection=1, veracity=0)]
+        return model, batch
+
+    def test_loss_and_grads_batch_loss_and_joint_loss_agree(self):
+        model, batch = self.mixed_batch()
+        loss, _, _ = model.loss_and_grads(batch, include_l2=False)
+        assert loss == pytest.approx(model.batch_loss(batch, include_l2=False),
+                                     abs=1e-12)
+        per_instance = [joint_loss(instance_outputs(model, inst), inst) for inst in batch]
+        assert loss == pytest.approx(np.mean(per_instance), abs=1e-12)
+
+        def nll(p):
+            return -math.log(max(p, PROB_CLIP))
+
+        # Reference: the per-instance loop over tasks and labeled steps.
+        reference = 0.0
+        for inst in batch:
+            out = instance_outputs(model, inst)
+            reference += nll(out["veracity"][inst.veracity_label])
+            if inst.detection_label is not None:
+                reference += nll(out["detection"][inst.detection_label])
+            if inst.stance_labels is not None:
+                reference += np.mean([nll(out["stance"][t, y])
+                                      for t, y in enumerate(inst.stance_labels) if y >= 0])
+        assert loss == pytest.approx(reference / len(batch), abs=1e-12)
+
+    def test_clipped_row_gets_zero_dlogits(self):
+        model, batch = self.mixed_batch()
+        outputs, cache = model.forward(np.stack([i.x for i in batch]),
+                                       np.stack([i.mask for i in batch]))
+        assert outputs["veracity"][2, 0] <= PROB_CLIP
+        _, dlogits = model.batch_data_loss(
+            batch, {t: cache["heads"][t]["probs"] for t in model.tasks})
+        np.testing.assert_array_equal(dlogits["veracity"][2], 0.0)
+        assert np.all(dlogits["veracity"][:2] != 0.0)
+        np.testing.assert_array_equal(dlogits["detection"][1], 0.0)  # unlabeled
+        # stance rows: 3 + 3 valid steps, then 2 of the unlabeled instance
+        np.testing.assert_array_equal(dlogits["stance"][4], 0.0)
+        np.testing.assert_array_equal(dlogits["stance"][6:], 0.0)
+        assert np.all(dlogits["stance"][[0, 1, 2, 3, 5]] != 0.0)
 
 
 class TestHardSharing:
@@ -386,6 +443,27 @@ class TestCheckpointRoundTrip:
             {"bogus/W": {"shape": [1], "data": [0.0]}}))
         with pytest.raises(ValueError, match="unknown parameter block 'bogus/W'"):
             MTLModel.load(path)
+
+    def test_branch_accuracy_hand_computed(self):
+        model = MTLModel(MINI, ("veracity", "stance", "detection"), DIM, 0)
+        # Zero output weights: every row predicts the argmax of its bias.
+        for task, favoured in (("veracity", 1), ("stance", 2), ("detection", 0)):
+            model.params[f"{task}/out/W"][:] = 0.0
+            model.params[f"{task}/out/b"][favoured] = 1.0
+        rng = np.random.default_rng(11)
+        instances = [
+            dataclasses.replace(make_instance(rng, detection=0, veracity=1),
+                                stance_labels=np.array([2, 0, 2])),
+            dataclasses.replace(make_instance(rng, detection=1, veracity=1),
+                                stance_labels=np.array([2, -1, 1])),
+            make_instance(rng, stance=False, detection=None, veracity=0),
+            dataclasses.replace(make_instance(rng, length=2, detection=1, veracity=2),
+                                stance_labels=np.array([-1, 0])),
+        ]
+        # veracity 1 of [1, 1, 0, 2]; detection 0 of [0, 1, 1];
+        # stance 2 of [2, 0, 2, 2, 1, 0]
+        assert branch_accuracy(model, instances) == {
+            "veracity": 2 / 4, "stance": 3 / 6, "detection": 1 / 3}
 
     def test_branch_accuracy_runs(self):
         instances = [make_instance(np.random.default_rng(10)) for _ in range(3)]
