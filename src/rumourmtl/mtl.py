@@ -25,6 +25,7 @@ from rumourmtl.corpus import (
     DETECTION_CLASSES,
     STANCE_CLASSES,
     VERACITY_CLASSES,
+    Branch,
     Corpus,
     Thread,
     decompose_branches,
@@ -54,6 +55,11 @@ LSTM_WIDTHS = (100, 200, 300)
 DENSE_DEPTHS = (1, 2, 3, 4)
 LSTM_DEPTHS = (1, 2)
 L2_STRENGTHS = (1e-4, 1e-3)
+
+#: Parameter keys of one layer, as ``neural.init_lstm_layer`` and
+#: ``neural.init_dense_layer`` create them.
+_LSTM_KEYS = ("Wx", "Wh", "b")
+_DENSE_KEYS = ("W", "b")
 
 
 def derive_rng(seed: int, name: str) -> np.random.Generator:
@@ -156,9 +162,8 @@ class MTLModel:
 
     # -- forward ---------------------------------------------------------
 
-    def _layer(self, prefix: str) -> Params:
-        plen = len(prefix) + 1
-        return {k[plen:]: v for k, v in self.params.items() if k.startswith(prefix + "/")}
+    def _layer(self, prefix: str, keys: tuple[str, ...]) -> Params:
+        return {key: self.params[f"{prefix}/{key}"] for key in keys}
 
     def forward(self, x: np.ndarray, mask: np.ndarray, train: bool = False,
                 dropout_rng: Optional[np.random.Generator] = None,
@@ -173,7 +178,7 @@ class MTLModel:
         cache: dict = {"x": x, "mask": mask, "lstm": []}
         inp = x
         for l in range(self.hp.num_lstm_layers):
-            hs, layer_cache = neural.lstm_forward(self._layer(f"lstm{l}"), inp, mask)
+            hs, layer_cache = neural.lstm_forward(self._layer(f"lstm{l}", _LSTM_KEYS), inp, mask)
             cache["lstm"].append(layer_cache)
             inp = hs
         H = inp
@@ -192,7 +197,7 @@ class MTLModel:
             dense_caches = []
             a = H[rows_b, rows_t]
             for i in range(self.hp.num_dense_layers):
-                a, dc = neural.dense_forward(self._layer(f"{task}/dense{i}"), a)
+                a, dc = neural.dense_forward(self._layer(f"{task}/dense{i}", _DENSE_KEYS), a)
                 dense_caches.append(dc)
             replay = None if dropout_masks is None else dropout_masks.get(task)
             a_drop, dmask = neural.dropout_forward(a, p, rng=dropout_rng, mask=replay)
@@ -241,25 +246,25 @@ class MTLModel:
         loss, dlogits = self.batch_data_loss(batch, _head_probs(cache))
 
         dH = np.zeros_like(cache["H"])
-        grads: Params = {name: np.zeros_like(p) for name, p in self.params.items()}
+        grads: Params = {}
         for task in self.tasks:
             head = cache["heads"][task]
             d_a_drop = dlogits[task] @ self.params[f"{task}/out/W"].T
-            grads[f"{task}/out/W"] += head["a_drop"].T @ dlogits[task]
-            grads[f"{task}/out/b"] += dlogits[task].sum(axis=0)
+            grads[f"{task}/out/W"] = head["a_drop"].T @ dlogits[task]
+            grads[f"{task}/out/b"] = dlogits[task].sum(axis=0)
             d_a = neural.dropout_backward(d_a_drop, head["dropout_mask"])
             for i in reversed(range(self.hp.num_dense_layers)):
                 d_a, layer_grads = neural.dense_backward(
-                    self._layer(f"{task}/dense{i}"), head["dense_caches"][i], d_a)
+                    self._layer(f"{task}/dense{i}", _DENSE_KEYS), head["dense_caches"][i], d_a)
                 for key, g in layer_grads.items():
-                    grads[f"{task}/dense{i}/{key}"] += g
+                    grads[f"{task}/dense{i}/{key}"] = g
             np.add.at(dH, head["rows"], d_a)
         d_up = dH
         for l in reversed(range(self.hp.num_lstm_layers)):
             d_up, layer_grads = neural.lstm_backward(
-                self._layer(f"lstm{l}"), cache["lstm"][l], d_up)
+                self._layer(f"lstm{l}", _LSTM_KEYS), cache["lstm"][l], d_up)
             for key, g in layer_grads.items():
-                grads[f"lstm{l}/{key}"] += g
+                grads[f"lstm{l}/{key}"] = g
         if include_l2:
             loss += neural.l2_penalty(self.params, self.hp.l2)
             neural.add_l2_grads(self.params, grads, self.hp.l2)
@@ -293,7 +298,15 @@ class MTLModel:
 # Joint loss (data term; L2 is a model-level addition during training)
 
 def _stack(batch: Sequence[TrainingInstance]) -> tuple[np.ndarray, np.ndarray]:
-    return np.stack([inst.x for inst in batch]), np.stack([inst.mask for inst in batch])
+    """Inputs and masks of a batch, trimmed to its longest branch.
+
+    Masks are prefixes of ``true_length`` steps. Steps masked in every row
+    only carry state and add exact zeros to every gradient, so trimming
+    them leaves the results bit-identical.
+    """
+    T = max(inst.true_length for inst in batch)
+    return (np.stack([inst.x[:T] for inst in batch]),
+            np.stack([inst.mask[:T] for inst in batch]))
 
 
 def _head_probs(cache: dict) -> dict:
@@ -374,6 +387,15 @@ def instance_outputs(model: MTLModel, inst: TrainingInstance) -> dict:
 # ---------------------------------------------------------------------------
 # Instance construction
 
+def _post_vectors(thread: Thread, branches: Sequence[Branch], table: EmbeddingTable
+                  ) -> dict[str, np.ndarray]:
+    """Embed each post of ``branches`` once: {post id: vector}. Branches
+    share their prefixes, so posts repeat across them."""
+    texts = {p.id: p.text for p in thread.posts}
+    ids = dict.fromkeys(pid for branch in branches for pid in branch.post_ids)
+    return {pid: embed_tweet(preprocess(texts[pid]), table) for pid in ids}
+
+
 def build_instances(corpus: Corpus, table: EmbeddingTable,
                     max_branch_len: int = DEFAULT_MAX_BRANCH_LEN,
                     pad_to: Optional[int] = None) -> list[TrainingInstance]:
@@ -391,14 +413,13 @@ def build_instances(corpus: Corpus, table: EmbeddingTable,
     instances = []
     for thread, branches in per_thread:
         posts = {p.id: p for p in thread.posts}
+        vectors = _post_vectors(thread, branches, table)
         det = (DETECTION_CLASSES.index(thread.detection_label)
                if thread.detection_label is not None else None)
         ver = (VERACITY_CLASSES.index(thread.veracity_label)
                if thread.veracity_label is not None else None)
         for branch in branches:
-            vecs = [embed_tweet(preprocess(posts[pid].text), table)
-                    for pid in branch.post_ids]
-            tensor = pad_and_mask(vecs, T)
+            tensor = pad_and_mask([vectors[pid] for pid in branch.post_ids], T)
             stances = np.array([
                 STANCE_CLASSES.index(posts[pid].stance_label)
                 if posts[pid].stance_label is not None else -1
@@ -527,12 +548,10 @@ def predict_thread(model: MTLModel, thread: Thread, table: EmbeddingTable,
     containing the tweet.
     """
     branches = decompose_branches(thread, max_len=max_branch_len)
-    posts = {p.id: p for p in thread.posts}
+    vectors = _post_vectors(thread, branches, table)
     T = max(len(b) for b in branches)
-    tensors = []
-    for branch in branches:
-        vecs = [embed_tweet(preprocess(posts[pid].text), table) for pid in branch.post_ids]
-        tensors.append(pad_and_mask(vecs, T))
+    tensors = [pad_and_mask([vectors[pid] for pid in branch.post_ids], T)
+               for branch in branches]
     x = np.stack([t.matrix for t in tensors])
     mask = np.stack([t.mask for t in tensors])
     outputs, _ = model.forward(x, mask, train=False)

@@ -31,12 +31,10 @@ PROB_CLIP = 1e-12
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function; ``exp`` only ever sees ``-|x|``, so it cannot
+    overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -100,28 +98,30 @@ def lstm_forward(params: Params, x: np.ndarray, mask: np.ndarray
     cell and hidden state carry through unchanged, so padding never
     influences the outputs. Returns hidden states (B, T, h) and the cache
     needed for the backward pass.
+
+    The input projection ``x @ Wx`` does not depend on the recurrence, so
+    it is one (B*T, d) GEMM ahead of the loop.
     """
     B, T, d = x.shape
     h_dim = params["Wh"].shape[0]
     if params["Wx"].shape[0] != d:
         raise ValueError(f"input dim {d} does not match Wx {params['Wx'].shape}")
+    xw = (x.reshape(B * T, d) @ params["Wx"]).reshape(B, T, 4 * h_dim)
     h = np.zeros((B, h_dim))
     c = np.zeros((B, h_dim))
-    hs = np.zeros((B, T, h_dim))
+    hs = np.empty((B, T, h_dim))
     cache = []
     for t in range(T):
-        xt = x[:, t, :]
-        z = xt @ params["Wx"] + h @ params["Wh"] + params["b"]
-        i = sigmoid(z[:, :h_dim])
-        f = sigmoid(z[:, h_dim:2 * h_dim])
-        o = sigmoid(z[:, 2 * h_dim:3 * h_dim])
+        z = xw[:, t] + h @ params["Wh"] + params["b"]
+        ifo = sigmoid(z[:, :3 * h_dim])
+        i, f, o = ifo[:, :h_dim], ifo[:, h_dim:2 * h_dim], ifo[:, 2 * h_dim:]
         g = np.tanh(z[:, 3 * h_dim:])
         c_hat = f * c + i * g
         tanh_c = np.tanh(c_hat)
         h_hat = o * tanh_c
         m = mask[:, t].astype(float)[:, None]
-        cache.append({"x": xt, "h_prev": h, "c_prev": c, "i": i, "f": f,
-                      "o": o, "g": g, "tanh_c": tanh_c, "m": m})
+        cache.append({"x": x[:, t], "h_prev": h, "c_prev": c, "ifo": ifo, "g": g,
+                      "tanh_c": tanh_c, "m": m})
         c = m * c_hat + (1.0 - m) * c
         h = m * h_hat + (1.0 - m) * h
         hs[:, t, :] = h
@@ -131,39 +131,43 @@ def lstm_forward(params: Params, x: np.ndarray, mask: np.ndarray
 def lstm_backward(params: Params, cache: list[dict], d_hs: np.ndarray
                   ) -> tuple[np.ndarray, Params]:
     """Backprop through ``lstm_forward`` given gradients w.r.t. all hidden
-    states. Returns gradients w.r.t. the inputs and the parameters."""
+    states. Returns gradients w.r.t. the inputs and the parameters.
+
+    Each step's gate gradient ``dz`` is kept, so ``dx`` is one GEMM after
+    the loop. The weight gradients still accumulate step by step: one
+    (B*T)-row GEMM for ``Wx`` sums in another order and moves the trained
+    parameters in the last bits.
+    """
     B, T, h_dim = d_hs.shape
     d = params["Wx"].shape[0]
     grads = {"Wx": np.zeros_like(params["Wx"]),
              "Wh": np.zeros_like(params["Wh"]),
              "b": np.zeros_like(params["b"])}
-    dx = np.zeros((B, T, d))
+    dz_all = np.empty((B, T, 4 * h_dim))
     dh = np.zeros((B, h_dim))
     dc = np.zeros((B, h_dim))
     for t in reversed(range(T)):
         step = cache[t]
-        m = step["m"]
+        m, ifo, g, tanh_c = step["m"], step["ifo"], step["g"], step["tanh_c"]
         dh = dh + d_hs[:, t, :]
         dh_hat = m * dh
         dc_carry = (1.0 - m) * dc
         dh_carry = (1.0 - m) * dh
-        do = dh_hat * step["tanh_c"]
-        dc_hat = m * dc + dh_hat * step["o"] * (1.0 - step["tanh_c"] ** 2)
-        df = dc_hat * step["c_prev"]
-        di = dc_hat * step["g"]
-        dg = dc_hat * step["i"]
-        dc = dc_hat * step["f"] + dc_carry
-        dz = np.concatenate([
-            di * step["i"] * (1.0 - step["i"]),
-            df * step["f"] * (1.0 - step["f"]),
-            do * step["o"] * (1.0 - step["o"]),
-            dg * (1.0 - step["g"] ** 2),
-        ], axis=1)
+        dc_hat = m * dc + dh_hat * ifo[:, 2 * h_dim:] * (1.0 - tanh_c ** 2)
+        dc = dc_hat * ifo[:, h_dim:2 * h_dim] + dc_carry
+        dz = dz_all[:, t]
+        # d(i, f, o) through the packed sigmoid, then d(g) through tanh.
+        dz[:, :h_dim] = dc_hat * g
+        dz[:, h_dim:2 * h_dim] = dc_hat * step["c_prev"]
+        dz[:, 2 * h_dim:3 * h_dim] = dh_hat * tanh_c
+        dz[:, :3 * h_dim] *= ifo
+        dz[:, :3 * h_dim] *= 1.0 - ifo
+        dz[:, 3 * h_dim:] = dc_hat * ifo[:, :h_dim] * (1.0 - g ** 2)
         grads["Wx"] += step["x"].T @ dz
         grads["Wh"] += step["h_prev"].T @ dz
         grads["b"] += dz.sum(axis=0)
-        dx[:, t, :] = dz @ params["Wx"].T
         dh = dz @ params["Wh"].T + dh_carry
+    dx = (dz_all.reshape(B * T, 4 * h_dim) @ params["Wx"].T).reshape(B, T, d)
     return dx, grads
 
 
@@ -212,8 +216,14 @@ def l2_penalty(params: Params, lam: float) -> float:
 
 
 def add_l2_grads(params: Params, grads: Params, lam: float) -> None:
+    """Add the L2 gradient into ``grads`` in place; a block missing from
+    ``grads`` gets the L2 term alone."""
     for name, v in params.items():
-        grads[name] = grads.get(name, 0.0) + 2.0 * lam * v
+        l2 = 2.0 * lam * v
+        if name in grads:
+            grads[name] += l2
+        else:
+            grads[name] = l2
 
 
 # ---------------------------------------------------------------------------
@@ -235,26 +245,50 @@ class OptimizerState:
 def optimizer_init(params: Params, lr: float = 1e-3) -> OptimizerState:
     state = OptimizerState(lr=lr)
     for name, p in params.items():
-        state.m[name] = np.zeros_like(p)
-        state.v[name] = np.zeros_like(p)
+        state.m[name] = np.zeros(p.shape)
+        state.v[name] = np.zeros(p.shape)
     return state
 
 
+#: Elements per slab of the in-place update, so its temporaries stay in cache.
+OPTIMIZER_BLOCK = 1 << 14
+
+
 def optimizer_step(params: Params, grads: Params, state: OptimizerState) -> Params:
-    """One in-place adaptive-moment update; returns ``params``."""
+    """One in-place adaptive-moment update; returns ``params``.
+
+    Every gradient is checked before anything is written. ``m``, ``v`` and
+    the parameters are then updated in place, a slab of leading-axis rows
+    at a time. A basic slice is a view whatever the block's layout, so the
+    writes reach the caller's arrays even when a block is not C-contiguous.
+    Elementwise, the arithmetic is the textbook update's, in its order.
+    """
     for name in params:
         if not np.all(np.isfinite(grads[name])):
             raise FloatingPointError(f"non-finite gradient in parameter block {name!r}")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1 ** state.t
+    bc2 = 1.0 - b2 ** state.t
     for name, p in params.items():
-        g = grads[name]
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        g, m, v = grads[name], state.m[name], state.v[name]
+        rows = max(1, OPTIMIZER_BLOCK * len(p) // max(p.size, 1))
+        for r in range(0, len(p), rows):
+            pr, gr, mr, vr = (a[r:r + rows] for a in (p, g, m, v))
+            tmp = (1.0 - b1) * gr
+            mr *= b1
+            mr += tmp
+            np.multiply(gr, gr, out=tmp)
+            tmp *= 1.0 - b2
+            vr *= b2
+            vr += tmp
+            np.divide(vr, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += state.eps
+            step = mr / bc1
+            step *= state.lr
+            step /= tmp
+            pr -= step
     return params
 
 

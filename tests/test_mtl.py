@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rumourmtl import mtl as mtl_module
 from rumourmtl.corpus import GeneratorSpec, generate_synthetic
 from rumourmtl.mtl import (
     HyperParams,
@@ -21,7 +22,7 @@ from rumourmtl.mtl import (
     train,
 )
 from rumourmtl.neural import PROB_CLIP
-from rumourmtl.text import hash_embeddings
+from rumourmtl.text import embed_tweet, hash_embeddings
 
 MINI = HyperParams(num_dense_layers=1, num_lstm_layers=1, dense_width=6,
                    lstm_width=5, dropout=0.0, epochs=3, learning_rate=1e-2)
@@ -299,6 +300,33 @@ class TestTraining:
             np.testing.assert_array_equal(single.params[name], mtl3.params[name])
 
 
+class TestPaddingInvariance:
+    """Padding past a batch's longest branch changes nothing, to the bit."""
+
+    def test_extra_padding_bit_identical(self):
+        corpus = generate_synthetic(GeneratorSpec(events=2, threads_per_event=5), 3)
+        table = hash_embeddings(DIM, 0)
+        tight = build_instances(corpus, table)
+        T = tight[0].x.shape[0]
+        padded = build_instances(corpus, table, pad_to=T + 4)
+        assert padded[0].x.shape[0] == T + 4
+        hp = HyperParams(num_dense_layers=1, num_lstm_layers=2, dense_width=6,
+                         lstm_width=5, dropout=0.5, epochs=2, batch_size=8)
+        tasks = ("veracity", "stance", "detection")
+        results = []
+        for instances in (tight, padded):
+            model = MTLModel(hp, tasks, DIM, 4)
+            loss, grads, _ = model.loss_and_grads(
+                instances[:8], train=True, dropout_rng=np.random.default_rng(0))
+            history = train(model, instances, 4)
+            results.append((loss, grads, history, model.params))
+        (loss_a, grads_a, hist_a, params_a), (loss_b, grads_b, hist_b, params_b) = results
+        assert loss_a == loss_b and hist_a == hist_b
+        for name in params_a:
+            np.testing.assert_array_equal(grads_a[name], grads_b[name])
+            np.testing.assert_array_equal(params_a[name], params_b[name])
+
+
 class TestMajorityVote:
     def probs(self, rows):
         return np.array(rows)
@@ -375,6 +403,27 @@ class TestInstances:
                 else:
                     assert inst.veracity_label is not None
                 assert inst.detection_label is not None
+
+    def test_each_post_embedded_once(self, monkeypatch):
+        corpus = generate_synthetic(GeneratorSpec(events=1, threads_per_event=4), 6)
+        table = hash_embeddings(DIM, 0)
+        embedded = []
+
+        def counting_embed(tokens, table):
+            embedded.append(tuple(tokens))
+            return embed_tweet(tokens, table)
+
+        reference = build_instances(corpus, table)
+        monkeypatch.setattr(mtl_module, "embed_tweet", counting_embed)
+        instances = build_instances(corpus, table)
+        n_posts = sum(len(t.posts) for t in corpus.threads)
+        assert len(embedded) == n_posts < sum(inst.true_length for inst in instances)
+        for a, b in zip(instances, reference):
+            np.testing.assert_array_equal(a.x, b.x)
+        embedded.clear()
+        model = MTLModel(MINI, ("veracity",), DIM, 1)
+        predict_thread(model, corpus.threads[0], table)
+        assert len(embedded) == len(corpus.threads[0].posts)
 
     def test_stance_alignment(self):
         corpus = generate_synthetic(GeneratorSpec(events=1, threads_per_event=4), 6)

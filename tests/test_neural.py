@@ -48,6 +48,63 @@ def scalar_lstm_reference(params, x, mask):
     return np.array(out)
 
 
+def stepwise_lstm_forward(params, x, mask):
+    """Reference recurrence: the input projection inside the loop, one
+    sigmoid per gate."""
+    B, T, _ = x.shape
+    h_dim = params["Wh"].shape[0]
+    h = np.zeros((B, h_dim))
+    c = np.zeros((B, h_dim))
+    hs = np.zeros((B, T, h_dim))
+    cache = []
+    for t in range(T):
+        z = x[:, t] @ params["Wx"] + h @ params["Wh"] + params["b"]
+        i = 1.0 / (1.0 + np.exp(-z[:, :h_dim]))
+        f = 1.0 / (1.0 + np.exp(-z[:, h_dim:2 * h_dim]))
+        o = 1.0 / (1.0 + np.exp(-z[:, 2 * h_dim:3 * h_dim]))
+        g = np.tanh(z[:, 3 * h_dim:])
+        c_hat = f * c + i * g
+        m = mask[:, t].astype(float)[:, None]
+        cache.append((x[:, t], h, c, i, f, o, g, np.tanh(c_hat), m))
+        c = m * c_hat + (1.0 - m) * c
+        h = m * o * np.tanh(c_hat) + (1.0 - m) * h
+        hs[:, t] = h
+    return hs, cache
+
+
+def stepwise_lstm_backward(params, cache, d_hs):
+    """Reference backward pass: ``dx`` and every weight gradient per step."""
+    B, T, h_dim = d_hs.shape
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    dx = np.zeros((B, T, params["Wx"].shape[0]))
+    dh = np.zeros((B, h_dim))
+    dc = np.zeros((B, h_dim))
+    for t in reversed(range(T)):
+        xt, h_prev, c_prev, i, f, o, g, tanh_c, m = cache[t]
+        dh = dh + d_hs[:, t]
+        dh_hat = m * dh
+        dc_hat = m * dc + dh_hat * o * (1.0 - tanh_c ** 2)
+        dz = np.concatenate([dc_hat * g * i * (1.0 - i), dc_hat * c_prev * f * (1.0 - f),
+                             dh_hat * tanh_c * o * (1.0 - o), dc_hat * i * (1.0 - g ** 2)],
+                            axis=1)
+        dc = dc_hat * f + (1.0 - m) * dc
+        grads["Wx"] += xt.T @ dz
+        grads["Wh"] += h_prev.T @ dz
+        grads["b"] += dz.sum(axis=0)
+        dx[:, t] = dz @ params["Wx"].T
+        dh = dz @ params["Wh"].T + (1.0 - m) * dh
+    return dx, grads
+
+
+def textbook_adam(params, grads, m, v, t, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    """Reference update on copies: returns the new params, m and v."""
+    m = {k: b1 * m[k] + (1.0 - b1) * grads[k] for k in params}
+    v = {k: b2 * v[k] + (1.0 - b2) * (grads[k] * grads[k]) for k in params}
+    new = {k: params[k] - lr * (m[k] / (1.0 - b1 ** t))
+           / (np.sqrt(v[k] / (1.0 - b2 ** t)) + eps) for k in params}
+    return new, m, v
+
+
 class TestSoftmaxCrossEntropy:
     def test_symmetry(self):
         np.testing.assert_allclose(softmax(np.array([0.0, 0.0])), [0.5, 0.5])
@@ -132,6 +189,35 @@ class TestLSTM:
         dx, _ = lstm_backward(params, cache, np.ones_like(hs))
         assert np.max(np.abs(dx[0, 1])) < 1e-10
 
+    @pytest.mark.parametrize("B,T,d,h", [(5, 6, 4, 3), (3, 1, 4, 3), (4, 4, 7, 5)])
+    def test_matches_stepwise_reference(self, B, T, d, h):
+        rng = np.random.default_rng(B * 100 + T)
+        params = init_lstm_layer(rng, d, h)
+        params["b"] += rng.standard_normal(4 * h)
+        x = 2.0 * rng.standard_normal((B, T, d))
+        mask = rng.random((B, T)) < 0.7   # random holes
+        mask[0] = False
+        mask[0, 0] = True                  # a length-1 row
+        if T > 2:
+            mask[1, T - 2:] = False        # trailing padding
+        d_hs = rng.standard_normal((B, T, h))
+        hs, cache = lstm_forward(params, x, mask)
+        ref_hs, ref_cache = stepwise_lstm_forward(params, x, mask)
+        assert np.max(np.abs(hs - ref_hs)) < 1e-12
+        dx, grads = lstm_backward(params, cache, d_hs)
+        ref_dx, ref_grads = stepwise_lstm_backward(params, ref_cache, d_hs)
+        assert np.max(np.abs(dx - ref_dx)) < 1e-12
+        for name in params:
+            assert np.max(np.abs(grads[name] - ref_grads[name])) < 1e-12, name
+
+    def test_sigmoid_saturates_without_overflow(self):
+        x = np.array([-1000.0, -40.0, -0.0, 0.0, 3.0, 1000.0])
+        with np.errstate(over="raise"):
+            y = neural.sigmoid(x)
+        np.testing.assert_array_equal(y[[0, 2, 3, 5]], [0.0, 0.5, 0.5, 1.0])
+        np.testing.assert_allclose(y[[1, 4]], [math.exp(-40.0) / (1.0 + math.exp(-40.0)),
+                                               1.0 / (1.0 + math.exp(-3.0))], rtol=1e-15)
+
 
 class TestDropout:
     def test_p_zero_identity(self):
@@ -163,6 +249,10 @@ class TestL2:
         grads = {}
         neural.add_l2_grads(params, grads, lam)
         np.testing.assert_allclose(grads["w"], [0.2, -0.4])
+        existing = grads["w"]
+        neural.add_l2_grads(params, grads, lam)
+        assert grads["w"] is existing
+        np.testing.assert_allclose(existing, [0.4, -0.8])
 
 
 class TestOptimizer:
@@ -194,6 +284,60 @@ class TestOptimizer:
         state = optimizer_init(params)
         with pytest.raises(FloatingPointError, match="blockname"):
             optimizer_step(params, {"blockname": np.array([np.nan])}, state)
+
+    @staticmethod
+    def adam_case(rng):
+        big = neural.OPTIMIZER_BLOCK * 2 + 37
+        return {"big": rng.standard_normal(big),             # more than one slab
+                "rows": rng.standard_normal((700, 50)),      # slabs of whole rows
+                "wide": rng.standard_normal((2, 20000)),     # rows wider than a slab
+                "T": rng.standard_normal((60, 40)).T,        # not C-contiguous
+                "bias": rng.standard_normal(3)}
+
+    def test_matches_textbook_update(self):
+        rng = np.random.default_rng(20)
+        params = self.adam_case(rng)
+        assert not params["T"].flags.c_contiguous
+        state = optimizer_init(params)
+        ref = {k: p.copy() for k, p in params.items()}
+        m = {k: np.zeros(p.shape) for k, p in params.items()}
+        v = {k: np.zeros(p.shape) for k, p in params.items()}
+        for t in range(1, 4):
+            grads = {k: rng.standard_normal(p.shape) for k, p in params.items()}
+            grads["T"] = np.ascontiguousarray(grads["T"].T).T
+            ref, m, v = textbook_adam(ref, grads, m, v, t)
+            returned = optimizer_step(params, grads, state)
+            assert returned is params and state.t == t
+            for k in params:
+                np.testing.assert_array_equal(params[k], ref[k])
+                np.testing.assert_array_equal(state.m[k], m[k])
+                np.testing.assert_array_equal(state.v[k], v[k])
+
+    def test_grads_aliasing_params(self):
+        rng = np.random.default_rng(21)
+        params = self.adam_case(rng)
+        before = {k: p.copy() for k, p in params.items()}
+        zeros = {k: np.zeros(p.shape) for k, p in params.items()}
+        ref, _, _ = textbook_adam(before, before, zeros, zeros, 1)
+        optimizer_step(params, params, optimizer_init(params))
+        for k in params:
+            np.testing.assert_array_equal(params[k], ref[k])
+
+    def test_non_finite_gradient_writes_nothing(self):
+        rng = np.random.default_rng(22)
+        params = {"a": rng.standard_normal((40, 30)), "z": rng.standard_normal(5)}
+        state = optimizer_init(params)
+        optimizer_step(params, {k: np.ones(p.shape) for k, p in params.items()}, state)
+        snapshot = ({k: p.copy() for k, p in params.items()},
+                    {k: p.copy() for k, p in state.m.items()},
+                    {k: p.copy() for k, p in state.v.items()})
+        bad = {"a": np.ones((40, 30)), "z": np.array([1.0, np.inf, 1.0, 1.0, 1.0])}
+        with pytest.raises(FloatingPointError, match="'z'"):
+            optimizer_step(params, bad, state)
+        assert state.t == 1
+        for now, then in zip((params, state.m, state.v), snapshot):
+            for k in now:
+                np.testing.assert_array_equal(now[k], then[k])
 
     def test_deterministic(self):
         def run():
