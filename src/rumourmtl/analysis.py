@@ -13,19 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from rumourmtl.corpus import (
-    DETECTION_CLASSES,
-    STANCE_CLASSES,
-    VERACITY_CLASSES,
-    Corpus,
-)
+from rumourmtl.corpus import TASK_CLASSES, Corpus, Thread
 from rumourmtl.text import preprocess
-
-TASK_LABELS = {
-    "stance": STANCE_CLASSES,
-    "veracity": VERACITY_CLASSES,
-    "detection": DETECTION_CLASSES,
-}
 
 
 @dataclass(frozen=True)
@@ -88,22 +77,22 @@ class DatasetStats:
     ttr: float
 
 
+def _task_labels(thread: Thread, task: str) -> list[str]:
+    """The thread's labels for ``task``: one per annotated post for stance,
+    the thread label, if any, for detection and veracity."""
+    if task == "stance":
+        return [p.stance_label for p in thread.posts if p.stance_label is not None]
+    label = getattr(thread, f"{task}_label")
+    return [] if label is None else [label]
+
+
 def _event_distribution(corpus: Corpus, event: str, task: str) -> Optional[LabelDistribution]:
-    labels = TASK_LABELS[task]
-    counts = [0] * len(labels)
+    classes = TASK_CLASSES[task]
+    counts = [0] * len(classes)
     for thread in corpus.threads:
-        if thread.event != event:
-            continue
-        if task == "stance":
-            for post in thread.posts:
-                if post.stance_label is not None:
-                    counts[labels.index(post.stance_label)] += 1
-        elif task == "veracity":
-            if thread.veracity_label is not None:
-                counts[labels.index(thread.veracity_label)] += 1
-        else:
-            if thread.detection_label is not None:
-                counts[labels.index(thread.detection_label)] += 1
+        if thread.event == event:
+            for label in _task_labels(thread, task):
+                counts[classes.index(label)] += 1
     if sum(counts) == 0:
         return None
     return LabelDistribution(task=task, event=event, counts=tuple(counts))
@@ -111,19 +100,8 @@ def _event_distribution(corpus: Corpus, event: str, task: str) -> Optional[Label
 
 def _task_texts(corpus: Corpus, event: str, task: str) -> list[list[str]]:
     """Preprocessed tokens of all posts in threads labeled for the task."""
-    texts = []
-    for thread in corpus.threads:
-        if thread.event != event:
-            continue
-        if task == "stance":
-            labeled = any(p.stance_label is not None for p in thread.posts)
-        elif task == "veracity":
-            labeled = thread.veracity_label is not None
-        else:
-            labeled = thread.detection_label is not None
-        if labeled:
-            texts.extend(preprocess(p.text) for p in thread.posts)
-    return texts
+    return [preprocess(p.text) for thread in corpus.threads
+            if thread.event == event and _task_labels(thread, task) for p in thread.posts]
 
 
 def analyze_corpus(corpus: Corpus) -> dict[str, dict[str, Optional[DatasetStats]]]:

@@ -125,13 +125,9 @@ def svm_fit(features: np.ndarray, labels: Sequence[str], l2: float = 1e-3,
     return LinearModel(classes=tuple(classes), weights=weights, biases=biases, l2=l2)
 
 
-def svm_decision(model: LinearModel, features: np.ndarray) -> np.ndarray:
-    return features @ model.weights.T + model.biases
-
-
 def svm_predict(model: LinearModel, features: np.ndarray) -> list[str]:
     """Argmax margin; exact ties resolve to the alphabetically first class."""
-    scores = svm_decision(model, np.atleast_2d(features))
+    scores = np.atleast_2d(features) @ model.weights.T + model.biases
     preds = []
     for row in scores:
         best = row.max()

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -68,11 +68,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return parse_config_text(path.read_text(), where=str(path))
 
 
-_HP_KEYS = {
-    "num_dense_layers": int, "num_lstm_layers": int, "dense_width": int,
-    "lstm_width": int, "l2": float, "batch_size": int, "epochs": int,
-    "dropout": float, "learning_rate": float,
-}
+_HP_KEYS = {f.name: type(f.default) for f in fields(HyperParams)}
 
 
 @dataclass
@@ -109,10 +105,14 @@ class RunConfig:
                 max_branch_len=int(values.get("max_branch_len", str(DEFAULT_MAX_BRANCH_LEN))),
                 hp=HyperParams(**hp_kwargs),
             )
+            cfg.hp.validate()
         except ValueError as exc:
             raise UsageError(f"bad config value: {exc}") from None
         if "veracity" not in cfg.tasks:
             raise UsageError("task set must include veracity")
+        for key in ("embedding_dim", "max_branch_len"):
+            if getattr(cfg, key) < 1:
+                raise UsageError(f"config key {key!r} must be >= 1, got {getattr(cfg, key)}")
         return cfg
 
 
@@ -127,7 +127,10 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
 
 def _embedding_table(cfg: RunConfig) -> EmbeddingTable:
     if cfg.embeddings:
-        return load_embeddings(cfg.embeddings)
+        try:
+            return load_embeddings(cfg.embeddings)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"bad embeddings file: {exc}") from None
     return hash_embeddings(cfg.embedding_dim, seed=cfg.seed)
 
 
@@ -139,10 +142,6 @@ def _train_mtl(corpus: Corpus, table: EmbeddingTable, cfg: RunConfig,
     instances = mtl.build_instances(corpus, table, max_branch_len=cfg.max_branch_len)
     model = MTLModel(cfg.hp, tasks, table.dimension, seed)
     return model, mtl.train(model, instances, seed)
-
-
-def _onehot_probs(pred: str) -> list[float]:
-    return [1.0 if c == pred else 0.0 for c in VERACITY_CLASSES]
 
 
 def _loeo_fold(model_name: str, cfg: RunConfig, corpus: Corpus, table: EmbeddingTable,
@@ -161,7 +160,7 @@ def _loeo_fold(model_name: str, cfg: RunConfig, corpus: Corpus, table: Embedding
                                                max_branch_len=cfg.max_branch_len)
                             for t in labeled.threads]
             return [p.veracity for p in thread_preds], [p.veracity_probs for p in thread_preds]
-        return preds, [_onehot_probs(p) for p in preds]
+        return preds, [[float(c == p) for c in VERACITY_CLASSES] for p in preds]
 
     return evaluation.loeo_fold(corpus, event, fit_predict, VERACITY_CLASSES)
 
@@ -184,22 +183,22 @@ def cmd_synth(args: argparse.Namespace) -> int:
     def fval(key: str, default: float) -> float:
         return float(values.get(key, default))
 
-    spec = GeneratorSpec(
-        events=int(values.get("events", 3)),
-        threads_per_event=int(values.get("threads_per_event", 10)),
-        depth_range=(int(values.get("depth_min", 1)), int(values.get("depth_max", 4))),
-        veracity_priors=(fval("prior_false", 1 / 3), fval("prior_true", 1 / 3),
-                         fval("prior_unverified", 1 / 3)),
-        nonrumour_fraction=fval("nonrumour_fraction", 0.25),
-        coupling=fval("coupling", 1.0),
-        replies_range=(int(values.get("replies_min", 2)), int(values.get("replies_max", 6))),
-        tokens_per_post=int(values.get("tokens_per_post", 6)),
-    )
-    seed = args.seed if args.seed is not None else int(values.get("seed", 0))
     try:
+        spec = GeneratorSpec(
+            events=int(values.get("events", 3)),
+            threads_per_event=int(values.get("threads_per_event", 10)),
+            depth_range=(int(values.get("depth_min", 1)), int(values.get("depth_max", 4))),
+            veracity_priors=(fval("prior_false", 1 / 3), fval("prior_true", 1 / 3),
+                             fval("prior_unverified", 1 / 3)),
+            nonrumour_fraction=fval("nonrumour_fraction", 0.25),
+            coupling=fval("coupling", 1.0),
+            replies_range=(int(values.get("replies_min", 2)), int(values.get("replies_max", 6))),
+            tokens_per_post=int(values.get("tokens_per_post", 6)),
+        )
+        seed = args.seed if args.seed is not None else int(values.get("seed", 0))
         corpus = generate_synthetic(spec, seed)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(f"{args.spec}: {exc}") from None
     save_corpus(corpus, args.output)
     print(f"wrote {len(corpus)} threads to {args.output}")
     return 0
@@ -238,6 +237,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"bad checkpoint {args.model}: {exc}") from None
     table = _embedding_table(cfg)
+    if table.dimension != model.input_dim:
+        raise UsageError(f"embedding dimension {table.dimension} does not match the "
+                         f"input dimension {model.input_dim} of checkpoint {args.model}")
     out_dir = Path(cfg.output_dir)
     predictions = [mtl.predict_thread(model, t, table, max_branch_len=cfg.max_branch_len)
                    for t in corpus.threads]
@@ -266,6 +268,8 @@ def cmd_loeo(args: argparse.Namespace) -> int:
     for name in model_names:
         if name not in MODEL_NAMES:
             raise UsageError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     table = _embedding_table(cfg)
     names, events = zip(*[(name, event) for name in model_names for event in corpus.events])
     fold_args = (names, [cfg] * len(names), [corpus] * len(names), [table] * len(names), events)

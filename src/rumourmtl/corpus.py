@@ -18,6 +18,12 @@ import numpy as np
 STANCE_CLASSES = ("comment", "deny", "query", "support")
 DETECTION_CLASSES = ("non-rumour", "rumour")
 VERACITY_CLASSES = ("false", "true", "unverified")
+#: Each task's classes, alphabetical: the order of model outputs and label codes.
+TASK_CLASSES = {
+    "stance": STANCE_CLASSES,
+    "detection": DETECTION_CLASSES,
+    "veracity": VERACITY_CLASSES,
+}
 
 #: Branches longer than this are truncated from the leaf end (source kept)
 #: when building training instances.

@@ -24,6 +24,7 @@ from rumourmtl.corpus import (
     DEFAULT_MAX_BRANCH_LEN,
     DETECTION_CLASSES,
     STANCE_CLASSES,
+    TASK_CLASSES,
     VERACITY_CLASSES,
     Branch,
     Corpus,
@@ -31,13 +32,9 @@ from rumourmtl.corpus import (
     decompose_branches,
 )
 from rumourmtl.neural import Params
-from rumourmtl.text import EmbeddingTable, embed_tweet, pad_and_mask, preprocess
+from rumourmtl.search import default_space
+from rumourmtl.text import EmbeddingTable, embed_tweet, preprocess
 
-TASK_CLASSES = {
-    "stance": STANCE_CLASSES,
-    "detection": DETECTION_CLASSES,
-    "veracity": VERACITY_CLASSES,
-}
 #: stance is annotated per tweet; detection/veracity per thread.
 PER_STEP_TASKS = frozenset({"stance"})
 ALL_TASKS = ("veracity", "stance", "detection")
@@ -47,14 +44,6 @@ VALID_TASK_SETS = (
     frozenset({"veracity", "detection"}),
     frozenset({"veracity", "stance", "detection"}),
 )
-
-# Paper search-space value sets; enforced only in strict mode so miniature
-# models remain possible for testing.
-DENSE_WIDTHS = (300, 400, 500, 600)
-LSTM_WIDTHS = (100, 200, 300)
-DENSE_DEPTHS = (1, 2, 3, 4)
-LSTM_DEPTHS = (1, 2)
-L2_STRENGTHS = (1e-4, 1e-3)
 
 #: Parameter keys of one layer, as ``neural.init_lstm_layer`` and
 #: ``neural.init_dense_layer`` create them.
@@ -81,26 +70,22 @@ class HyperParams:
     learning_rate: float = 1e-3
 
     def validate(self, strict: bool = False) -> None:
+        """Raise ValueError for an out-of-range field. ``strict`` also requires
+        ``search.default_space()``, which miniature test models fall outside."""
         if self.num_dense_layers < 1 or self.num_lstm_layers < 1:
             raise ValueError("layer counts must be positive")
         if self.dense_width < 1 or self.lstm_width < 1:
             raise ValueError("layer widths must be positive")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.l2 < 0 or self.learning_rate <= 0:
-            raise ValueError("l2 must be >= 0 and learning_rate > 0")
+        if not (0.0 <= self.l2 < np.inf and 0.0 < self.learning_rate < np.inf):
+            raise ValueError(f"l2 must be finite and >= 0 and learning_rate finite and > 0, "
+                             f"got l2={self.l2}, learning_rate={self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
         if strict:
-            checks = [
-                (self.num_dense_layers, DENSE_DEPTHS, "num_dense_layers"),
-                (self.num_lstm_layers, LSTM_DEPTHS, "num_lstm_layers"),
-                (self.dense_width, DENSE_WIDTHS, "dense_width"),
-                (self.lstm_width, LSTM_WIDTHS, "lstm_width"),
-                (self.l2, L2_STRENGTHS, "l2"),
-            ]
-            for value, allowed, name in checks:
-                if value not in allowed:
+            for name, allowed in default_space().dimensions:
+                if (value := getattr(self, name)) not in allowed:
                     raise ValueError(f"{name}={value} outside the search space {allowed}")
 
 
@@ -170,11 +155,12 @@ class MTLModel:
                 dropout_masks: Optional[dict] = None) -> tuple[dict, dict]:
         """Run the full model on a batch (B, T, dim).
 
-        Returns per-task outputs and the cache for ``backward``. During
-        training, dropout masks are drawn from ``dropout_rng`` (or replayed
-        from ``dropout_masks``) and recorded in the cache.
+        Returns each head's probability rows, laid out as ``_head_labels``
+        describes, and the cache for backward. During training, dropout
+        masks are drawn from ``dropout_rng`` (or replayed from
+        ``dropout_masks``) and recorded in the cache.
         """
-        B, T, _ = x.shape
+        B = x.shape[0]
         cache: dict = {"x": x, "mask": mask, "lstm": []}
         inp = x
         for l in range(self.hp.num_lstm_layers):
@@ -207,12 +193,7 @@ class MTLModel:
                 "dense_caches": dense_caches, "dropout_mask": dmask,
                 "a_drop": a_drop, "probs": probs, "rows": (rows_b, rows_t),
             }
-            if task in PER_STEP_TASKS:
-                full = np.zeros((B, T, probs.shape[-1]))
-                full[rows_b, rows_t] = probs
-                outputs[task] = full
-            else:
-                outputs[task] = probs
+            outputs[task] = probs
         return outputs, cache
 
     # -- loss ------------------------------------------------------------
@@ -226,8 +207,8 @@ class MTLModel:
     def batch_loss(self, batch: Sequence[TrainingInstance], train: bool = False,
                    dropout_masks: Optional[dict] = None, include_l2: bool = True) -> float:
         """Forward-only joint objective (used by the finite-difference oracle)."""
-        _, cache = self.forward(*_stack(batch), train=train, dropout_masks=dropout_masks)
-        loss, _ = self.batch_data_loss(batch, _head_probs(cache))
+        outputs, _ = self.forward(*_stack(batch), train=train, dropout_masks=dropout_masks)
+        loss, _ = self.batch_data_loss(batch, outputs)
         if include_l2:
             loss += neural.l2_penalty(self.params, self.hp.l2)
         return loss
@@ -241,9 +222,9 @@ class MTLModel:
         The objective is the batch-mean data loss plus (optionally) the
         model-level L2 penalty. Returns (loss, grads, cache).
         """
-        _, cache = self.forward(*_stack(batch), train=train, dropout_rng=dropout_rng,
-                                dropout_masks=dropout_masks)
-        loss, dlogits = self.batch_data_loss(batch, _head_probs(cache))
+        outputs, cache = self.forward(*_stack(batch), train=train, dropout_rng=dropout_rng,
+                                      dropout_masks=dropout_masks)
+        loss, dlogits = self.batch_data_loss(batch, outputs)
 
         dH = np.zeros_like(cache["H"])
         grads: Params = {}
@@ -309,10 +290,6 @@ def _stack(batch: Sequence[TrainingInstance]) -> tuple[np.ndarray, np.ndarray]:
             np.stack([inst.mask[:T] for inst in batch]))
 
 
-def _head_probs(cache: dict) -> dict:
-    return {task: head["probs"] for task, head in cache["heads"].items()}
-
-
 def _head_labels(batch: Sequence[TrainingInstance], task: str
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Gold class of each row of ``task``'s head (-1 where unlabeled) and
@@ -369,31 +346,38 @@ def _masked_loss(batch: Sequence[TrainingInstance], probs: dict) -> tuple[float,
 def joint_loss(outputs: dict, inst: TrainingInstance) -> float:
     """Summed masked loss for one instance given its forward outputs.
 
-    ``outputs`` maps task name to probabilities: (K,) for detection and
-    veracity, (T, K) rows for stance. Tasks whose label is absent
-    contribute exactly zero.
+    ``outputs`` maps task name to probabilities, as ``instance_outputs``
+    gives them: (K,) for detection and veracity, (true_length, K) rows for
+    stance. Tasks whose label is absent contribute exactly zero.
     """
-    probs = {task: p[:inst.true_length] if task in PER_STEP_TASKS else p[None]
-             for task, p in outputs.items()}
+    probs = {task: p if task in PER_STEP_TASKS else p[None] for task, p in outputs.items()}
     return _masked_loss([inst], probs)[0]
 
 
 def instance_outputs(model: MTLModel, inst: TrainingInstance) -> dict:
-    """Eval-mode forward pass for a single instance."""
+    """Eval-mode head rows of a single instance; a thread task's one row as a vector."""
     outputs, _ = model.forward(inst.x[None], inst.mask[None], train=False)
-    return {t: outputs[t][0] for t in model.tasks}
+    return {t: p if t in PER_STEP_TASKS else p[0] for t, p in outputs.items()}
 
 
 # ---------------------------------------------------------------------------
 # Instance construction
 
-def _post_vectors(thread: Thread, branches: Sequence[Branch], table: EmbeddingTable
-                  ) -> dict[str, np.ndarray]:
-    """Embed each post of ``branches`` once: {post id: vector}. Branches
-    share their prefixes, so posts repeat across them."""
+def _branch_tensors(thread: Thread, branches: Sequence[Branch], table: EmbeddingTable,
+                    T: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inputs (N, T, dim) and masks (N, T) of a thread's branches, cut at the
+    leaf end or zero-padded to T steps; each post is embedded once."""
     texts = {p.id: p.text for p in thread.posts}
-    ids = dict.fromkeys(pid for branch in branches for pid in branch.post_ids)
-    return {pid: embed_tweet(preprocess(texts[pid]), table) for pid in ids}
+    vectors: dict[str, np.ndarray] = {}
+    x = np.zeros((len(branches), T, table.dimension))
+    mask = np.zeros((len(branches), T), dtype=bool)
+    for i, branch in enumerate(branches):
+        for t, pid in enumerate(branch.post_ids[:T]):
+            if pid not in vectors:
+                vectors[pid] = embed_tweet(preprocess(texts[pid]), table)
+            x[i, t] = vectors[pid]
+        mask[i, :len(branch)] = True
+    return x, mask
 
 
 def build_instances(corpus: Corpus, table: EmbeddingTable,
@@ -412,28 +396,26 @@ def build_instances(corpus: Corpus, table: EmbeddingTable,
     T = pad_to if pad_to is not None else longest
     instances = []
     for thread, branches in per_thread:
-        posts = {p.id: p for p in thread.posts}
-        vectors = _post_vectors(thread, branches, table)
+        stance_of = {p.id: -1 if p.stance_label is None else STANCE_CLASSES.index(p.stance_label)
+                     for p in thread.posts}
         det = (DETECTION_CLASSES.index(thread.detection_label)
                if thread.detection_label is not None else None)
         ver = (VERACITY_CLASSES.index(thread.veracity_label)
                if thread.veracity_label is not None else None)
-        for branch in branches:
-            tensor = pad_and_mask([vectors[pid] for pid in branch.post_ids], T)
-            stances = np.array([
-                STANCE_CLASSES.index(posts[pid].stance_label)
-                if posts[pid].stance_label is not None else -1
-                for pid in branch.post_ids[:tensor.true_length]])
+        x, mask = _branch_tensors(thread, branches, table, T)
+        for branch, x_b, mask_b in zip(branches, x, mask):
+            post_ids = branch.post_ids[:T]
+            stances = np.array([stance_of[pid] for pid in post_ids])
             instances.append(TrainingInstance(
-                x=tensor.matrix,
-                mask=tensor.mask,
-                true_length=tensor.true_length,
+                x=x_b,
+                mask=mask_b,
+                true_length=len(post_ids),
                 stance_labels=stances if np.any(stances >= 0) else None,
                 detection_label=det,
                 veracity_label=ver,
                 thread_id=thread.id,
                 event=thread.event,
-                post_ids=branch.post_ids[:tensor.true_length],
+                post_ids=post_ids,
             ))
     return instances
 
@@ -484,8 +466,8 @@ def branch_accuracy(model: MTLModel, instances: Sequence[TrainingInstance]) -> d
     totals = dict.fromkeys(model.tasks, 0)
     for start in range(0, len(instances), 256):
         batch = instances[start:start + 256]
-        _, cache = model.forward(*_stack(batch), train=False)
-        for task, p in _head_probs(cache).items():
+        outputs, _ = model.forward(*_stack(batch), train=False)
+        for task, p in outputs.items():
             labels, _ = _head_labels(batch, task)
             live = labels >= 0
             hits[task] += int(np.sum(np.argmax(p[live], axis=1) == labels[live]))
@@ -548,12 +530,7 @@ def predict_thread(model: MTLModel, thread: Thread, table: EmbeddingTable,
     containing the tweet.
     """
     branches = decompose_branches(thread, max_len=max_branch_len)
-    vectors = _post_vectors(thread, branches, table)
-    T = max(len(b) for b in branches)
-    tensors = [pad_and_mask([vectors[pid] for pid in branch.post_ids], T)
-               for branch in branches]
-    x = np.stack([t.matrix for t in tensors])
-    mask = np.stack([t.mask for t in tensors])
+    x, mask = _branch_tensors(thread, branches, table, max(len(b) for b in branches))
     outputs, _ = model.forward(x, mask, train=False)
     veracity, v_probs = _majority_vote(outputs["veracity"], VERACITY_CLASSES)
     detection = d_probs = None
@@ -561,12 +538,11 @@ def predict_thread(model: MTLModel, thread: Thread, table: EmbeddingTable,
         detection, d_probs = _majority_vote(outputs["detection"], DETECTION_CLASSES)
     stance = None
     if "stance" in model.tasks:
-        assigned: dict[str, str] = {}
-        for bi, branch in enumerate(branches):
-            for t, pid in enumerate(branch.post_ids):
-                if pid not in assigned:
-                    assigned[pid] = STANCE_CLASSES[int(np.argmax(outputs["stance"][bi, t]))]
-        stance = tuple(sorted(assigned.items()))
+        # Stance rows follow the branches' post ids; each post keeps its first.
+        row_ids = [pid for branch in branches for pid in branch.post_ids]
+        first = {pid: row for row, pid in reversed(list(enumerate(row_ids)))}
+        votes = np.argmax(outputs["stance"], axis=1)
+        stance = tuple(sorted((pid, STANCE_CLASSES[votes[row]]) for pid, row in first.items()))
     return ThreadPrediction(
         thread_id=thread.id,
         event=thread.event,

@@ -174,16 +174,14 @@ def lstm_backward(params: Params, cache: list[dict], d_hs: np.ndarray
 # ---------------------------------------------------------------------------
 # Dense-ReLU stack
 
-def dense_forward(params: Params, x: np.ndarray, activation: str = "relu"
-                  ) -> tuple[np.ndarray, dict]:
+def dense_forward(params: Params, x: np.ndarray) -> tuple[np.ndarray, dict]:
     z = x @ params["W"] + params["b"]
-    a = relu(z) if activation == "relu" else z
-    return a, {"x": x, "z": z, "activation": activation}
+    return relu(z), {"x": x, "z": z}
 
 
 def dense_backward(params: Params, cache: dict, d_out: np.ndarray
                    ) -> tuple[np.ndarray, Params]:
-    dz = d_out * (cache["z"] > 0) if cache["activation"] == "relu" else d_out
+    dz = d_out * (cache["z"] > 0)
     grads = {"W": cache["x"].T @ dz, "b": dz.sum(axis=0)}
     return dz @ params["W"].T, grads
 

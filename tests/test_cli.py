@@ -286,3 +286,46 @@ class TestDispatch:
 
     def test_no_command_exit_1(self, capsys):
         assert dispatch([]) == 1
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
+def _evaluate_other_dim(tmp_path, corpus_path):
+    assert dispatch(["train", str(run_config(tmp_path, corpus_path))]) == 0
+    cfg = run_config(tmp_path, corpus_path, name="dim16.cfg", embedding_dim=16)
+    return ["evaluate", cfg, "--model", tmp_path / "out" / "model.json"], "model.json"
+
+
+#: Bad input at the config and loader boundary: (argv, the key or file the
+#: error line must name), built from a temporary directory and a corpus.
+BAD_INPUTS = {
+    "missing embeddings file": lambda tmp, corpus: (
+        ["train", run_config(tmp, corpus, embeddings=tmp / "nope.vec")], "nope.vec"),
+    "malformed embeddings file": lambda tmp, corpus: (
+        ["train", run_config(tmp, corpus, embeddings=_write(tmp / "bad.vec", "a 1 2 3\nb 1 2\n"))],
+        "bad.vec"),
+    "embedding_dim 0": lambda tmp, corpus: (
+        ["train", run_config(tmp, corpus, embedding_dim=0)], "embedding_dim"),
+    "max_branch_len 0": lambda tmp, corpus: (
+        ["train", run_config(tmp, corpus, max_branch_len=0)], "max_branch_len"),
+    "learning_rate nan": lambda tmp, corpus: (
+        ["train", run_config(tmp, corpus, learning_rate="nan")], "learning_rate"),
+    "non-integer synth spec value": lambda tmp, corpus: (
+        ["synth", _write(tmp / "spec.cfg", "events = three\n"), "-o", tmp / "x.ndjson"],
+        "spec.cfg"),
+    "evaluate with another embedding dim": _evaluate_other_dim,
+    "loeo --jobs 0": lambda tmp, corpus: (
+        ["loeo", run_config(tmp, corpus), "--models", "majority", "--jobs", "0"], "--jobs"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exit_1(case, tmp_path, corpus_path, capsys):
+    argv, named = BAD_INPUTS[case](tmp_path, corpus_path)
+    capsys.readouterr()
+    assert dispatch([str(a) for a in argv]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and named in errors[0]

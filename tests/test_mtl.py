@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from rumourmtl import mtl as mtl_module
-from rumourmtl.corpus import GeneratorSpec, generate_synthetic
+from rumourmtl.corpus import (
+    STANCE_CLASSES,
+    Corpus,
+    GeneratorSpec,
+    Post,
+    Thread,
+    generate_synthetic,
+)
 from rumourmtl.mtl import (
     HyperParams,
     MTLModel,
@@ -371,6 +378,29 @@ class TestPredictThread:
         assert pred.veracity in ("false", "true", "unverified")
         assert pred.detection in ("non-rumour", "rumour")
         assert {pid for pid, _ in pred.stance} == {p.id for p in thread.posts}
+
+    @pytest.mark.parametrize("max_branch_len", [25, 3])
+    def test_stance_from_first_branch_containing_post(self, max_branch_len):
+        # Branches p0-p1-p2-p3, p0-p1-p2-p4, p0-p1-p5 and p0-p6 share
+        # prefixes; cut to 3 steps, the first two become duplicates.
+        parents = {"p1": "p0", "p2": "p1", "p3": "p2", "p4": "p2", "p5": "p1", "p6": "p0"}
+        words = iter(["bravo", "charlie", "delta", "echo", "foxtrot", "golf"])
+        thread = Thread(Post.create("p0", "alpha"),
+                        tuple(Post.create(pid, next(words), parent_id=parent)
+                              for pid, parent in parents.items()),
+                        event="e", detection_label="rumour", veracity_label="true")
+        table = hash_embeddings(DIM, 0)
+        model = MTLModel(MINI, ("veracity", "stance"), DIM, 6)
+        model.params["stance/out/W"] *= 20.0  # spread the posts over several classes
+        expected = {}
+        for inst in build_instances(Corpus((thread,)), table, max_branch_len=max_branch_len):
+            rows = instance_outputs(model, inst)["stance"]
+            for t, pid in enumerate(inst.post_ids):
+                expected.setdefault(pid, STANCE_CLASSES[int(np.argmax(rows[t]))])
+        pred = predict_thread(model, thread, table, max_branch_len=max_branch_len)
+        assert dict(pred.stance) == expected
+        assert [pid for pid, _ in pred.stance] == sorted(expected)
+        assert len(set(expected.values())) >= 3
 
     def test_dump_format(self, tmp_path):
         corpus = generate_synthetic(GeneratorSpec(events=1, threads_per_event=2), 4)
