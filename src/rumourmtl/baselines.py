@@ -101,11 +101,11 @@ class LinearModel:
 
 
 def svm_fit(features: np.ndarray, labels: Sequence[str], l2: float = 1e-3,
-            epochs: int = 100, seed: int = 0,
-            classes: Sequence[str] = VERACITY_CLASSES) -> LinearModel:
-    """Train one hinge-loss separator per class against the rest."""
+            epochs: int = 100, seed: int = 0) -> LinearModel:
+    """Train one hinge-loss separator per veracity class against the rest."""
     if len({lbl for lbl in labels}) < 2:
         raise ValueError("need at least two classes in the training labels")
+    classes = VERACITY_CLASSES
     n, d = features.shape
     weights = np.zeros((len(classes), d))
     biases = np.zeros(len(classes))
@@ -122,7 +122,7 @@ def svm_fit(features: np.ndarray, labels: Sequence[str], l2: float = 1e-3,
             weights *= 1.0 - lr * l2
             weights[violated] += lr * np.outer(y[violated, i], xi)
             biases[violated] += lr * y[violated, i]
-    return LinearModel(classes=tuple(classes), weights=weights, biases=biases, l2=l2)
+    return LinearModel(classes=classes, weights=weights, biases=biases, l2=l2)
 
 
 def svm_predict(model: LinearModel, features: np.ndarray) -> list[str]:
@@ -146,8 +146,7 @@ class NileModel:
     stance_of: Optional[Callable[[Thread], Callable[[str], Optional[str]]]] = None
 
 
-def nile_fit(train: Corpus, l2: float = 1e-3, epochs: int = 100, seed: int = 0,
-             size_cap: int = 5000,
+def nile_fit(train: Corpus, epochs: int = 100, seed: int = 0,
              stance_source: Optional[Callable[[Thread], Callable[[str], Optional[str]]]] = None
              ) -> NileModel:
     """Fit the linear baseline on every veracity-labeled training thread.
@@ -155,7 +154,7 @@ def nile_fit(train: Corpus, l2: float = 1e-3, epochs: int = 100, seed: int = 0,
     ``stance_source(thread)`` returns a post-id -> stance lookup; by default
     the gold stance annotations are used.
     """
-    vocab = BowVocabulary.build(train, size_cap=size_cap)
+    vocab = BowVocabulary.build(train)
     labeled = [t for t in train.threads if t.veracity_label is not None]
     if not labeled:
         raise ValueError("no veracity labels in the training corpus")
@@ -163,7 +162,7 @@ def nile_fit(train: Corpus, l2: float = 1e-3, epochs: int = 100, seed: int = 0,
         extract_features(t, vocab, stance_source(t) if stance_source else None)
         for t in labeled])
     labels = [t.veracity_label for t in labeled]
-    linear = svm_fit(feats, labels, l2=l2, epochs=epochs, seed=seed)
+    linear = svm_fit(feats, labels, epochs=epochs, seed=seed)
     return NileModel(vocab=vocab, linear=linear, stance_of=stance_source)
 
 

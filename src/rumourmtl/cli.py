@@ -99,7 +99,7 @@ class RunConfig:
                 corpus=values["corpus"],
                 output_dir=values.get("output_dir", "out"),
                 seed=int(values.get("seed", "0")),
-                tasks=tasks,
+                tasks=mtl.normalize_tasks(tasks),
                 embeddings=values.get("embeddings") or None,
                 embedding_dim=int(values.get("embedding_dim", "300")),
                 max_branch_len=int(values.get("max_branch_len", str(DEFAULT_MAX_BRANCH_LEN))),
@@ -108,11 +108,9 @@ class RunConfig:
             cfg.hp.validate()
         except ValueError as exc:
             raise UsageError(f"bad config value: {exc}") from None
-        if "veracity" not in cfg.tasks:
-            raise UsageError("task set must include veracity")
-        for key in ("embedding_dim", "max_branch_len"):
-            if getattr(cfg, key) < 1:
-                raise UsageError(f"config key {key!r} must be >= 1, got {getattr(cfg, key)}")
+        for key, low in (("seed", 0), ("embedding_dim", 1), ("max_branch_len", 1)):
+            if getattr(cfg, key) < low:
+                raise UsageError(f"config key {key!r} must be >= {low}, got {getattr(cfg, key)}")
         return cfg
 
 
@@ -299,6 +297,8 @@ def cmd_loeo(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
     cfg = _load_run_config(args)
     corpus = load_corpus(cfg.corpus)
     if len(corpus.events) < 2:
@@ -322,8 +322,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     out_dir = Path(cfg.output_dir)
     tpe_cfg = search_mod.TPEConfig(objective_mode=args.objective)
     best, history = search_mod.run_search(
-        search_mod.default_space(), evaluate_config, n_trials=args.trials, cfg=tpe_cfg, seed=cfg.seed,
-        log_path=out_dir / "trials.ndjson")
+        search_mod.default_space(), evaluate_config, n_trials=args.trials, cfg=tpe_cfg,
+        seed=cfg.seed, log_path=out_dir / "trials.ndjson")
     atomic_write(out_dir / "best_config.json",
                  json.dumps(best.to_json_obj(), sort_keys=True) + "\n")
     print(f"best objective {best.objective:.4f} at trial {best.number}")
@@ -356,31 +356,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None, help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_analyze)
 
-    for name, func, extra in (
-        ("train", cmd_train, ()),
-        ("evaluate", cmd_evaluate, ("--model",)),
-        ("loeo", cmd_loeo, ("--models", "--jobs")),
-        ("search", cmd_search, ("--trials", "--objective")),
-    ):
+    def run_parser(name: str, func) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} according to a run config")
         p.add_argument("config", help="run config file (key = value)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--output-dir", dest="output_dir", default=None)
         p.add_argument("--tasks", default=None, help="comma-separated task set")
         p.add_argument("--epochs", type=int, default=None)
-        if "--model" in extra:
-            p.add_argument("--model", required=True, help="checkpoint path")
-        if "--models" in extra:
-            p.add_argument("--models", default="majority,mtl3",
-                           help=f"comma-separated subset of {','.join(MODEL_NAMES)}")
-        if "--jobs" in extra:
-            p.add_argument("--jobs", type=int, default=1, help="parallel folds")
-        if "--trials" in extra:
-            p.add_argument("--trials", type=int, default=30)
-        if "--objective" in extra:
-            p.add_argument("--objective", choices=("product", "accuracy"),
-                           default="product")
         p.set_defaults(func=func)
+        return p
+
+    run_parser("train", cmd_train)
+    run_parser("evaluate", cmd_evaluate).add_argument(
+        "--model", required=True, help="checkpoint path")
+    p = run_parser("loeo", cmd_loeo)
+    p.add_argument("--models", default="majority,mtl3",
+                   help=f"comma-separated subset of {','.join(MODEL_NAMES)}")
+    p.add_argument("--jobs", type=int, default=1, help="parallel folds")
+    p = run_parser("search", cmd_search)
+    p.add_argument("--trials", type=int, default=30)
+    p.add_argument("--objective", choices=("product", "accuracy"), default="product")
     return parser
 
 

@@ -9,11 +9,14 @@ directory of ``*.json`` files or a single newline-delimited file.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+
+from rumourmtl.artifacts import atomic_write
 
 STANCE_CLASSES = ("comment", "deny", "query", "support")
 DETECTION_CLASSES = ("non-rumour", "rumour")
@@ -219,13 +222,18 @@ def _thread_from_obj(obj: dict, where: str) -> Thread:
         raise CorpusError(f"{where}: missing field {exc}") from None
     if not isinstance(raw_posts, list) or not raw_posts:
         raise CorpusError(f"{where}: 'posts' must be a non-empty list")
+    if not isinstance(event, str):
+        raise CorpusError(f"{where}: 'event' must be a string, got {event!r}")
     posts = []
     for rp in raw_posts:
         try:
+            post_id, text, parent = str(rp["id"]), rp["text"], rp.get("parent")
+            if not isinstance(text, str):
+                raise TypeError(f"'text' must be a string, got {text!r}")
             post = Post.create(
-                id=str(rp["id"]),
-                text=rp["text"],
-                parent_id=rp.get("parent"),
+                id=post_id,
+                text=text,
+                parent_id=None if parent is None else str(parent),
                 stance_label=rp.get("stance"),
             )
         except (KeyError, TypeError) as exc:
@@ -254,29 +262,23 @@ def load_corpus(path: str | Path) -> Corpus:
     """Load and validate a corpus from a directory of ``*.json`` files or an
     ndjson file (one thread object per line)."""
     path = Path(path)
-    threads: list[Thread] = []
     if path.is_dir():
         files = sorted(path.glob("*.json"))
         if not files:
             raise CorpusError(f"{path}: no *.json files found")
-        for f in files:
-            try:
-                obj = json.loads(f.read_text())
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{f}: parse failure: {exc}") from None
-            threads.append(_thread_from_obj(obj, str(f)))
+        records = ((str(f), f.read_text()) for f in files)
     elif path.is_file():
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{where}: parse failure: {exc}") from None
-            threads.append(_thread_from_obj(obj, where))
+        records = ((f"{path}:{lineno}", line) for lineno, line
+                   in enumerate(path.read_text().splitlines(), start=1) if line.strip())
     else:
         raise CorpusError(f"{path}: no such file or directory")
+    threads: list[Thread] = []
+    for where, text in records:
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{where}: parse failure: {exc}") from None
+        threads.append(_thread_from_obj(obj, where))
     return Corpus(tuple(threads))
 
 
@@ -287,12 +289,13 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     if path.is_dir() or (not path.suffix and not path.exists()):
         path.mkdir(parents=True, exist_ok=True)
         for t in corpus.threads:
-            out = path / f"{t.id}.json"
-            out.write_text(json.dumps(_thread_to_obj(t), sort_keys=True) + "\n")
+            name = f"{t.id}.json"
+            if Path(name).name != name:
+                raise CorpusError(f"{path}: thread id {t.id!r} is not a file name")
+            atomic_write(path / name, json.dumps(_thread_to_obj(t), sort_keys=True) + "\n")
     else:
-        path.parent.mkdir(parents=True, exist_ok=True)
         lines = [json.dumps(_thread_to_obj(t), sort_keys=True) for t in corpus.threads]
-        path.write_text("\n".join(lines) + "\n")
+        atomic_write(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +330,8 @@ class GeneratorSpec:
             raise ValueError(f"bad depth_range {self.depth_range}")
         if self.replies_range[0] < 0 or self.replies_range[0] > self.replies_range[1]:
             raise ValueError(f"bad replies_range {self.replies_range}")
-        if abs(sum(self.veracity_priors) - 1.0) > 1e-9 or min(self.veracity_priors) < 0:
+        if (not all(math.isfinite(p) for p in self.veracity_priors)
+                or abs(sum(self.veracity_priors) - 1.0) > 1e-9 or min(self.veracity_priors) < 0):
             raise ValueError(f"veracity_priors must be a distribution, got {self.veracity_priors}")
 
 

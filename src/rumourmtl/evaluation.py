@@ -8,7 +8,6 @@ computing metrics (micro-averaging across events).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -170,54 +169,40 @@ def _fmt(x: float) -> str:
 
 def comparison_table(results: dict[str, Metrics]) -> tuple[str, str]:
     """Model-comparison table (one row per model): CSV and aligned text."""
-    if not results:
-        return "no results\n", "no results\n"
-    csv_lines = ["model,macro_f,accuracy"]
-    rows = [("model", "macro_f", "accuracy")]
-    for name in results:
-        m = results[name]
-        csv_lines.append(f"{name},{_fmt(m.macro_f)},{_fmt(m.accuracy)}")
-        rows.append((name, _fmt(m.macro_f), _fmt(m.accuracy)))
-    return "\n".join(csv_lines) + "\n", _align(rows)
+    return _table([("model", "macro_f", "accuracy")] + [
+        (name, _fmt(m.macro_f), _fmt(m.accuracy)) for name, m in results.items()])
 
 
 def per_event_table(fold_results: dict[str, list[FoldResult]]) -> tuple[str, str]:
     """Per-event macro-F for each model (events as columns)."""
-    if not fold_results:
-        return "no results\n", "no results\n"
     events = sorted({f.event for folds in fold_results.values() for f in folds})
-    csv_lines = ["model," + ",".join(events)]
     rows = [("model", *events)]
     for name, folds in fold_results.items():
         by_event = {f.event: f for f in folds}
-        cells = [(_fmt(by_event[e].metrics.macro_f) if e in by_event else "-")
-                 for e in events]
-        csv_lines.append(name + "," + ",".join(cells))
-        rows.append((name, *cells))
-    return "\n".join(csv_lines) + "\n", _align(rows)
+        rows.append((name, *(_fmt(by_event[e].metrics.macro_f) if e in by_event else "-"
+                             for e in events)))
+    return _table(rows)
 
 
 def per_class_table(folds: list[FoldResult], classes: Sequence[str]) -> tuple[str, str]:
     """Per-event rows with macro-F, accuracy and one F1 column per class."""
-    if not folds:
-        return "no results\n", "no results\n"
-    header = ["event", "macro_f", "accuracy"] + [f"f1_{c}" for c in classes]
-    csv_lines = [",".join(header)]
-    rows = [tuple(header)]
+    rows = [("event", "macro_f", "accuracy", *(f"f1_{c}" for c in classes))]
     for f in sorted(folds, key=lambda f: f.event):
-        cells = [f.event, _fmt(f.metrics.macro_f), _fmt(f.metrics.accuracy)]
-        cells += [_fmt(f.metrics.per_class_f1[c]) for c in classes]
-        csv_lines.append(",".join(cells))
-        rows.append(tuple(cells))
-    return "\n".join(csv_lines) + "\n", _align(rows)
+        rows.append((f.event, _fmt(f.metrics.macro_f), _fmt(f.metrics.accuracy),
+                     *(_fmt(f.metrics.per_class_f1[c]) for c in classes)))
+    return _table(rows)
 
 
-def _align(rows: list[tuple[str, ...]]) -> str:
+def _table(rows: list[tuple[str, ...]]) -> tuple[str, str]:
+    """A header row plus data rows as CSV and as space-aligned text; "no
+    results" for both when there is no data row."""
+    if len(rows) < 2:
+        return "no results\n", "no results\n"
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    out = io.StringIO()
-    for r in rows:
-        out.write("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n")
-    return out.getvalue()
+    csv_doc = "".join(",".join(r) + "\n" for r in rows)
+    txt_doc = "".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n"
+                      for r in rows)
+    return csv_doc, txt_doc
 
 
 def emit_report(results: dict[str, Metrics],

@@ -83,10 +83,8 @@ class HyperParams:
                              f"got l2={self.l2}, learning_rate={self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
-        if strict:
-            for name, allowed in default_space().dimensions:
-                if (value := getattr(self, name)) not in allowed:
-                    raise ValueError(f"{name}={value} outside the search space {allowed}")
+        if strict and not (space := default_space()).contains(asdict(self)):
+            raise ValueError(f"{self} outside the search space {dict(space.dimensions)}")
 
 
 @dataclass(frozen=True)
@@ -108,13 +106,20 @@ class TrainingInstance:
     post_ids: tuple[str, ...] = ()
 
 
-def _normalize_tasks(tasks: Iterable[str]) -> tuple[str, ...]:
+def normalize_tasks(tasks: Iterable[str]) -> tuple[str, ...]:
+    """The task set in ``ALL_TASKS`` order; ValueError unless it is one of
+    ``VALID_TASK_SETS``."""
     task_set = frozenset(tasks)
     if task_set not in VALID_TASK_SETS:
         raise ValueError(
-            f"invalid task set {sorted(task_set)}; veracity is required and only "
-            f"stance/detection may be added")
+            f"invalid tasks {sorted(task_set)}: veracity is required (a task set must "
+            f"include veracity) and only stance and detection may be added")
     return tuple(t for t in ALL_TASKS if t in task_set)
+
+
+def _prefixed(prefix: str, layer: Params) -> Params:
+    """A layer's blocks under the model-level names ``prefix/key``."""
+    return {f"{prefix}/{key}": value for key, value in layer.items()}
 
 
 class MTLModel:
@@ -123,7 +128,7 @@ class MTLModel:
     def __init__(self, hp: HyperParams, tasks: Iterable[str], input_dim: int, seed: int):
         hp.validate()
         self.hp = hp
-        self.tasks = _normalize_tasks(tasks)
+        self.tasks = normalize_tasks(tasks)
         self.input_dim = input_dim
         self.seed = seed
         self.params: Params = {}
@@ -131,19 +136,16 @@ class MTLModel:
         in_dim = input_dim
         for l in range(hp.num_lstm_layers):
             layer = neural.init_lstm_layer(rng, in_dim, hp.lstm_width)
-            for key, value in layer.items():
-                self.params[f"lstm{l}/{key}"] = value
+            self.params.update(_prefixed(f"lstm{l}", layer))
             in_dim = hp.lstm_width
         for task in self.tasks:
             width_in = hp.lstm_width
             for i in range(hp.num_dense_layers):
                 layer = neural.init_dense_layer(rng, width_in, hp.dense_width)
-                for key, value in layer.items():
-                    self.params[f"{task}/dense{i}/{key}"] = value
+                self.params.update(_prefixed(f"{task}/dense{i}", layer))
                 width_in = hp.dense_width
             out = neural.init_dense_layer(rng, width_in, len(TASK_CLASSES[task]))
-            for key, value in out.items():
-                self.params[f"{task}/out/{key}"] = value
+            self.params.update(_prefixed(f"{task}/out", out))
 
     # -- forward ---------------------------------------------------------
 
@@ -151,14 +153,12 @@ class MTLModel:
         return {key: self.params[f"{prefix}/{key}"] for key in keys}
 
     def forward(self, x: np.ndarray, mask: np.ndarray, train: bool = False,
-                dropout_rng: Optional[np.random.Generator] = None,
-                dropout_masks: Optional[dict] = None) -> tuple[dict, dict]:
+                dropout_rng: Optional[np.random.Generator] = None) -> tuple[dict, dict]:
         """Run the full model on a batch (B, T, dim).
 
         Returns each head's probability rows, laid out as ``_head_labels``
         describes, and the cache for backward. During training, dropout
-        masks are drawn from ``dropout_rng`` (or replayed from
-        ``dropout_masks``) and recorded in the cache.
+        masks are drawn from ``dropout_rng`` and recorded in the cache.
         """
         B = x.shape[0]
         cache: dict = {"x": x, "mask": mask, "lstm": []}
@@ -185,8 +185,7 @@ class MTLModel:
             for i in range(self.hp.num_dense_layers):
                 a, dc = neural.dense_forward(self._layer(f"{task}/dense{i}", _DENSE_KEYS), a)
                 dense_caches.append(dc)
-            replay = None if dropout_masks is None else dropout_masks.get(task)
-            a_drop, dmask = neural.dropout_forward(a, p, rng=dropout_rng, mask=replay)
+            a_drop, dmask = neural.dropout_forward(a, p, rng=dropout_rng)
             logits = a_drop @ self.params[f"{task}/out/W"] + self.params[f"{task}/out/b"]
             probs = neural.softmax(logits, axis=-1)
             cache["heads"][task] = {
@@ -205,9 +204,10 @@ class MTLModel:
         return _masked_loss(batch, probs)
 
     def batch_loss(self, batch: Sequence[TrainingInstance], train: bool = False,
-                   dropout_masks: Optional[dict] = None, include_l2: bool = True) -> float:
+                   dropout_rng: Optional[np.random.Generator] = None,
+                   include_l2: bool = True) -> float:
         """Forward-only joint objective (used by the finite-difference oracle)."""
-        outputs, _ = self.forward(*_stack(batch), train=train, dropout_masks=dropout_masks)
+        outputs, _ = self.forward(*_stack(batch), train=train, dropout_rng=dropout_rng)
         loss, _ = self.batch_data_loss(batch, outputs)
         if include_l2:
             loss += neural.l2_penalty(self.params, self.hp.l2)
@@ -215,15 +215,13 @@ class MTLModel:
 
     def loss_and_grads(self, batch: Sequence[TrainingInstance], train: bool = False,
                        dropout_rng: Optional[np.random.Generator] = None,
-                       dropout_masks: Optional[dict] = None,
                        include_l2: bool = True) -> tuple[float, Params, dict]:
         """Joint objective and its exact gradients for one mini-batch.
 
         The objective is the batch-mean data loss plus (optionally) the
         model-level L2 penalty. Returns (loss, grads, cache).
         """
-        outputs, cache = self.forward(*_stack(batch), train=train, dropout_rng=dropout_rng,
-                                      dropout_masks=dropout_masks)
+        outputs, cache = self.forward(*_stack(batch), train=train, dropout_rng=dropout_rng)
         loss, dlogits = self.batch_data_loss(batch, outputs)
 
         dH = np.zeros_like(cache["H"])
@@ -237,15 +235,13 @@ class MTLModel:
             for i in reversed(range(self.hp.num_dense_layers)):
                 d_a, layer_grads = neural.dense_backward(
                     self._layer(f"{task}/dense{i}", _DENSE_KEYS), head["dense_caches"][i], d_a)
-                for key, g in layer_grads.items():
-                    grads[f"{task}/dense{i}/{key}"] = g
+                grads.update(_prefixed(f"{task}/dense{i}", layer_grads))
             np.add.at(dH, head["rows"], d_a)
         d_up = dH
         for l in reversed(range(self.hp.num_lstm_layers)):
             d_up, layer_grads = neural.lstm_backward(
                 self._layer(f"lstm{l}", _LSTM_KEYS), cache["lstm"][l], d_up)
-            for key, g in layer_grads.items():
-                grads[f"lstm{l}/{key}"] = g
+            grads.update(_prefixed(f"lstm{l}", layer_grads))
         if include_l2:
             loss += neural.l2_penalty(self.params, self.hp.l2)
             neural.add_l2_grads(self.params, grads, self.hp.l2)
@@ -570,14 +566,15 @@ def dump_predictions(predictions: Sequence[ThreadPrediction], path: str | Path,
 # Gradient checking at miniature sizes
 
 def check_gradients(hp: HyperParams, tasks: Iterable[str], input_dim: int, seed: int,
-                    n_instances: int = 2, steps: int = 3, with_dropout: bool = False,
-                    eps: float = 1e-5) -> dict[str, float]:
+                    with_dropout: bool = False, eps: float = 1e-5) -> dict[str, float]:
     """Finite-difference check of the full model's analytic gradients.
 
-    Builds a miniature model, a couple of random labeled instances (one per
-    task left unlabeled to exercise the masking), and compares against
-    central differences. Dropout masks are drawn once and replayed into the
-    finite-difference evaluations so both sides compute the same function.
+    Builds a miniature model, two random labeled instances of up to three
+    steps (the second with its stance and detection labels left out, to
+    exercise the masking), and compares against central differences. With
+    dropout, the analytic call and every finite-difference evaluation get
+    their own fresh ``gradcheck-drop`` stream, which draws the same masks,
+    so both sides compute the same function.
 
     All parameters get a small random jitter first. Zero-initialized biases
     can leave ReLU pre-activations exactly at the kink, where central
@@ -588,14 +585,15 @@ def check_gradients(hp: HyperParams, tasks: Iterable[str], input_dim: int, seed:
     for p in model.params.values():
         p += 0.05 * jitter_rng.standard_normal(p.shape)
     rng = derive_rng(seed, "gradcheck-data")
+    steps = 3
     batch = []
-    for i in range(n_instances):
+    for i in range(2):
         length = int(rng.integers(1, steps + 1)) if i > 0 else steps
         mask = np.zeros(steps, dtype=bool)
         mask[:length] = True
         x = np.zeros((steps, input_dim))
         x[:length] = rng.standard_normal((length, input_dim))
-        drop_task = i == n_instances - 1 and n_instances > 1
+        drop_task = i == 1
         batch.append(TrainingInstance(
             x=x, mask=mask, true_length=length,
             stance_labels=(None if drop_task else
@@ -604,17 +602,12 @@ def check_gradients(hp: HyperParams, tasks: Iterable[str], input_dim: int, seed:
             veracity_label=int(rng.integers(0, 3)),
             thread_id=f"gc{i}", event="gc",
         ))
-    dropout_masks: Optional[dict] = None
-    if with_dropout and hp.dropout > 0:
-        _, _, cache = model.loss_and_grads(batch, train=True,
-                                           dropout_rng=derive_rng(seed, "gradcheck-drop"))
-        dropout_masks = {t: cache["heads"][t]["dropout_mask"] for t in model.tasks}
-    train_mode = dropout_masks is not None
-    _, analytic, _ = model.loss_and_grads(batch, train=train_mode,
-                                          dropout_masks=dropout_masks)
+    _, analytic, _ = model.loss_and_grads(batch, train=with_dropout,
+                                          dropout_rng=derive_rng(seed, "gradcheck-drop"))
 
     def loss_fn(params: Params) -> float:
         model.params = params
-        return model.batch_loss(batch, train=train_mode, dropout_masks=dropout_masks)
+        return model.batch_loss(batch, train=with_dropout,
+                                dropout_rng=derive_rng(seed, "gradcheck-drop"))
 
     return neural.grad_check(loss_fn, model.params, analytic, eps=eps)

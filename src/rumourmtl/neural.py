@@ -189,14 +189,13 @@ def dense_backward(params: Params, cache: dict, d_out: np.ndarray
 # ---------------------------------------------------------------------------
 # Dropout (inverted scaling; the mask is recorded so backward matches forward)
 
-def dropout_forward(x: np.ndarray, p: float, rng: Optional[np.random.Generator] = None,
-                    mask: Optional[np.ndarray] = None) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def dropout_forward(x: np.ndarray, p: float, rng: Optional[np.random.Generator] = None
+                    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     if p <= 0.0:
         return x, None
-    if mask is None:
-        if rng is None:
-            raise ValueError("dropout needs an rng when no mask is supplied")
-        mask = (rng.random(x.shape) >= p) / (1.0 - p)
+    if rng is None:
+        raise ValueError("dropout needs an rng")
+    mask = (rng.random(x.shape) >= p) / (1.0 - p)
     return x * mask, mask
 
 
@@ -227,14 +226,17 @@ def add_l2_grads(params: Params, grads: Params, lam: float) -> None:
 # ---------------------------------------------------------------------------
 # Adaptive-moment optimizer
 
+#: Moment decay rates and denominator offset of the adaptive-moment update.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
     """Bias-corrected first/second moment accumulators per parameter block."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: Params = field(default_factory=dict)
     v: Params = field(default_factory=dict)
@@ -265,7 +267,7 @@ def optimizer_step(params: Params, grads: Params, state: OptimizerState) -> Para
         if not np.all(np.isfinite(grads[name])):
             raise FloatingPointError(f"non-finite gradient in parameter block {name!r}")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for name, p in params.items():
@@ -282,7 +284,7 @@ def optimizer_step(params: Params, grads: Params, state: OptimizerState) -> Para
             vr += tmp
             np.divide(vr, bc2, out=tmp)
             np.sqrt(tmp, out=tmp)
-            tmp += state.eps
+            tmp += ADAM_EPS
             step = mr / bc1
             step *= state.lr
             step /= tmp

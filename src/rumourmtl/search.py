@@ -61,17 +61,19 @@ def default_space() -> SearchSpace:
     })
 
 
+#: Good-fraction quantile: the best quarter of scored trials defines l.
+TPE_GAMMA = 0.25
+#: Uniform random trials before the densities are modelled.
+TPE_STARTUP = 10
+
+
 @dataclass(frozen=True)
 class TPEConfig:
-    gamma: float = 0.25          # good-fraction quantile
-    n_startup: int = 10          # uniform random trials before modeling
     n_candidates: int = 24       # candidates sampled from l per suggestion
     prior_weight: float = 1.0    # uniform smoothing mass per dimension
     objective_mode: str = "product"  # "product" of (1 - macroF), or "accuracy"
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
         if self.objective_mode not in ("product", "accuracy"):
             raise ValueError(f"unknown objective_mode {self.objective_mode!r}")
 
@@ -121,16 +123,16 @@ def tpe_suggest(history: Sequence[Trial], space: SearchSpace, cfg: TPEConfig,
                 rng: np.random.Generator) -> dict:
     """Suggest the next configuration.
 
-    Below ``n_startup`` evaluated trials the suggestion is uniform random.
+    Below ``TPE_STARTUP`` evaluated trials the suggestion is uniform random.
     Afterwards candidates are drawn per dimension from the good density and
     ranked by the product of per-dimension l/g ratios.
     """
     scored = [t for t in history if t.status == "ok" and math.isfinite(t.objective)]
-    if len(scored) < cfg.n_startup:
+    if len(scored) < TPE_STARTUP:
         return {name: values[rng.integers(len(values))]
                 for name, values in space.dimensions}
     ordered = sorted(scored, key=lambda t: (t.objective, t.number))
-    n_good = max(1, math.ceil(cfg.gamma * len(ordered)))
+    n_good = max(1, math.ceil(TPE_GAMMA * len(ordered)))
     good, bad = ordered[:n_good], ordered[n_good:]
     if not bad:
         bad = ordered
@@ -142,12 +144,9 @@ def tpe_suggest(history: Sequence[Trial], space: SearchSpace, cfg: TPEConfig,
     # Prefer the best-scoring candidate that has not been evaluated yet;
     # resampling an already-tried configuration wastes a trial on a small
     # discrete space. Fall back to the overall best if every candidate is a
-    # repeat.
+    # repeat. Ties go to the earliest candidate.
     tried = [t.config for t in history]
-    best_config = None
-    best_score = -np.inf
-    best_unseen = None
-    best_unseen_score = -np.inf
+    candidates = []
     for _ in range(cfg.n_candidates):
         config = {}
         score = 0.0
@@ -155,13 +154,8 @@ def tpe_suggest(history: Sequence[Trial], space: SearchSpace, cfg: TPEConfig,
             idx = rng.choice(len(values), p=l)
             config[name] = values[idx]
             score += np.log(l[idx]) - np.log(g[idx])
-        if score > best_score:
-            best_score = score
-            best_config = config
-        if config not in tried and score > best_unseen_score:
-            best_unseen_score = score
-            best_unseen = config
-    return best_unseen if best_unseen is not None else best_config
+        candidates.append((config not in tried, score, config))
+    return max(candidates, key=lambda c: c[:2])[2]
 
 
 def run_search(space: SearchSpace,
@@ -172,8 +166,10 @@ def run_search(space: SearchSpace,
 
     ``evaluate(config, trial_seed)`` returns (macro F per task, development
     accuracy or None). Failures are recorded with status "error" and the
-    search continues. Returns the best trial (lowest objective, earliest on
-    ties) and the full history.
+    search continues. With ``log_path``, the log is rewritten atomically
+    after every trial, so an interrupted search keeps the trials it
+    finished. Returns the best trial (lowest objective, earliest on ties)
+    and the full history.
     """
     rng = np.random.default_rng(seed)
     history: list[Trial] = []
@@ -194,11 +190,10 @@ def run_search(space: SearchSpace,
             trial = Trial(number=n, config=config, objective=math.inf, macro_f={},
                           dev_accuracy=None, seed=trial_seed, status=f"error: {exc}")
         history.append(trial)
+        if log_path is not None:
+            atomic_write(log_path, "".join(json.dumps(t.to_json_obj(), sort_keys=True) + "\n"
+                                           for t in history))
     ok = [t for t in history if t.status == "ok"]
     if not ok:
         raise RuntimeError("all trials failed")
-    best = min(ok, key=lambda t: (t.objective, t.number))
-    if log_path is not None:
-        lines = [json.dumps(t.to_json_obj(), sort_keys=True) for t in history]
-        atomic_write(log_path, "\n".join(lines) + "\n")
-    return best, history
+    return min(ok, key=lambda t: (t.objective, t.number)), history

@@ -319,6 +319,19 @@ BAD_INPUTS = {
     "evaluate with another embedding dim": _evaluate_other_dim,
     "loeo --jobs 0": lambda tmp, corpus: (
         ["loeo", run_config(tmp, corpus), "--models", "majority", "--jobs", "0"], "--jobs"),
+    "unknown task": lambda tmp, corpus: (
+        ["train", run_config(tmp, corpus, tasks="veracity,bogus")], "tasks"),
+    "negative config seed": lambda tmp, corpus: (
+        ["train", run_config(tmp, corpus, seed=-1)], "seed"),
+    "train --seed -3": lambda tmp, corpus: (
+        ["train", run_config(tmp, corpus), "--seed", "-3"], "seed"),
+    "search --trials 0": lambda tmp, corpus: (
+        ["search", run_config(tmp, corpus), "--trials", "0"], "--trials"),
+    "search --trials -2": lambda tmp, corpus: (
+        ["search", run_config(tmp, corpus), "--trials", "-2"], "--trials"),
+    "nan synth prior": lambda tmp, corpus: (
+        ["synth", _write(tmp / "nan.cfg", "prior_false = nan\n"), "-o", tmp / "x.ndjson"],
+        "veracity_priors"),
 }
 
 

@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,9 @@ from hypothesis import strategies as st
 
 from corpora import RUMOUREVAL_TEST, corpus_from_veracity_counts, pheme_shaped_corpus, random_tree_thread
 from rumourmtl.corpus import (
+    DETECTION_CLASSES,
+    STANCE_CLASSES,
+    VERACITY_CLASSES,
     Corpus,
     CorpusError,
     GeneratorSpec,
@@ -62,6 +67,12 @@ class TestSchemaRoundTrip:
         assert sorted(t.id for t in loaded) == sorted(t.id for t in corpus)
         assert set(loaded.threads) == set(corpus.threads)
 
+    def test_directory_needs_thread_ids_that_are_file_names(self, tmp_path):
+        thread = Thread(source=Post.create(id="sub/../../up", text="x"), replies=(), event="ev")
+        with pytest.raises(CorpusError, match="not a file name"):
+            save_corpus(Corpus((thread,)), tmp_path / "dir")
+        assert not (tmp_path / "up.json").exists() and not (tmp_path / "dir" / "sub").exists()
+
     def test_url_hashtag_flags_computed_at_ingest(self, tmp_path):
         obj = {"event": "ev", "detection": None, "veracity": None,
                "posts": [{"id": "s", "text": "look http://t.co/x #tag",
@@ -116,6 +127,61 @@ class TestLoadErrors:
     def test_veracity_requires_rumour(self):
         with pytest.raises(CorpusError, match="requires detection label 'rumour'"):
             make_thread({}, detection="non-rumour", veracity="true")
+
+
+#: Any JSON value, nested a little.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def fuzzed_thread_objs(draw):
+    """One to three valid thread objects, then up to two fields (of a thread
+    or of a post) replaced by arbitrary JSON values."""
+    objs = []
+    for i in range(draw(st.integers(1, 3))):
+        chain = (("s", None), ("a", "s"), ("b", "a"))[:draw(st.integers(1, 3))]
+        veracity = draw(st.sampled_from([None, *VERACITY_CLASSES]))
+        detection = "rumour" if veracity else draw(st.sampled_from([None, *DETECTION_CLASSES]))
+        objs.append({
+            "event": draw(st.sampled_from(["e", "f"])),
+            "detection": detection,
+            "veracity": veracity,
+            "posts": [{"id": f"{i}{pid}", "text": draw(st.text(max_size=8)),
+                       "parent": parent and f"{i}{parent}",
+                       "stance": draw(st.sampled_from([None, *STANCE_CLASSES]))}
+                      for pid, parent in chain],
+        })
+    fields = [(obj, key) for obj in objs for key in obj]
+    fields += [(post, key) for obj in objs for post in obj["posts"] for key in post]
+    for target, key in draw(st.lists(st.sampled_from(fields), max_size=2)):
+        target[key] = draw(JSON_VALUES)
+    return objs
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(fuzzed_thread_objs(), st.booleans())
+    def test_loads_or_raises_corpus_error(self, objs, as_directory):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.ndjson"
+            if as_directory:
+                path.mkdir()
+                for i, obj in enumerate(objs):
+                    (path / f"{i}.json").write_text(json.dumps(obj))
+            else:
+                path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+            try:
+                corpus = load_corpus(path)
+            except CorpusError:
+                return
+        assert all(isinstance(e, str) for e in corpus.events)
+        for thread in corpus.threads:
+            assert all(isinstance(p.text, str) for p in thread.posts)
+            assert all(isinstance(p.parent_id, str) for p in thread.replies)
 
 
 class TestVeracityDistributionFixture:

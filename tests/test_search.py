@@ -192,3 +192,17 @@ class TestRunSearch:
         obj = json.loads(lines[0])
         assert set(obj) == {"trial", "config", "objective", "macro_f",
                             "dev_accuracy", "seed", "status"}
+
+    def test_interrupted_search_keeps_finished_trials(self, tmp_path):
+        path = tmp_path / "trials.ndjson"
+        calls = []
+
+        def evaluate(config, seed):
+            calls.append(config)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return {"veracity": 0.5}, None
+
+        with pytest.raises(KeyboardInterrupt):
+            run_search(TINY, evaluate, n_trials=5, seed=8, log_path=path)
+        assert [json.loads(line)["trial"] for line in path.read_text().splitlines()] == [0, 1]
