@@ -27,6 +27,7 @@ from rumourmtl.corpus import (
     GeneratorSpec,
     generate_synthetic,
     load_corpus,
+    read_text,
     save_corpus,
 )
 from rumourmtl.mtl import HyperParams, MTLModel, derive_rng
@@ -65,7 +66,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
     if not path.is_file():
         raise UsageError(f"config file not found: {path}")
-    return parse_config_text(path.read_text(), where=str(path))
+    return parse_config_text(read_text(path), where=str(path))
 
 
 _HP_KEYS = {f.name: type(f.default) for f in fields(HyperParams)}

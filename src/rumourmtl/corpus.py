@@ -258,6 +258,14 @@ def _thread_from_obj(obj: dict, where: str) -> Thread:
         raise CorpusError(f"{where}: {exc}") from None
 
 
+def read_text(path: Path) -> str:
+    """The text of ``path``; a file that cannot be read as text is bad input."""
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CorpusError(f"{path}: cannot read as text: {exc}") from None
+
+
 def load_corpus(path: str | Path) -> Corpus:
     """Load and validate a corpus from a directory of ``*.json`` files or an
     ndjson file (one thread object per line)."""
@@ -266,10 +274,10 @@ def load_corpus(path: str | Path) -> Corpus:
         files = sorted(path.glob("*.json"))
         if not files:
             raise CorpusError(f"{path}: no *.json files found")
-        records = ((str(f), f.read_text()) for f in files)
+        records = ((str(f), read_text(f)) for f in files)
     elif path.is_file():
         records = ((f"{path}:{lineno}", line) for lineno, line
-                   in enumerate(path.read_text().splitlines(), start=1) if line.strip())
+                   in enumerate(read_text(path).splitlines(), start=1) if line.strip())
     else:
         raise CorpusError(f"{path}: no such file or directory")
     threads: list[Thread] = []

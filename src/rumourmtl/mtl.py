@@ -239,8 +239,9 @@ class MTLModel:
             np.add.at(dH, head["rows"], d_a)
         d_up = dH
         for l in reversed(range(self.hp.num_lstm_layers)):
+            # The first layer's inputs are data: no gradient w.r.t. them.
             d_up, layer_grads = neural.lstm_backward(
-                self._layer(f"lstm{l}", _LSTM_KEYS), cache["lstm"][l], d_up)
+                self._layer(f"lstm{l}", _LSTM_KEYS), cache["lstm"][l], d_up, input_grad=l > 0)
             grads.update(_prefixed(f"lstm{l}", layer_grads))
         if include_l2:
             loss += neural.l2_penalty(self.params, self.hp.l2)
@@ -443,14 +444,15 @@ def train(model: MTLModel, instances: Sequence[TrainingInstance], seed: int,
             batch = [instances[i] for i in perm[start:start + hp.batch_size]]
             try:
                 loss, grads, _ = model.loss_and_grads(
-                    batch, train=True, dropout_rng=rng_dropout)
+                    batch, train=True, dropout_rng=rng_dropout, include_l2=False)
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"epoch {epoch}, batch {start // hp.batch_size}: {exc}") from None
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}, batch {start // hp.batch_size}")
-            neural.optimizer_step(model.params, grads, state)
+            # The optimizer adds the L2 gradient and returns the penalty.
+            loss += neural.optimizer_step(model.params, grads, state, hp.l2)
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
     return history

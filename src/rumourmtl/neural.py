@@ -91,13 +91,14 @@ def init_dense_layer(rng: np.random.Generator, in_dim: int, out_dim: int) -> Par
 # LSTM layer
 
 def lstm_forward(params: Params, x: np.ndarray, mask: np.ndarray
-                 ) -> tuple[np.ndarray, list[dict]]:
+                 ) -> tuple[np.ndarray, dict]:
     """Run the LSTM recurrence over a batch.
 
     ``x`` is (B, T, d), ``mask`` is (B, T) boolean. At masked steps the
     cell and hidden state carry through unchanged, so padding never
     influences the outputs. Returns hidden states (B, T, h) and the cache
-    needed for the backward pass.
+    needed for the backward pass: ``x`` and the hidden states whole, and
+    the gate activations of each step.
 
     The input projection ``x @ Wx`` does not depend on the recurrence, so
     it is one (B*T, d) GEMM ahead of the loop.
@@ -110,7 +111,7 @@ def lstm_forward(params: Params, x: np.ndarray, mask: np.ndarray
     h = np.zeros((B, h_dim))
     c = np.zeros((B, h_dim))
     hs = np.empty((B, T, h_dim))
-    cache = []
+    steps = []
     for t in range(T):
         z = xw[:, t] + h @ params["Wh"] + params["b"]
         ifo = sigmoid(z[:, :3 * h_dim])
@@ -120,34 +121,36 @@ def lstm_forward(params: Params, x: np.ndarray, mask: np.ndarray
         tanh_c = np.tanh(c_hat)
         h_hat = o * tanh_c
         m = mask[:, t].astype(float)[:, None]
-        cache.append({"x": x[:, t], "h_prev": h, "c_prev": c, "ifo": ifo, "g": g,
-                      "tanh_c": tanh_c, "m": m})
+        steps.append({"c_prev": c, "ifo": ifo, "g": g, "tanh_c": tanh_c, "m": m})
         c = m * c_hat + (1.0 - m) * c
         h = m * h_hat + (1.0 - m) * h
         hs[:, t, :] = h
-    return hs, cache
+    return hs, {"x": x, "hs": hs, "steps": steps}
 
 
-def lstm_backward(params: Params, cache: list[dict], d_hs: np.ndarray
-                  ) -> tuple[np.ndarray, Params]:
+def lstm_backward(params: Params, cache: dict, d_hs: np.ndarray, input_grad: bool = True
+                  ) -> tuple[Optional[np.ndarray], Params]:
     """Backprop through ``lstm_forward`` given gradients w.r.t. all hidden
-    states. Returns gradients w.r.t. the inputs and the parameters.
+    states. Returns gradients w.r.t. the inputs (None when ``input_grad``
+    is false, as for a first layer whose inputs are data) and the
+    parameters.
 
-    Each step's gate gradient ``dz`` is kept, so ``dx`` is one GEMM after
-    the loop. The weight gradients still accumulate step by step: one
-    (B*T)-row GEMM for ``Wx`` sums in another order and moves the trained
-    parameters in the last bits.
+    The loop keeps each step's gate gradient ``dz``. Every gradient that
+    is a sum over steps is then one (B*T)-row GEMM: ``Wx`` against the
+    inputs, ``Wh`` against the hidden states shifted by one step (zero
+    before the first; a masked step carries ``h``, so this is ``h_prev``
+    under any mask), ``b`` a column sum, and ``dx`` against ``Wx``. These
+    sums run in another order than a per-step accumulation and agree with
+    it to rounding.
     """
     B, T, h_dim = d_hs.shape
-    d = params["Wx"].shape[0]
-    grads = {"Wx": np.zeros_like(params["Wx"]),
-             "Wh": np.zeros_like(params["Wh"]),
-             "b": np.zeros_like(params["b"])}
+    x, hs = cache["x"], cache["hs"]
+    d = x.shape[2]
     dz_all = np.empty((B, T, 4 * h_dim))
     dh = np.zeros((B, h_dim))
     dc = np.zeros((B, h_dim))
     for t in reversed(range(T)):
-        step = cache[t]
+        step = cache["steps"][t]
         m, ifo, g, tanh_c = step["m"], step["ifo"], step["g"], step["tanh_c"]
         dh = dh + d_hs[:, t, :]
         dh_hat = m * dh
@@ -163,12 +166,16 @@ def lstm_backward(params: Params, cache: list[dict], d_hs: np.ndarray
         dz[:, :3 * h_dim] *= ifo
         dz[:, :3 * h_dim] *= 1.0 - ifo
         dz[:, 3 * h_dim:] = dc_hat * ifo[:, :h_dim] * (1.0 - g ** 2)
-        grads["Wx"] += step["x"].T @ dz
-        grads["Wh"] += step["h_prev"].T @ dz
-        grads["b"] += dz.sum(axis=0)
         dh = dz @ params["Wh"].T + dh_carry
-    dx = (dz_all.reshape(B * T, 4 * h_dim) @ params["Wx"].T).reshape(B, T, d)
-    return dx, grads
+    dZ = dz_all.reshape(B * T, 4 * h_dim)
+    h_prev = np.zeros_like(hs)
+    h_prev[:, 1:] = hs[:, :-1]
+    grads = {"Wx": x.reshape(B * T, d).T @ dZ,
+             "Wh": h_prev.reshape(B * T, h_dim).T @ dZ,
+             "b": dZ.sum(axis=0)}
+    if not input_grad:
+        return None, grads
+    return (dZ @ params["Wx"].T).reshape(B, T, d), grads
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +213,26 @@ def dropout_backward(d_out: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# L2 regularization over the full parameter set
+# L2 regularization: the penalty lam * sum(p**2) and its gradient 2 * lam * p,
+# each written once; ``optimizer_step`` applies them slab by slab.
+
+def _squared_sum(v: np.ndarray) -> float:
+    return float(np.sum(v * v))
+
+
+def _l2_grad(v: np.ndarray, lam: float) -> np.ndarray:
+    return 2.0 * lam * v
+
 
 def l2_penalty(params: Params, lam: float) -> float:
-    return lam * sum(float(np.sum(v * v)) for v in params.values())
+    return lam * sum(_squared_sum(v) for v in params.values())
 
 
 def add_l2_grads(params: Params, grads: Params, lam: float) -> None:
     """Add the L2 gradient into ``grads`` in place; a block missing from
     ``grads`` gets the L2 term alone."""
     for name, v in params.items():
-        l2 = 2.0 * lam * v
+        l2 = _l2_grad(v, lam)
         if name in grads:
             grads[name] += l2
         else:
@@ -254,14 +270,21 @@ def optimizer_init(params: Params, lr: float = 1e-3) -> OptimizerState:
 OPTIMIZER_BLOCK = 1 << 14
 
 
-def optimizer_step(params: Params, grads: Params, state: OptimizerState) -> Params:
-    """One in-place adaptive-moment update; returns ``params``.
+def optimizer_step(params: Params, grads: Params, state: OptimizerState,
+                   l2: float = 0.0) -> float:
+    """One in-place adaptive-moment update of the objective plus the L2
+    penalty of strength ``l2``; returns that penalty, ``l2 * sum(p**2)``
+    over the parameters before the update.
 
-    Every gradient is checked before anything is written. ``m``, ``v`` and
-    the parameters are then updated in place, a slab of leading-axis rows
-    at a time. A basic slice is a view whatever the block's layout, so the
-    writes reach the caller's arrays even when a block is not C-contiguous.
-    Elementwise, the arithmetic is the textbook update's, in its order.
+    Every gradient is checked before anything is written. Then, a slab of
+    leading-axis rows at a time, the slab's squares are summed, its L2
+    gradient is added into ``grads`` in place (as ``add_l2_grads`` would)
+    and ``m``, ``v`` and the parameters are updated in place. A basic slice
+    is a view whatever the block's layout, so the writes reach the caller's
+    arrays even when a block is not C-contiguous. Elementwise, the
+    arithmetic is the textbook update's, in its order, so parameters match
+    ``add_l2_grads`` followed by an L2-free step bit for bit; the penalty
+    sums in slab order and may differ from ``l2_penalty`` in the last bits.
     """
     for name in params:
         if not np.all(np.isfinite(grads[name])):
@@ -270,11 +293,14 @@ def optimizer_step(params: Params, grads: Params, state: OptimizerState) -> Para
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
+    squares = 0.0
     for name, p in params.items():
         g, m, v = grads[name], state.m[name], state.v[name]
         rows = max(1, OPTIMIZER_BLOCK * len(p) // max(p.size, 1))
         for r in range(0, len(p), rows):
             pr, gr, mr, vr = (a[r:r + rows] for a in (p, g, m, v))
+            squares += _squared_sum(pr)
+            gr += _l2_grad(pr, l2)
             tmp = (1.0 - b1) * gr
             mr *= b1
             mr += tmp
@@ -289,7 +315,7 @@ def optimizer_step(params: Params, grads: Params, state: OptimizerState) -> Para
             step *= state.lr
             step /= tmp
             pr -= step
-    return params
+    return l2 * squares
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +376,11 @@ def load_params(path: str | Path) -> tuple[Params, dict]:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")
+    blocks = payload.get("params")
+    if not isinstance(blocks, dict) or not all(isinstance(e, dict) for e in blocks.values()):
+        raise ValueError(f"{path}: 'params' must map block names to objects")
     params = {
         name: np.array(entry["data"], dtype=float).reshape(entry["shape"])
-        for name, entry in payload["params"].items()
+        for name, entry in blocks.items()
     }
     return params, payload["meta"]

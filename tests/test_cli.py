@@ -2,6 +2,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rumourmtl import cli
 from rumourmtl.cli import RunConfig, UsageError, dispatch, parse_config_text
@@ -293,6 +295,21 @@ def _write(path, text):
     return path
 
 
+def _write_bytes(path, data):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+    return path
+
+
+def _corpus_dir_with_subdir(tmp_path):
+    (tmp_path / "subdir" / "x.json").mkdir(parents=True)
+    return tmp_path / "subdir"
+
+
+#: Bytes that are not UTF-8 text.
+NOT_UTF8 = b'{"event": "\xff\xfe"}\n'
+
+
 def _evaluate_other_dim(tmp_path, corpus_path):
     assert dispatch(["train", str(run_config(tmp_path, corpus_path))]) == 0
     cfg = run_config(tmp_path, corpus_path, name="dim16.cfg", embedding_dim=16)
@@ -332,6 +349,14 @@ BAD_INPUTS = {
     "nan synth prior": lambda tmp, corpus: (
         ["synth", _write(tmp / "nan.cfg", "prior_false = nan\n"), "-o", tmp / "x.ndjson"],
         "veracity_priors"),
+    "non-UTF-8 corpus file in a directory": lambda tmp, corpus: (
+        ["validate", _write_bytes(tmp / "dir" / "a.json", NOT_UTF8).parent], "a.json"),
+    "directory named like a corpus file": lambda tmp, corpus: (
+        ["validate", _corpus_dir_with_subdir(tmp)], "x.json"),
+    "non-UTF-8 ndjson corpus": lambda tmp, corpus: (
+        ["validate", _write_bytes(tmp / "latin.ndjson", NOT_UTF8)], "latin.ndjson"),
+    "non-UTF-8 run config": lambda tmp, corpus: (
+        ["train", _write_bytes(tmp / "latin.cfg", b"corpus = \xff\n")], "latin.cfg"),
 }
 
 
@@ -342,3 +367,44 @@ def test_bad_input_exit_1(case, tmp_path, corpus_path, capsys):
     assert dispatch([str(a) for a in argv]) == 1
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and named in errors[0]
+
+
+#: Any JSON value, nested a little, with integers small enough that no layer
+#: width or dimension read from a checkpoint allocates a large array.
+SMALL_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_case(tmp_path_factory):
+    """A run config over a small corpus and a valid checkpoint payload for it."""
+    tmp = tmp_path_factory.mktemp("checkpoint-fuzz")
+    spec = _write(tmp / "gen.cfg", "events = 2\nthreads_per_event = 2\nseed = 3\n")
+    corpus = tmp / "corpus.ndjson"
+    assert dispatch(["synth", str(spec), "-o", str(corpus)]) == 0
+    cfg = run_config(tmp, corpus, epochs=1)
+    assert dispatch(["train", str(cfg)]) == 0
+    return cfg, json.loads((tmp / "out" / "model.json").read_text())
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_evaluate_exits_0_or_1(self, checkpoint_case, data):
+        """Up to two of a checkpoint's fields (top-level, in ``meta``, in
+        ``meta.hyperparams`` or one ``params`` entry) replaced by arbitrary
+        JSON values: ``evaluate`` succeeds or reports bad input."""
+        cfg, valid = checkpoint_case
+        payload = json.loads(json.dumps(valid))
+        fields = [(payload, key) for key in payload]
+        fields += [(payload["meta"], key) for key in payload["meta"]]
+        fields += [(payload["meta"]["hyperparams"], key) for key in payload["meta"]["hyperparams"]]
+        fields += [(payload["params"], key) for key in sorted(payload["params"])]
+        for target, key in data.draw(st.lists(st.sampled_from(fields), max_size=2)):
+            target[key] = data.draw(SMALL_JSON_VALUES)
+        path = cfg.parent / "fuzzed.json"
+        path.write_text(json.dumps(payload))
+        assert dispatch(["evaluate", str(cfg), "--model", str(path)]) in (0, 1)

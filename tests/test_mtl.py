@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rumourmtl import mtl as mtl_module
+from rumourmtl import neural
 from rumourmtl.corpus import (
     STANCE_CLASSES,
     Corpus,
@@ -305,6 +306,36 @@ class TestTraining:
         assert h1 == h2
         for name in single.params:
             np.testing.assert_array_equal(single.params[name], mtl3.params[name])
+
+    def test_fused_l2_matches_reference_loop(self):
+        """``train`` (L2 inside the optimizer) against the composition it
+        replaces: the loss with its L2 term and gradient, then an L2-free
+        step, over the same shuffles and dropout draws."""
+        instances = self.corpus_instances()
+        hp = HyperParams(num_dense_layers=1, num_lstm_layers=2, dense_width=6, lstm_width=5,
+                         dropout=0.5, epochs=3, batch_size=8, l2=1e-3)
+        tasks = ("veracity", "stance", "detection")
+        model = MTLModel(hp, tasks, DIM, 5)
+        history = train(model, instances, 5)
+
+        ref = MTLModel(hp, tasks, DIM, 5)
+        rng_shuffle = mtl_module.derive_rng(5, "shuffle")
+        rng_dropout = mtl_module.derive_rng(5, "dropout")
+        state = neural.optimizer_init(ref.params, lr=hp.learning_rate)
+        ref_history = []
+        for _ in range(hp.epochs):
+            perm = rng_shuffle.permutation(len(instances))
+            losses = []
+            for start in range(0, len(instances), hp.batch_size):
+                batch = [instances[i] for i in perm[start:start + hp.batch_size]]
+                loss, grads, _ = ref.loss_and_grads(batch, train=True, dropout_rng=rng_dropout,
+                                                    include_l2=True)
+                neural.optimizer_step(ref.params, grads, state)
+                losses.append(loss)
+            ref_history.append(float(np.mean(losses)))
+        for name in ref.params:
+            assert np.array_equal(model.params[name], ref.params[name]), name
+        assert np.max(np.abs(np.subtract(history, ref_history))) < 1e-12
 
 
 class TestPaddingInvariance:

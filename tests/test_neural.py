@@ -210,6 +210,20 @@ class TestLSTM:
         for name in params:
             assert np.max(np.abs(grads[name] - ref_grads[name])) < 1e-12, name
 
+    def test_skipped_input_gradient_leaves_weight_gradients(self):
+        rng = np.random.default_rng(9)
+        params = init_lstm_layer(rng, 4, 3)
+        x = rng.standard_normal((5, 6, 4))
+        mask = rng.random((5, 6)) < 0.7
+        mask[:, 0] = True
+        hs, cache = lstm_forward(params, x, mask)
+        d_hs = rng.standard_normal(hs.shape)
+        dx, grads = lstm_backward(params, cache, d_hs)
+        skipped_dx, skipped = lstm_backward(params, cache, d_hs, input_grad=False)
+        assert dx.shape == x.shape and skipped_dx is None
+        for name in params:
+            assert np.array_equal(skipped[name], grads[name]), name
+
     def test_sigmoid_saturates_without_overflow(self):
         x = np.array([-1000.0, -40.0, -0.0, 0.0, 3.0, 1000.0])
         with np.errstate(over="raise"):
@@ -307,7 +321,7 @@ class TestOptimizer:
             grads["T"] = np.ascontiguousarray(grads["T"].T).T
             ref, m, v = textbook_adam(ref, grads, m, v, t)
             returned = optimizer_step(params, grads, state)
-            assert returned is params and state.t == t
+            assert returned == 0.0 and state.t == t   # the penalty of an L2-free step
             for k in params:
                 np.testing.assert_array_equal(params[k], ref[k])
                 np.testing.assert_array_equal(state.m[k], m[k])
@@ -325,19 +339,42 @@ class TestOptimizer:
 
     def test_non_finite_gradient_writes_nothing(self):
         rng = np.random.default_rng(22)
-        params = {"a": rng.standard_normal((40, 30)), "z": rng.standard_normal(5)}
-        state = optimizer_init(params)
-        optimizer_step(params, {k: np.ones(p.shape) for k, p in params.items()}, state)
-        snapshot = ({k: p.copy() for k, p in params.items()},
-                    {k: p.copy() for k, p in state.m.items()},
-                    {k: p.copy() for k, p in state.v.items()})
-        bad = {"a": np.ones((40, 30)), "z": np.array([1.0, np.inf, 1.0, 1.0, 1.0])}
-        with pytest.raises(FloatingPointError, match="'z'"):
-            optimizer_step(params, bad, state)
-        assert state.t == 1
-        for now, then in zip((params, state.m, state.v), snapshot):
-            for k in now:
-                np.testing.assert_array_equal(now[k], then[k])
+        for l2 in (0.0, 1e-2):
+            params = {"a": rng.standard_normal((40, 30)), "z": rng.standard_normal(5)}
+            state = optimizer_init(params)
+            optimizer_step(params, {k: np.ones(p.shape) for k, p in params.items()}, state, l2)
+            snapshot = ({k: p.copy() for k, p in params.items()},
+                        {k: p.copy() for k, p in state.m.items()},
+                        {k: p.copy() for k, p in state.v.items()})
+            bad = {"a": np.ones((40, 30)), "z": np.array([1.0, np.inf, 1.0, 1.0, 1.0])}
+            with pytest.raises(FloatingPointError, match="'z'"):
+                optimizer_step(params, bad, state, l2)
+            assert state.t == 1
+            np.testing.assert_array_equal(bad["a"], 1.0)
+            for now, then in zip((params, state.m, state.v), snapshot):
+                for k in now:
+                    np.testing.assert_array_equal(now[k], then[k])
+
+    def test_fused_l2_matches_add_l2_grads_then_step(self):
+        rng = np.random.default_rng(23)
+        params = self.adam_case(rng)
+        ref = {k: p.copy(order="K") for k, p in params.items()}
+        assert not ref["T"].flags.c_contiguous
+        state, ref_state = optimizer_init(params), optimizer_init(ref)
+        lam = 1e-3
+        for t in range(1, 4):
+            grads = {k: rng.standard_normal(p.shape) for k, p in params.items()}
+            grads["T"] = np.ascontiguousarray(grads["T"].T).T
+            ref_grads = {k: g.copy(order="K") for k, g in grads.items()}
+            expected_penalty = l2_penalty(ref, lam)
+            neural.add_l2_grads(ref, ref_grads, lam)
+            assert optimizer_step(ref, ref_grads, ref_state) == 0.0
+            penalty = optimizer_step(params, grads, state, lam)
+            assert abs(penalty - expected_penalty) <= 1e-15 * expected_penalty
+            assert state.t == ref_state.t == t
+            for now, then in ((params, ref), (state.m, ref_state.m), (state.v, ref_state.v)):
+                for k in params:
+                    assert np.array_equal(now[k], then[k]), k
 
     def test_deterministic(self):
         def run():
