@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from rumourmtl.corpus import TASK_CLASSES, Corpus, Thread
+from rumourmtl.evaluation import render_table
 from rumourmtl.text import preprocess
 
 
@@ -128,13 +129,11 @@ def analyze_corpus(corpus: Corpus) -> dict[str, dict[str, Optional[DatasetStats]
 def stats_csv(table: dict[str, dict[str, Optional[DatasetStats]]]) -> str:
     """Render the stats table as CSV: rows = events, columns = task metrics.
 
-    Degenerate kurtosis cells are marked ``-3 (degenerate)``.
+    Degenerate kurtosis cells are marked ``-3 (degenerate)``; an empty
+    table renders as ``no results``, like every report table.
     """
     tasks = ("stance", "veracity", "detection")
-    header = ["event"]
-    for task in tasks:
-        header += [f"{task}_entropy", f"{task}_kurtosis", f"{task}_ttr"]
-    lines = [",".join(header)]
+    rows = [("event", *(f"{task}_{m}" for task in tasks for m in ("entropy", "kurtosis", "ttr")))]
     for event in sorted(table):
         cells = [event]
         for task in tasks:
@@ -145,5 +144,5 @@ def stats_csv(table: dict[str, dict[str, Optional[DatasetStats]]]) -> str:
                 kurt = ("-3 (degenerate)" if stats.kurtosis is None
                         else f"{stats.kurtosis:.2f}")
                 cells += [f"{stats.entropy:.2f}", kurt, f"{stats.ttr:.2f}"]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        rows.append(tuple(cells))
+    return render_table(rows)[0]

@@ -97,7 +97,6 @@ class LinearModel:
     classes: tuple[str, ...]
     weights: np.ndarray  # (n_classes, n_features)
     biases: np.ndarray   # (n_classes,)
-    l2: float
 
 
 def svm_fit(features: np.ndarray, labels: Sequence[str], l2: float = 1e-3,
@@ -122,7 +121,7 @@ def svm_fit(features: np.ndarray, labels: Sequence[str], l2: float = 1e-3,
             weights *= 1.0 - lr * l2
             weights[violated] += lr * np.outer(y[violated, i], xi)
             biases[violated] += lr * y[violated, i]
-    return LinearModel(classes=classes, weights=weights, biases=biases, l2=l2)
+    return LinearModel(classes=classes, weights=weights, biases=biases)
 
 
 def svm_predict(model: LinearModel, features: np.ndarray) -> list[str]:

@@ -33,13 +33,7 @@ from rumourmtl.corpus import (
 from rumourmtl.mtl import HyperParams, MTLModel, derive_rng
 from rumourmtl.text import EmbeddingTable, hash_embeddings, load_embeddings
 
-MODEL_NAMES = ("majority", "nile", "single", "mtl2vs", "mtl2vd", "mtl3")
-MODEL_TASKS = {
-    "single": ("veracity",),
-    "mtl2vs": ("veracity", "stance"),
-    "mtl2vd": ("veracity", "detection"),
-    "mtl3": ("veracity", "stance", "detection"),
-}
+MODEL_NAMES = ("majority", "nile", *mtl.MODEL_TASKS)
 
 
 class UsageError(ValueError):
@@ -154,7 +148,7 @@ def _loeo_fold(model_name: str, cfg: RunConfig, corpus: Corpus, table: Embedding
         elif model_name == "nile":
             preds = baselines.nile_predict(baselines.nile_fit(train, seed=fold_seed), labeled)
         else:
-            model, _ = _train_mtl(train, table, cfg, MODEL_TASKS[model_name], fold_seed)
+            model, _ = _train_mtl(train, table, cfg, mtl.MODEL_TASKS[model_name], fold_seed)
             thread_preds = [mtl.predict_thread(model, t, table,
                                                max_branch_len=cfg.max_branch_len)
                             for t in labeled.threads]
@@ -218,6 +212,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
     corpus = load_corpus(cfg.corpus)
+    if all(t.veracity_label is None for t in corpus.threads):
+        raise UsageError(f"corpus {cfg.corpus} has no veracity-labeled thread to train on")
     out_dir = Path(cfg.output_dir)
     model, history = _train_mtl(corpus, _embedding_table(cfg), cfg, cfg.tasks, cfg.seed)
     model_path = out_dir / "model.json"
@@ -264,6 +260,8 @@ def cmd_loeo(args: argparse.Namespace) -> int:
     if len(corpus.events) < 2:
         raise UsageError("LOEO needs at least two events")
     model_names = tuple(m.strip() for m in args.models.split(",") if m.strip())
+    if not model_names or len(set(model_names)) < len(model_names):
+        raise UsageError(f"--models must name distinct models, got {args.models!r}")
     for name in model_names:
         if name not in MODEL_NAMES:
             raise UsageError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
@@ -390,6 +388,9 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (UsageError, CorpusError) as exc:
         _report_error(args, str(exc))
+        return 1
+    except FloatingPointError as exc:
+        _report_error(args, f"numerical overflow, check learning_rate and the embeddings: {exc}")
         return 1
     except Exception as exc:  # noqa: BLE001 - runtime failure boundary
         _report_error(args, f"{type(exc).__name__}: {exc}")

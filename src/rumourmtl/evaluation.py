@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from rumourmtl.corpus import Corpus, CorpusError, Thread, split_loeo
+from rumourmtl.corpus import Corpus, CorpusError, split_loeo
 
 #: Development event used for tuning when present in the training split.
 DEFAULT_DEV_EVENT = "charliehebdo"
@@ -72,10 +72,6 @@ class FoldResult:
     probs: Optional[Sequence] = None  # per-thread class probabilities, if the model gives them
 
 
-def _veracity(thread: Thread) -> Optional[str]:
-    return thread.veracity_label
-
-
 def dev_event(corpus: Corpus) -> str:
     """The tuning event: ``DEFAULT_DEV_EVENT`` when present, else the event
     with the most threads (ties go to the later name)."""
@@ -85,19 +81,17 @@ def dev_event(corpus: Corpus) -> str:
                key=lambda e: (sum(1 for t in corpus.threads if t.event == e), e))
 
 
-def held_out_split(corpus: Corpus, event: str, label_of: Callable = _veracity
-                   ) -> tuple[Corpus, Corpus]:
-    """The training split without ``event`` and the held-out labeled threads."""
+def held_out_split(corpus: Corpus, event: str) -> tuple[Corpus, Corpus]:
+    """The training split without ``event`` and its veracity-labeled threads."""
     train, test = split_loeo(corpus, event)
-    return train, Corpus(tuple(t for t in test.threads if label_of(t) is not None))
+    return train, Corpus(tuple(t for t in test.threads if t.veracity_label is not None))
 
 
 def fold_result(event: str, labeled: Corpus, preds: Sequence[str], classes: Sequence[str],
-                label_of: Callable = _veracity, probs: Optional[Sequence] = None
-                ) -> FoldResult:
-    """Score one prediction per labeled held-out thread."""
+                probs: Optional[Sequence] = None) -> FoldResult:
+    """Score one veracity prediction per labeled held-out thread."""
     preds = tuple(preds)
-    gold = tuple(label_of(t) for t in labeled.threads)
+    gold = tuple(t.veracity_label for t in labeled.threads)
     if len(preds) != len(gold):
         raise ValueError(
             f"fold {event}: predictor returned {len(preds)} predictions "
@@ -109,8 +103,7 @@ def fold_result(event: str, labeled: Corpus, preds: Sequence[str], classes: Sequ
 
 def loeo_fold(corpus: Corpus, event: str,
               fit_predict: Callable[[Corpus, Corpus], tuple[Sequence[str], Optional[Sequence]]],
-              classes: Sequence[str], label_of: Callable = _veracity
-              ) -> Optional[FoldResult]:
+              classes: Sequence[str]) -> Optional[FoldResult]:
     """Hold ``event`` out, train on the rest and score its labeled threads.
 
     ``fit_predict(train_corpus, labeled)`` returns one class per labeled
@@ -118,13 +111,13 @@ def loeo_fold(corpus: Corpus, event: str,
     training, when the event has no labeled thread; raises ``CorpusError``
     when no other event has one.
     """
-    train, labeled = held_out_split(corpus, event, label_of)
+    train, labeled = held_out_split(corpus, event)
     if not labeled.threads:
         return None
-    if all(label_of(t) is None for t in train.threads):
+    if all(t.veracity_label is None for t in train.threads):
         raise CorpusError(f"fold {event}: no labeled thread outside the held-out event")
     preds, probs = fit_predict(train, labeled)
-    return fold_result(event, labeled, preds, classes, label_of, probs)
+    return fold_result(event, labeled, preds, classes, probs)
 
 
 def pool_folds(folds: Sequence[FoldResult], classes: Sequence[str]) -> Metrics:
@@ -138,16 +131,15 @@ def pool_folds(folds: Sequence[FoldResult], classes: Sequence[str]) -> Metrics:
 def loeo_evaluate(corpus: Corpus,
                   trainer_factory: Callable[[Corpus, int, Optional[str]],
                                             Callable[[Corpus], Sequence[str]]],
-                  classes: Sequence[str], seed: int = 0,
-                  label_of: Optional[Callable] = None
+                  classes: Sequence[str], seed: int = 0
                   ) -> tuple[list[FoldResult], Metrics]:
     """One fold per event: train on the rest, predict the held-out threads.
 
     ``trainer_factory(train_corpus, seed, dev_event)`` returns a predictor
-    mapping a corpus to one class per labeled thread. ``label_of(thread)``
-    selects the gold label (default: veracity); unlabeled threads are
-    excluded and events without any are skipped. Pooled metrics are
-    computed over all folds' concatenated predictions.
+    mapping a corpus to one veracity class per labeled thread. Threads
+    without a veracity label are excluded and events without any are
+    skipped. Pooled metrics are computed over all folds' concatenated
+    predictions.
     """
     if len(corpus.events) < 2:
         raise ValueError("LOEO needs at least two events")
@@ -155,7 +147,7 @@ def loeo_evaluate(corpus: Corpus,
     def fit_predict(train: Corpus, labeled: Corpus) -> tuple[Sequence[str], None]:
         return trainer_factory(train, seed, dev_event(train))(labeled), None
 
-    folds = [f for f in (loeo_fold(corpus, event, fit_predict, classes, label_of or _veracity)
+    folds = [f for f in (loeo_fold(corpus, event, fit_predict, classes)
                          for event in corpus.events) if f is not None]
     return folds, pool_folds(folds, classes)
 
@@ -169,7 +161,7 @@ def _fmt(x: float) -> str:
 
 def comparison_table(results: dict[str, Metrics]) -> tuple[str, str]:
     """Model-comparison table (one row per model): CSV and aligned text."""
-    return _table([("model", "macro_f", "accuracy")] + [
+    return render_table([("model", "macro_f", "accuracy")] + [
         (name, _fmt(m.macro_f), _fmt(m.accuracy)) for name, m in results.items()])
 
 
@@ -181,7 +173,7 @@ def per_event_table(fold_results: dict[str, list[FoldResult]]) -> tuple[str, str
         by_event = {f.event: f for f in folds}
         rows.append((name, *(_fmt(by_event[e].metrics.macro_f) if e in by_event else "-"
                              for e in events)))
-    return _table(rows)
+    return render_table(rows)
 
 
 def per_class_table(folds: list[FoldResult], classes: Sequence[str]) -> tuple[str, str]:
@@ -190,10 +182,10 @@ def per_class_table(folds: list[FoldResult], classes: Sequence[str]) -> tuple[st
     for f in sorted(folds, key=lambda f: f.event):
         rows.append((f.event, _fmt(f.metrics.macro_f), _fmt(f.metrics.accuracy),
                      *(_fmt(f.metrics.per_class_f1[c]) for c in classes)))
-    return _table(rows)
+    return render_table(rows)
 
 
-def _table(rows: list[tuple[str, ...]]) -> tuple[str, str]:
+def render_table(rows: list[tuple[str, ...]]) -> tuple[str, str]:
     """A header row plus data rows as CSV and as space-aligned text; "no
     results" for both when there is no data row."""
     if len(rows) < 2:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -32,18 +33,19 @@ from rumourmtl.corpus import (
     decompose_branches,
 )
 from rumourmtl.neural import Params
-from rumourmtl.search import default_space
 from rumourmtl.text import EmbeddingTable, embed_tweet, preprocess
 
 #: stance is annotated per tweet; detection/veracity per thread.
 PER_STEP_TASKS = frozenset({"stance"})
 ALL_TASKS = ("veracity", "stance", "detection")
-VALID_TASK_SETS = (
-    frozenset({"veracity"}),
-    frozenset({"veracity", "stance"}),
-    frozenset({"veracity", "detection"}),
-    frozenset({"veracity", "stance", "detection"}),
-)
+#: The neural models of the paper and their task sets.
+MODEL_TASKS = {
+    "single": ("veracity",),
+    "mtl2vs": ("veracity", "stance"),
+    "mtl2vd": ("veracity", "detection"),
+    "mtl3": ("veracity", "stance", "detection"),
+}
+VALID_TASK_SETS = tuple(frozenset(tasks) for tasks in MODEL_TASKS.values())
 
 #: Parameter keys of one layer, as ``neural.init_lstm_layer`` and
 #: ``neural.init_dense_layer`` create them.
@@ -69,9 +71,8 @@ class HyperParams:
     dropout: float = 0.5
     learning_rate: float = 1e-3
 
-    def validate(self, strict: bool = False) -> None:
-        """Raise ValueError for an out-of-range field. ``strict`` also requires
-        ``search.default_space()``, which miniature test models fall outside."""
+    def validate(self) -> None:
+        """Raise ValueError for an out-of-range field."""
         if self.num_dense_layers < 1 or self.num_lstm_layers < 1:
             raise ValueError("layer counts must be positive")
         if self.dense_width < 1 or self.lstm_width < 1:
@@ -83,8 +84,6 @@ class HyperParams:
                              f"got l2={self.l2}, learning_rate={self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
-        if strict and not (space := default_space()).contains(asdict(self)):
-            raise ValueError(f"{self} outside the search space {dict(space.dimensions)}")
 
 
 @dataclass(frozen=True)
@@ -204,23 +203,16 @@ class MTLModel:
         return _masked_loss(batch, probs)
 
     def batch_loss(self, batch: Sequence[TrainingInstance], train: bool = False,
-                   dropout_rng: Optional[np.random.Generator] = None,
-                   include_l2: bool = True) -> float:
-        """Forward-only joint objective (used by the finite-difference oracle)."""
+                   dropout_rng: Optional[np.random.Generator] = None) -> float:
+        """Forward-only batch-mean data loss (used by the finite-difference oracle)."""
         outputs, _ = self.forward(*_stack(batch), train=train, dropout_rng=dropout_rng)
-        loss, _ = self.batch_data_loss(batch, outputs)
-        if include_l2:
-            loss += neural.l2_penalty(self.params, self.hp.l2)
-        return loss
+        return self.batch_data_loss(batch, outputs)[0]
 
     def loss_and_grads(self, batch: Sequence[TrainingInstance], train: bool = False,
-                       dropout_rng: Optional[np.random.Generator] = None,
-                       include_l2: bool = True) -> tuple[float, Params, dict]:
-        """Joint objective and its exact gradients for one mini-batch.
-
-        The objective is the batch-mean data loss plus (optionally) the
-        model-level L2 penalty. Returns (loss, grads, cache).
-        """
+                       dropout_rng: Optional[np.random.Generator] = None
+                       ) -> tuple[float, Params, dict]:
+        """Batch-mean data loss and its exact gradients for one mini-batch,
+        as (loss, grads, cache); ``neural.optimizer_step`` adds the L2 term."""
         outputs, cache = self.forward(*_stack(batch), train=train, dropout_rng=dropout_rng)
         loss, dlogits = self.batch_data_loss(batch, outputs)
 
@@ -243,9 +235,6 @@ class MTLModel:
             d_up, layer_grads = neural.lstm_backward(
                 self._layer(f"lstm{l}", _LSTM_KEYS), cache["lstm"][l], d_up, input_grad=l > 0)
             grads.update(_prefixed(f"lstm{l}", layer_grads))
-        if include_l2:
-            loss += neural.l2_penalty(self.params, self.hp.l2)
-            neural.add_l2_grads(self.params, grads, self.hp.l2)
         return loss, grads, cache
 
     # -- persistence -----------------------------------------------------
@@ -273,7 +262,7 @@ class MTLModel:
 
 
 # ---------------------------------------------------------------------------
-# Joint loss (data term; L2 is a model-level addition during training)
+# Joint loss (data term; the optimizer adds L2 during training)
 
 def _stack(batch: Sequence[TrainingInstance]) -> tuple[np.ndarray, np.ndarray]:
     """Inputs and masks of a batch, trimmed to its longest branch.
@@ -443,8 +432,7 @@ def train(model: MTLModel, instances: Sequence[TrainingInstance], seed: int,
         for start in range(0, n, hp.batch_size):
             batch = [instances[i] for i in perm[start:start + hp.batch_size]]
             try:
-                loss, grads, _ = model.loss_and_grads(
-                    batch, train=True, dropout_rng=rng_dropout, include_l2=False)
+                loss, grads, _ = model.loss_and_grads(batch, train=True, dropout_rng=rng_dropout)
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"epoch {epoch}, batch {start // hp.batch_size}: {exc}") from None
@@ -530,6 +518,8 @@ def predict_thread(model: MTLModel, thread: Thread, table: EmbeddingTable,
     branches = decompose_branches(thread, max_len=max_branch_len)
     x, mask = _branch_tensors(thread, branches, table, max(len(b) for b in branches))
     outputs, _ = model.forward(x, mask, train=False)
+    if not math.isfinite(sum(p.sum() for p in outputs.values())):
+        raise FloatingPointError(f"thread {thread.id}: non-finite model output")
     veracity, v_probs = _majority_vote(outputs["veracity"], VERACITY_CLASSES)
     detection = d_probs = None
     if "detection" in model.tasks:
@@ -569,7 +559,7 @@ def dump_predictions(predictions: Sequence[ThreadPrediction], path: str | Path,
 
 def check_gradients(hp: HyperParams, tasks: Iterable[str], input_dim: int, seed: int,
                     with_dropout: bool = False, eps: float = 1e-5) -> dict[str, float]:
-    """Finite-difference check of the full model's analytic gradients.
+    """Finite-difference check of the analytic gradients of data loss plus L2.
 
     Builds a miniature model, two random labeled instances of up to three
     steps (the second with its stance and detection labels left out, to
@@ -606,10 +596,12 @@ def check_gradients(hp: HyperParams, tasks: Iterable[str], input_dim: int, seed:
         ))
     _, analytic, _ = model.loss_and_grads(batch, train=with_dropout,
                                           dropout_rng=derive_rng(seed, "gradcheck-drop"))
+    neural.add_l2_grads(model.params, analytic, hp.l2)
 
     def loss_fn(params: Params) -> float:
         model.params = params
-        return model.batch_loss(batch, train=with_dropout,
-                                dropout_rng=derive_rng(seed, "gradcheck-drop"))
+        return (model.batch_loss(batch, train=with_dropout,
+                                 dropout_rng=derive_rng(seed, "gradcheck-drop"))
+                + neural.l2_penalty(params, hp.l2))
 
     return neural.grad_check(loss_fn, model.params, analytic, eps=eps)

@@ -379,8 +379,9 @@ def load_params(path: str | Path) -> tuple[Params, dict]:
     blocks = payload.get("params")
     if not isinstance(blocks, dict) or not all(isinstance(e, dict) for e in blocks.values()):
         raise ValueError(f"{path}: 'params' must map block names to objects")
-    params = {
-        name: np.array(entry["data"], dtype=float).reshape(entry["shape"])
-        for name, entry in blocks.items()
-    }
+    params = {}
+    for name, entry in blocks.items():
+        params[name] = np.array(entry["data"], dtype=float).reshape(entry["shape"])
+        if not np.isfinite(params[name]).all():
+            raise ValueError(f"{path}: parameter block {name!r} has a non-finite value")
     return params, payload["meta"]

@@ -65,12 +65,14 @@ def default_space() -> SearchSpace:
 TPE_GAMMA = 0.25
 #: Uniform random trials before the densities are modelled.
 TPE_STARTUP = 10
+#: Candidates sampled from l per suggestion.
+TPE_CANDIDATES = 24
+#: Uniform smoothing mass per dimension.
+TPE_PRIOR_WEIGHT = 1.0
 
 
 @dataclass(frozen=True)
 class TPEConfig:
-    n_candidates: int = 24       # candidates sampled from l per suggestion
-    prior_weight: float = 1.0    # uniform smoothing mass per dimension
     objective_mode: str = "product"  # "product" of (1 - macroF), or "accuracy"
 
     def __post_init__(self) -> None:
@@ -112,15 +114,13 @@ def objective(macro_f_per_task: Mapping[str, float]) -> float:
     return result
 
 
-def _smoothed_density(values: Sequence, observed: Sequence, prior_weight: float
-                      ) -> np.ndarray:
+def _smoothed_density(values: Sequence, observed: Sequence) -> np.ndarray:
     counts = np.array([sum(1 for o in observed if o == v) for v in values], dtype=float)
-    counts += prior_weight / len(values)
+    counts += TPE_PRIOR_WEIGHT / len(values)
     return counts / counts.sum()
 
 
-def tpe_suggest(history: Sequence[Trial], space: SearchSpace, cfg: TPEConfig,
-                rng: np.random.Generator) -> dict:
+def tpe_suggest(history: Sequence[Trial], space: SearchSpace, rng: np.random.Generator) -> dict:
     """Suggest the next configuration.
 
     Below ``TPE_STARTUP`` evaluated trials the suggestion is uniform random.
@@ -134,12 +134,10 @@ def tpe_suggest(history: Sequence[Trial], space: SearchSpace, cfg: TPEConfig,
     ordered = sorted(scored, key=lambda t: (t.objective, t.number))
     n_good = max(1, math.ceil(TPE_GAMMA * len(ordered)))
     good, bad = ordered[:n_good], ordered[n_good:]
-    if not bad:
-        bad = ordered
     densities = []
     for name, values in space.dimensions:
-        l = _smoothed_density(values, [t.config[name] for t in good], cfg.prior_weight)
-        g = _smoothed_density(values, [t.config[name] for t in bad], cfg.prior_weight)
+        l = _smoothed_density(values, [t.config[name] for t in good])
+        g = _smoothed_density(values, [t.config[name] for t in bad])
         densities.append((name, values, l, g))
     # Prefer the best-scoring candidate that has not been evaluated yet;
     # resampling an already-tried configuration wastes a trial on a small
@@ -147,7 +145,7 @@ def tpe_suggest(history: Sequence[Trial], space: SearchSpace, cfg: TPEConfig,
     # repeat. Ties go to the earliest candidate.
     tried = [t.config for t in history]
     candidates = []
-    for _ in range(cfg.n_candidates):
+    for _ in range(TPE_CANDIDATES):
         config = {}
         score = 0.0
         for name, values, l, g in densities:
@@ -174,7 +172,7 @@ def run_search(space: SearchSpace,
     rng = np.random.default_rng(seed)
     history: list[Trial] = []
     for n in range(n_trials):
-        config = tpe_suggest(history, space, cfg, rng)
+        config = tpe_suggest(history, space, rng)
         trial_seed = int(rng.integers(2 ** 31))
         try:
             macro_f, dev_accuracy = evaluate(config, trial_seed)

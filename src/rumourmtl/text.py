@@ -104,6 +104,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
                 vec = np.array([float(v) for v in values], dtype=float)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric field: {exc}") from None
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path}:{lineno}: non-finite value")
             if dimension is None:
                 dimension = len(vec)
             if len(vec) != dimension:

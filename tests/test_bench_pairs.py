@@ -1,0 +1,56 @@
+"""The per-metric verdict of ``tools/bench_pairs.py``, loaded by path."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+verdict = load_tool().verdict
+#: Ten parent runs: median 100, quartiles 99.125 and 100.875.
+REF = [98.0, 99.0, 99.0, 99.5, 100.0, 100.0, 100.5, 101.0, 101.0, 102.0]
+
+
+def test_clear_gain_is_met_in_either_direction():
+    assert verdict(REF, [x + 5 for x in REF], "higher", 0.25) == "met"
+    assert verdict(REF, [x - 5 for x in REF], "lower", 0.25) == "met"
+
+
+def test_gain_needs_nine_wins_in_ten():
+    new = [x + 5 for x in REF]
+    new[0] = new[1] = REF[1] - 1    # two pairs lost
+    assert verdict(REF, new, "higher", 0.25) == "same"
+    new[0] = REF[0]                 # a tie counts for neither side
+    assert verdict(REF, new, "higher", 0.25) == "same"
+    new = [x + 5 for x in REF]
+    new[0] = REF[0]                 # one tie, nine wins
+    assert verdict(REF, new, "higher", 0.25) == "met"
+
+
+def test_gain_needs_ten_pairs():
+    assert verdict(REF[:9], [x + 5 for x in REF[:9]], "higher", 0.25) == "same"
+
+
+def test_gain_needs_median_gap_beyond_parent_iqr():
+    assert verdict(REF, [x + 1 for x in REF], "higher", 0.25) == "same"
+
+
+def test_worse_beyond_bound():
+    assert verdict(REF, [x * 0.7 for x in REF], "higher", 0.25) == "worse"
+    assert verdict(REF, [x * 0.8 for x in REF], "higher", 0.25) == "same"
+    assert verdict(REF, [x * 1.3 for x in REF], "lower", 0.25) == "worse"
+
+
+def test_wide_parent_spread_is_unresolved_unless_every_run_beats():
+    wide = [50.0, 60.0, 80.0, 90.0, 100.0, 100.0, 110.0, 120.0, 140.0, 150.0]
+    assert verdict(wide, [x + 5 for x in wide], "higher", 0.25) == "unresolved"
+    assert verdict(wide, [x * 0.5 for x in wide], "higher", 0.25) == "unresolved"
+    assert verdict(wide, [151.0 + i for i in range(10)], "higher", 0.25) == "met"
+    assert verdict(wide, [49.0 - i for i in range(10)], "lower", 0.25) == "met"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rumourmtl import cli
 from rumourmtl.cli import RunConfig, UsageError, dispatch, parse_config_text
 from rumourmtl.corpus import Corpus, load_corpus, save_corpus
+from rumourmtl.text import preprocess
 
 
 @pytest.fixture()
@@ -316,6 +317,41 @@ def _evaluate_other_dim(tmp_path, corpus_path):
     return ["evaluate", cfg, "--model", tmp_path / "out" / "model.json"], "model.json"
 
 
+def _nan_checkpoint(tmp_path, corpus_path):
+    cfg = run_config(tmp_path, corpus_path, epochs=1)
+    assert dispatch(["train", str(cfg)]) == 0
+    payload = json.loads((tmp_path / "out" / "model.json").read_text())
+    payload["params"]["veracity/out/b"]["data"][0] = float("nan")
+    return ["evaluate", cfg, "--model", _write(tmp_path / "nan.json", json.dumps(payload))], \
+        "veracity/out/b"
+
+
+def _evaluate_nan_embeddings(tmp_path, corpus_path):
+    assert dispatch(["train", str(run_config(tmp_path, corpus_path, epochs=1))]) == 0
+    vec = _write(tmp_path / "nan.vec", "a 0 0 0 0 0 0 0 0\nb 0 0 nan 0 0 0 0 0\n")
+    cfg = run_config(tmp_path, corpus_path, name="nan.cfg", embeddings=vec)
+    return ["evaluate", cfg, "--model", tmp_path / "out" / "model.json"], "nan.vec:2"
+
+
+def _corpus_tokens(corpus_path):
+    return sorted({tok for thread in load_corpus(corpus_path).threads for post in thread.posts
+                   for tok in preprocess(post.text)})
+
+
+def _huge_embeddings(tmp_path, corpus_path):
+    """Finite values so large that the mean vector of a tweet overflows."""
+    return _write(tmp_path / "huge.vec",
+                  "".join(f"{tok} 1e308 -1e308\n" for tok in _corpus_tokens(corpus_path)))
+
+
+def _evaluate_huge_embeddings(tmp_path, corpus_path):
+    cfg = run_config(tmp_path, corpus_path, epochs=1, embedding_dim=2)
+    assert dispatch(["train", str(cfg)]) == 0
+    cfg = run_config(tmp_path, corpus_path, name="huge.cfg",
+                     embeddings=_huge_embeddings(tmp_path, corpus_path))
+    return ["evaluate", cfg, "--model", tmp_path / "out" / "model.json"], "embeddings"
+
+
 #: Bad input at the config and loader boundary: (argv, the key or file the
 #: error line must name), built from a temporary directory and a corpus.
 BAD_INPUTS = {
@@ -357,6 +393,27 @@ BAD_INPUTS = {
         ["validate", _write_bytes(tmp / "latin.ndjson", NOT_UTF8)], "latin.ndjson"),
     "non-UTF-8 run config": lambda tmp, corpus: (
         ["train", _write_bytes(tmp / "latin.cfg", b"corpus = \xff\n")], "latin.cfg"),
+    "train without a veracity-labeled thread": lambda tmp, corpus: (
+        ["train", run_config(tmp, TestLoeo.unlabel(
+            corpus, tmp, {"event00", "event01", "event02"}))], "unlabeled.ndjson"),
+    "loeo --models empty": lambda tmp, corpus: (
+        ["loeo", run_config(tmp, corpus), "--models", ""], "--models"),
+    "loeo --models ,": lambda tmp, corpus: (
+        ["loeo", run_config(tmp, corpus), "--models", ","], "--models"),
+    "loeo --models majority,majority": lambda tmp, corpus: (
+        ["loeo", run_config(tmp, corpus), "--models", "majority,majority"], "--models"),
+    "checkpoint block set to NaN": _nan_checkpoint,
+    "train with a nan embedding": lambda tmp, corpus: (
+        ["train", run_config(tmp, corpus, embeddings=_write(tmp / "nan.vec", "a 1 nan\n"))],
+        "nan.vec:1"),
+    "train with a 1e400 embedding": lambda tmp, corpus: (
+        ["train", run_config(tmp, corpus, embeddings=_write(tmp / "big.vec", "a 1e400 1\n"))],
+        "big.vec:1"),
+    "evaluate with a nan embedding": _evaluate_nan_embeddings,
+    "train with overflowing embeddings": lambda tmp, corpus: (
+        ["train", run_config(tmp, corpus, embeddings=_huge_embeddings(tmp, corpus))],
+        "embeddings"),
+    "evaluate with overflowing embeddings": _evaluate_huge_embeddings,
 }
 
 
@@ -408,3 +465,69 @@ class TestCheckpointFuzz:
         path = cfg.parent / "fuzzed.json"
         path.write_text(json.dumps(payload))
         assert dispatch(["evaluate", str(cfg), "--model", str(path)]) in (0, 1)
+
+
+@pytest.fixture(scope="module")
+def train_case(tmp_path_factory):
+    """A directory holding the 3 x 6 synthetic corpus, and the corpus's tokens."""
+    tmp = tmp_path_factory.mktemp("train-fuzz")
+    spec = _write(tmp / "gen.cfg", "events = 3\nthreads_per_event = 6\nseed = 5\n")
+    corpus = tmp / "corpus.ndjson"
+    assert dispatch(["synth", str(spec), "-o", str(corpus)]) == 0
+    return tmp, corpus, _corpus_tokens(corpus)
+
+
+#: Config keys the fuzz test replaces: every hyperparameter and the run keys
+#: that shape the model input.
+FUZZED_KEYS = (*cli._HP_KEYS, "tasks", "seed", "embedding_dim", "max_branch_len")
+#: Short text without digits, so that no text value parses as a large number.
+SHORT_TEXT = st.text(st.characters(blacklist_categories=("Cs", "Nd")), max_size=6)
+SPECIAL_TEXT = st.sampled_from(["", "nan", "inf", "-inf", "1e400", "veracity",
+                                "veracity,stance", "stance,detection", "true"])
+
+
+def small_numbers(high):
+    return (st.integers(-64, high).map(str)
+            | st.floats(-64, high, allow_nan=False).map(repr))
+
+
+#: Numbers for an embedding file, finite or not.
+EMBEDDING_NUMBERS = (st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "0",
+                                      "1e308", "-1.7e308"])
+                     | st.floats(allow_nan=True, allow_infinity=True).map(repr)
+                     | st.floats(-8, 8).map(repr))
+
+
+class TestTrainLoaderFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_config_fields_exit_0_or_1(self, train_case, data):
+        """Up to two hyperparameters or run keys of a valid one-epoch config
+        replaced by short text or small numbers: ``train`` succeeds or
+        reports bad input."""
+        tmp, corpus, _ = train_case
+        overrides = {"epochs": 1}
+        for key in data.draw(st.lists(st.sampled_from(FUZZED_KEYS), max_size=2, unique=True)):
+            numbers = small_numbers(1 if key == "epochs" else 64)
+            overrides[key] = data.draw(numbers | SHORT_TEXT | SPECIAL_TEXT)
+        cfg = run_config(tmp, corpus, name="fuzz.cfg", **overrides)
+        assert dispatch(["train", str(cfg)]) in (0, 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_embedding_files_exit_0_or_1(self, train_case, data):
+        """Embedding files of corpus tokens with ragged rows of numbers, some
+        non-finite, and a header-like first line: ``train`` succeeds or
+        reports bad input."""
+        tmp, corpus, tokens = train_case
+        rows = data.draw(st.lists(
+            st.tuples(st.sampled_from(tokens) | SHORT_TEXT.filter(str.strip),
+                      st.lists(EMBEDDING_NUMBERS, max_size=4)),
+            max_size=6))
+        lines = [" ".join([token.split()[0], *values]) for token, values in rows]
+        header = data.draw(st.none() | st.tuples(st.integers(-2, 8), st.integers(-2, 8)))
+        if header is not None:
+            lines.insert(0, f"{header[0]} {header[1]}")
+        vec = _write(tmp / "fuzz.vec", "\n".join(lines) + "\n")
+        cfg = run_config(tmp, corpus, name="fuzz-vec.cfg", epochs=1, embeddings=vec)
+        assert dispatch(["train", str(cfg)]) in (0, 1)

@@ -167,16 +167,6 @@ class TestLoeo:
         with pytest.raises(ValueError, match="fold"):
             loeo_evaluate(self.corpus(), bad_trainer, VERACITY_CLASSES)
 
-    def test_label_of_override(self):
-        corpus = self.corpus()
-        folds, pooled = loeo_evaluate(
-            corpus,
-            lambda train, seed, dev: (lambda test: ["rumour"] * len(test)),
-            ("non-rumour", "rumour"),
-            label_of=lambda t: t.detection_label)
-        total = sum(len(f.gold) for f in folds)
-        assert total == len(corpus)  # every thread has a detection label
-
 
 class TestReports:
     def metrics(self, macro, acc):

@@ -30,6 +30,7 @@ from rumourmtl.mtl import (
     train,
 )
 from rumourmtl.neural import PROB_CLIP
+from rumourmtl.search import default_space
 from rumourmtl.text import embed_tweet, hash_embeddings
 
 MINI = HyperParams(num_dense_layers=1, num_lstm_layers=1, dense_width=6,
@@ -83,10 +84,10 @@ class TestBuildModel:
         with pytest.raises(ValueError):
             MTLModel(HyperParams(dropout=1.5), ("veracity",), DIM, 0)
 
-    def test_strict_validation_enforces_search_space(self):
-        with pytest.raises(ValueError, match="outside the search space"):
-            MINI.validate(strict=True)
-        HyperParams().validate(strict=True)
+    def test_search_space_holds_defaults_not_miniatures(self):
+        space = default_space()
+        assert not space.contains(dataclasses.asdict(MINI))
+        assert space.contains(dataclasses.asdict(HyperParams()))
 
     def test_seed_deterministic_init(self):
         a = MTLModel(MINI, ("veracity", "stance"), DIM, 7)
@@ -183,9 +184,8 @@ class TestSingleLoss:
 
     def test_loss_and_grads_batch_loss_and_joint_loss_agree(self):
         model, batch = self.mixed_batch()
-        loss, _, _ = model.loss_and_grads(batch, include_l2=False)
-        assert loss == pytest.approx(model.batch_loss(batch, include_l2=False),
-                                     abs=1e-12)
+        loss, _, _ = model.loss_and_grads(batch)
+        assert loss == pytest.approx(model.batch_loss(batch), abs=1e-12)
         per_instance = [joint_loss(instance_outputs(model, inst), inst) for inst in batch]
         assert loss == pytest.approx(np.mean(per_instance), abs=1e-12)
 
@@ -228,7 +228,7 @@ class TestHardSharing:
         before = instance_outputs(model, probe)["veracity"].copy()
         stance_only = [make_instance(rng, detection=None, veracity=None)
                        for _ in range(3)]
-        _, grads, _ = model.loss_and_grads(stance_only, include_l2=False)
+        _, grads, _ = model.loss_and_grads(stance_only)
         for name, g in grads.items():
             if name.startswith("veracity/"):
                 np.testing.assert_array_equal(g, 0.0)
@@ -328,8 +328,9 @@ class TestTraining:
             losses = []
             for start in range(0, len(instances), hp.batch_size):
                 batch = [instances[i] for i in perm[start:start + hp.batch_size]]
-                loss, grads, _ = ref.loss_and_grads(batch, train=True, dropout_rng=rng_dropout,
-                                                    include_l2=True)
+                loss, grads, _ = ref.loss_and_grads(batch, train=True, dropout_rng=rng_dropout)
+                loss += neural.l2_penalty(ref.params, hp.l2)
+                neural.add_l2_grads(ref.params, grads, hp.l2)
                 neural.optimizer_step(ref.params, grads, state)
                 losses.append(loss)
             ref_history.append(float(np.mean(losses)))
@@ -512,7 +513,7 @@ class TestGradientCheck:
         rng = np.random.default_rng(9)
         model = MTLModel(MINI, ("veracity", "stance", "detection"), DIM, 2)
         inst = make_instance(rng, stance=False, detection=None)
-        _, grads, _ = model.loss_and_grads([inst], include_l2=False)
+        _, grads, _ = model.loss_and_grads([inst])
         for name, g in grads.items():
             if name.startswith(("stance/", "detection/")):
                 np.testing.assert_array_equal(g, 0.0)

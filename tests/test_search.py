@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from rumourmtl import search
 from rumourmtl.search import (
     SearchSpace,
     TPEConfig,
@@ -65,16 +66,15 @@ class TestObjective:
 class TestTpeSuggest:
     def test_startup_suggestions_in_space(self):
         rng = np.random.default_rng(0)
-        cfg = TPEConfig()
         for _ in range(20):
-            config = tpe_suggest([], TINY, cfg, rng)
+            config = tpe_suggest([], TINY, rng)
             assert TINY.contains(config)
 
     def test_startup_counts_error_trials_as_unscored(self):
         history = [make_trial(i, {"a": 1, "b": 10}, math.inf, status="error: x")
                    for i in range(15)]
         rng = np.random.default_rng(1)
-        seen = {tuple(sorted(tpe_suggest(history, TINY, TPEConfig(), rng).items()))
+        seen = {tuple(sorted(tpe_suggest(history, TINY, rng).items()))
                 for _ in range(40)}
         assert len(seen) > 1  # still uniform exploration, not stuck modeling
 
@@ -86,7 +86,7 @@ class TestTpeSuggest:
             history.append(make_trial(i, {"a": val, "b": 10 if i % 2 else 20},
                                       0.1 if val == 1 else 0.9))
         rng = np.random.default_rng(2)
-        picks = [tpe_suggest(history, TINY, TPEConfig(), rng)["a"] for _ in range(30)]
+        picks = [tpe_suggest(history, TINY, rng)["a"] for _ in range(30)]
         assert picks.count(1) > picks.count(3)
 
     def test_suggestion_always_in_space(self):
@@ -94,30 +94,32 @@ class TestTpeSuggest:
         history = [make_trial(i, {"a": 1 + i % 3, "b": 10}, rng.random())
                    for i in range(25)]
         for _ in range(20):
-            assert TINY.contains(tpe_suggest(history, TINY, TPEConfig(), rng))
+            assert TINY.contains(tpe_suggest(history, TINY, rng))
 
     def test_equal_objectives_degenerate_history(self):
         history = [make_trial(i, {"a": 2, "b": 20}, 0.5) for i in range(12)]
         rng = np.random.default_rng(4)
-        config = tpe_suggest(history, TINY, TPEConfig(), rng)
+        config = tpe_suggest(history, TINY, rng)
         assert TINY.contains(config)
 
-    def test_prefers_unseen_over_repeat(self):
+    def test_prefers_unseen_over_repeat(self, monkeypatch):
         # every config except one has been tried; plenty of candidates should
         # surface the remaining one at least sometimes
         all_configs = TINY.enumerate()
         missing = all_configs.pop()
         history = [make_trial(i, c, 0.2 + 0.1 * i) for i, c in enumerate(all_configs)]
         rng = np.random.default_rng(5)
-        hits = sum(tpe_suggest(history, TINY, TPEConfig(n_candidates=200), rng) == missing
+        monkeypatch.setattr(search, "TPE_CANDIDATES", 200)
+        hits = sum(tpe_suggest(history, TINY, rng) == missing
                    for _ in range(20))
         assert hits >= 1
 
-    def test_huge_prior_approaches_uniform(self):
+    def test_huge_prior_approaches_uniform(self, monkeypatch):
         history = [make_trial(i, {"a": 1, "b": 10}, 0.1) for i in range(12)]
-        cfg = TPEConfig(prior_weight=1e9, n_candidates=1)
+        monkeypatch.setattr(search, "TPE_PRIOR_WEIGHT", 1e9)
+        monkeypatch.setattr(search, "TPE_CANDIDATES", 1)
         rng = np.random.default_rng(6)
-        draws = [tpe_suggest(history, TINY, cfg, rng)["a"] for _ in range(5000)]
+        draws = [tpe_suggest(history, TINY, rng)["a"] for _ in range(5000)]
         counts = [draws.count(v) for v in (1, 2, 3)]
         _, p_value = chisquare(counts)
         assert p_value > 0.01
@@ -125,8 +127,8 @@ class TestTpeSuggest:
     def test_deterministic_given_rng_state(self):
         history = [make_trial(i, {"a": 1 + i % 3, "b": 10 * (1 + i % 2)}, i / 20)
                    for i in range(20)]
-        a = tpe_suggest(history, TINY, TPEConfig(), np.random.default_rng(7))
-        b = tpe_suggest(history, TINY, TPEConfig(), np.random.default_rng(7))
+        a = tpe_suggest(history, TINY, np.random.default_rng(7))
+        b = tpe_suggest(history, TINY, np.random.default_rng(7))
         assert a == b
 
 

@@ -14,9 +14,10 @@ shared host falls on both sides alike.
 
 It prints, per end-to-end metric of the working tree's BENCHMARK.json: each
 side's median and quartiles, the ratio of the medians (change over ref) and
-how many pairs the change won in the metric's better direction. Then the
-failed-check counts of every run, and the numpy, BLAS and thread settings
-each side reported. Exit status 1 when a run fails to produce its result.
+how many pairs the change won in the metric's better direction, and a
+verdict (see ``verdict``). Then the failed-check counts of every run, and
+the numpy, BLAS and thread settings each side reported. Exit status 1 when
+a run fails to produce its result.
 """
 
 from __future__ import annotations
@@ -61,10 +62,36 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(ref: list[float], new: list[float], better: str, bound: float) -> str:
+    """One metric's outcome over paired runs (``ref[i]`` against ``new[i]``).
+
+    - ``unresolved``: the parent's interquartile range, relative to its
+      median, is wider than ``bound``, and not every change run beats every
+      parent run;
+    - ``worse``: the change's median is worse than the parent's by more than
+      ``bound``, relative to the parent's median;
+    - ``met``: over at least ten pairs, the change wins at least nine in ten
+      (ties count for neither side) and its median is better by more than
+      the parent's interquartile range;
+    - ``same`` otherwise.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    (r1, r2, r3), (_, n2, _) = quartiles(ref), quartiles(new)
+    beats_all = min(sign * b for b in new) > max(sign * a for a in ref)
+    if r3 - r1 > bound * abs(r2) and not beats_all:
+        return "unresolved"
+    if sign * (n2 - r2) < -bound * abs(r2):
+        return "worse"
+    wins = sum(sign * (b - a) > 0 for a, b in zip(ref, new))
+    if len(ref) >= 10 and 10 * wins >= 9 * len(ref) and sign * (n2 - r2) > r3 - r1:
+        return "met"
+    return "same"
+
+
 def report(results: dict[str, list[dict]], definition: dict) -> None:
     ref_runs, new_runs = results["ref"], results["change"]
     print(f"{'metric':24s} {'ref median':>12s} {'q1':>12s} {'q3':>12s} {'change median':>14s}"
-          f" {'q1':>12s} {'q3':>12s} {'ratio':>7s} {'wins':>6s}")
+          f" {'q1':>12s} {'q3':>12s} {'ratio':>7s} {'wins':>6s} verdict")
     for spec in definition["end_to_end"]:
         name = spec["name"]
         ref = [r["metrics"][name]["value"] for r in ref_runs if name in r["metrics"]]
@@ -75,8 +102,9 @@ def report(results: dict[str, list[dict]], definition: dict) -> None:
         wins = sum(sign * (b - a) > 0 for a, b in zip(ref, new))
         (r1, r2, r3), (n1, n2, n3) = quartiles(ref), quartiles(new)
         ratio = n2 / r2 if r2 else float("nan")
+        outcome = verdict(ref, new, spec["better"], spec["bound"])
         print(f"{name:24s} {r2:>12.6g} {r1:>12.6g} {r3:>12.6g} {n2:>14.6g} {n1:>12.6g}"
-              f" {n3:>12.6g} {ratio:>7.3f} {f'{wins}/{len(ref)}':>6s}")
+              f" {n3:>12.6g} {ratio:>7.3f} {f'{wins}/{len(ref)}':>6s} {outcome}")
     for side, runs in results.items():
         print(f"{side}: failed checks per run {[r['failed'] for r in runs]}")
         envs = {json.dumps({k: r["env"].get(k) for k in ("numpy", "blas", "threads", "nproc")},
