@@ -6,50 +6,4 @@ task-specific heads jointly learns veracity (main task), stance and rumour
 detection (auxiliary tasks).
 """
 
-from rumourmtl.corpus import (
-    Branch,
-    Corpus,
-    CorpusError,
-    GeneratorSpec,
-    Post,
-    Thread,
-    decompose_branches,
-    generate_synthetic,
-    load_corpus,
-    save_corpus,
-    split_loeo,
-)
-from rumourmtl.text import (
-    BranchTensor,
-    EmbeddingTable,
-    HashEmbeddings,
-    embed_tweet,
-    hash_embeddings,
-    load_embeddings,
-    pad_and_mask,
-    preprocess,
-)
-
-__all__ = [
-    "Branch",
-    "BranchTensor",
-    "Corpus",
-    "CorpusError",
-    "EmbeddingTable",
-    "GeneratorSpec",
-    "HashEmbeddings",
-    "Post",
-    "Thread",
-    "decompose_branches",
-    "embed_tweet",
-    "generate_synthetic",
-    "hash_embeddings",
-    "load_corpus",
-    "load_embeddings",
-    "pad_and_mask",
-    "preprocess",
-    "save_corpus",
-    "split_loeo",
-]
-
 __version__ = "0.1.0"

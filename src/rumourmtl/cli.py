@@ -64,6 +64,8 @@ def load_config_file(path: str | Path) -> dict[str, str]:
 
 
 _HP_KEYS = {f.name: type(f.default) for f in fields(HyperParams)}
+#: Integer run keys and the least value of each.
+_INT_KEYS = {"seed": 0, "embedding_dim": 1, "max_branch_len": 1}
 
 
 @dataclass
@@ -81,29 +83,27 @@ class RunConfig:
     def from_values(cls, values: dict[str, str]) -> "RunConfig":
         if "corpus" not in values:
             raise UsageError("config is missing required key 'corpus'")
-        hp_kwargs = {}
-        for key, cast in _HP_KEYS.items():
-            if key in values:
-                try:
-                    hp_kwargs[key] = cast(values[key])
-                except ValueError:
-                    raise UsageError(f"config key {key!r}: bad value {values[key]!r}") from None
-        tasks = tuple(t.strip() for t in values.get("tasks", "veracity").split(",") if t.strip())
+
+        def parse(key: str, cast: type):
+            try:
+                return cast(values[key])
+            except ValueError:
+                raise UsageError(f"config key {key!r}: bad value {values[key]!r}") from None
+
+        hp_kwargs = {key: parse(key, cast) for key, cast in _HP_KEYS.items() if key in values}
+        kwargs = {key: parse(key, int) for key in _INT_KEYS if key in values}
+        if "output_dir" in values:
+            kwargs["output_dir"] = values["output_dir"]
+        if values.get("embeddings"):
+            kwargs["embeddings"] = values["embeddings"]
         try:
-            cfg = cls(
-                corpus=values["corpus"],
-                output_dir=values.get("output_dir", "out"),
-                seed=int(values.get("seed", "0")),
-                tasks=mtl.normalize_tasks(tasks),
-                embeddings=values.get("embeddings") or None,
-                embedding_dim=int(values.get("embedding_dim", "300")),
-                max_branch_len=int(values.get("max_branch_len", str(DEFAULT_MAX_BRANCH_LEN))),
-                hp=HyperParams(**hp_kwargs),
-            )
-            cfg.hp.validate()
+            if "tasks" in values:
+                kwargs["tasks"] = mtl.normalize_tasks(
+                    t.strip() for t in values["tasks"].split(",") if t.strip())
+            cfg = cls(corpus=values["corpus"], hp=HyperParams(**hp_kwargs), **kwargs)
         except ValueError as exc:
             raise UsageError(f"bad config value: {exc}") from None
-        for key, low in (("seed", 0), ("embedding_dim", 1), ("max_branch_len", 1)):
+        for key, low in _INT_KEYS.items():
             if getattr(cfg, key) < low:
                 raise UsageError(f"config key {key!r} must be >= {low}, got {getattr(cfg, key)}")
         return cfg
@@ -146,7 +146,11 @@ def _loeo_fold(model_name: str, cfg: RunConfig, corpus: Corpus, table: Embedding
         if model_name == "majority":
             preds = baselines.majority_predict(baselines.majority_fit(train), labeled)
         elif model_name == "nile":
-            preds = baselines.nile_predict(baselines.nile_fit(train, seed=fold_seed), labeled)
+            try:
+                nile = baselines.nile_fit(train, seed=fold_seed)
+            except ValueError as exc:
+                raise CorpusError(f"fold {event}: nile: {exc}") from None
+            preds = baselines.nile_predict(nile, labeled)
         else:
             model, _ = _train_mtl(train, table, cfg, mtl.MODEL_TASKS[model_name], fold_seed)
             thread_preds = [mtl.predict_thread(model, t, table,
@@ -172,21 +176,24 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     values = load_config_file(args.spec)
+    default = GeneratorSpec()
 
-    def fval(key: str, default: float) -> float:
-        return float(values.get(key, default))
+    def get(key: str, value):
+        return type(value)(values[key]) if key in values else value
 
     try:
         spec = GeneratorSpec(
-            events=int(values.get("events", 3)),
-            threads_per_event=int(values.get("threads_per_event", 10)),
-            depth_range=(int(values.get("depth_min", 1)), int(values.get("depth_max", 4))),
-            veracity_priors=(fval("prior_false", 1 / 3), fval("prior_true", 1 / 3),
-                             fval("prior_unverified", 1 / 3)),
-            nonrumour_fraction=fval("nonrumour_fraction", 0.25),
-            coupling=fval("coupling", 1.0),
-            replies_range=(int(values.get("replies_min", 2)), int(values.get("replies_max", 6))),
-            tokens_per_post=int(values.get("tokens_per_post", 6)),
+            events=get("events", default.events),
+            threads_per_event=get("threads_per_event", default.threads_per_event),
+            depth_range=(get("depth_min", default.depth_range[0]),
+                         get("depth_max", default.depth_range[1])),
+            veracity_priors=tuple(get(f"prior_{c}", p) for c, p
+                                  in zip(VERACITY_CLASSES, default.veracity_priors)),
+            nonrumour_fraction=get("nonrumour_fraction", default.nonrumour_fraction),
+            coupling=get("coupling", default.coupling),
+            replies_range=(get("replies_min", default.replies_range[0]),
+                           get("replies_max", default.replies_range[1])),
+            tokens_per_post=get("tokens_per_post", default.tokens_per_post),
         )
         seed = args.seed if args.seed is not None else int(values.get("seed", 0))
         corpus = generate_synthetic(spec, seed)
@@ -320,9 +327,12 @@ def cmd_search(args: argparse.Namespace) -> int:
 
     out_dir = Path(cfg.output_dir)
     tpe_cfg = search_mod.TPEConfig(objective_mode=args.objective)
-    best, history = search_mod.run_search(
-        search_mod.default_space(), evaluate_config, n_trials=args.trials, cfg=tpe_cfg,
-        seed=cfg.seed, log_path=out_dir / "trials.ndjson")
+    try:
+        best, _ = search_mod.run_search(
+            search_mod.default_space(), evaluate_config, n_trials=args.trials, cfg=tpe_cfg,
+            seed=cfg.seed, log_path=out_dir / "trials.ndjson")
+    except RuntimeError as exc:  # every trial failed; trials.ndjson holds each error
+        raise UsageError(str(exc)) from None
     atomic_write(out_dir / "best_config.json",
                  json.dumps(best.to_json_obj(), sort_keys=True) + "\n")
     print(f"best objective {best.objective:.4f} at trial {best.number}")
@@ -391,6 +401,11 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except FloatingPointError as exc:
         _report_error(args, f"numerical overflow, check learning_rate and the embeddings: {exc}")
+        return 1
+    except OSError as exc:
+        # Every read turns its OSError into a UsageError or CorpusError, so
+        # what reaches here is an output that cannot be written.
+        _report_error(args, f"cannot write output: {exc}")
         return 1
     except Exception as exc:  # noqa: BLE001 - runtime failure boundary
         _report_error(args, f"{type(exc).__name__}: {exc}")

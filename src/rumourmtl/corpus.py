@@ -50,26 +50,19 @@ class Post:
     text: str
     parent_id: Optional[str] = None
     stance_label: Optional[str] = None
-    has_url: bool = False
-    has_hashtag: bool = False
 
-    @classmethod
-    def create(cls, id: str, text: str, parent_id: Optional[str] = None,
-               stance_label: Optional[str] = None) -> "Post":
-        """Build a post, deriving URL/hashtag flags from the raw text.
+    def __post_init__(self) -> None:
+        _check_label(self.stance_label, STANCE_CLASSES, "stance", f"post {self.id}")
 
-        The flags are computed before preprocessing because preprocessing
-        strips the punctuation that carries the evidence.
-        """
-        _check_label(stance_label, STANCE_CLASSES, "stance", f"post {id}")
-        return cls(
-            id=id,
-            text=text,
-            parent_id=parent_id,
-            stance_label=stance_label,
-            has_url="http" in text,
-            has_hashtag="#" in text,
-        )
+    # The flags read the raw text: preprocessing strips the punctuation that
+    # carries the evidence.
+    @property
+    def has_url(self) -> bool:
+        return "http" in self.text
+
+    @property
+    def has_hashtag(self) -> bool:
+        return "#" in self.text
 
 
 @dataclass(frozen=True)
@@ -82,9 +75,6 @@ class Thread:
     detection_label: Optional[str] = None
     veracity_label: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        self.validate()
-
     @property
     def id(self) -> str:
         return self.source.id
@@ -93,12 +83,10 @@ class Thread:
     def posts(self) -> tuple[Post, ...]:
         return (self.source,) + self.replies
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         where = f"thread {self.source.id}"
         _check_label(self.detection_label, DETECTION_CLASSES, "detection", where)
         _check_label(self.veracity_label, VERACITY_CLASSES, "veracity", where)
-        for p in self.posts:
-            _check_label(p.stance_label, STANCE_CLASSES, "stance", f"{where}, post {p.id}")
         if self.veracity_label is not None and self.detection_label != "rumour":
             raise CorpusError(f"{where}: veracity label requires detection label 'rumour'")
         if self.source.parent_id is not None:
@@ -230,7 +218,7 @@ def _thread_from_obj(obj: dict, where: str) -> Thread:
             post_id, text, parent = str(rp["id"]), rp["text"], rp.get("parent")
             if not isinstance(text, str):
                 raise TypeError(f"'text' must be a string, got {text!r}")
-            post = Post.create(
+            post = Post(
                 id=post_id,
                 text=text,
                 parent_id=None if parent is None else str(parent),
@@ -327,7 +315,7 @@ class GeneratorSpec:
     replies_range: tuple[int, int] = (2, 6)
     tokens_per_post: int = 6
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.events < 1 or self.threads_per_event < 1:
             raise ValueError("events and threads_per_event must be positive")
         if not (0.0 <= self.coupling <= 1.0):
@@ -390,7 +378,6 @@ def _make_text(rng: np.random.Generator, pools: list[list[str]], n_tokens: int) 
 
 def generate_synthetic(spec: GeneratorSpec, seed: int) -> Corpus:
     """Generate a labeled corpus, deterministic for a fixed (spec, seed)."""
-    spec.validate()
     rng = np.random.default_rng(seed)
     threads: list[Thread] = []
     for e in range(spec.events):
@@ -406,7 +393,7 @@ def generate_synthetic(spec: GeneratorSpec, seed: int) -> Corpus:
             src_pools = [_DETECTION_POOLS[detection], [_COMMON_POOL[0]], event_pool]
             if veracity is not None:
                 src_pools.insert(1, _VERACITY_POOLS[veracity])
-            source = Post.create(
+            source = Post(
                 id=f"{tid}-p000",
                 text=_make_text(rng, src_pools, spec.tokens_per_post),
             )
@@ -427,7 +414,7 @@ def generate_synthetic(spec: GeneratorSpec, seed: int) -> Corpus:
                     break
                 parent_id = candidates[rng.integers(len(candidates))]
                 stance = _draw(rng, stance_dist)
-                reply = Post.create(
+                reply = Post(
                     id=f"{tid}-p{r + 1:03d}",
                     text=_make_text(rng, [_STANCE_POOLS[stance], _COMMON_POOL], spec.tokens_per_post),
                     parent_id=parent_id,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -71,8 +72,7 @@ class HyperParams:
     dropout: float = 0.5
     learning_rate: float = 1e-3
 
-    def validate(self) -> None:
-        """Raise ValueError for an out-of-range field."""
+    def __post_init__(self) -> None:
         if self.num_dense_layers < 1 or self.num_lstm_layers < 1:
             raise ValueError("layer counts must be positive")
         if self.dense_width < 1 or self.lstm_width < 1:
@@ -125,7 +125,8 @@ class MTLModel:
     """Shared LSTM stack plus one dense-ReLU/softmax head per task."""
 
     def __init__(self, hp: HyperParams, tasks: Iterable[str], input_dim: int, seed: int):
-        hp.validate()
+        if not isinstance(input_dim, numbers.Integral) or input_dim < 1:
+            raise ValueError(f"input_dim must be a positive integer, got {input_dim!r}")
         self.hp = hp
         self.tasks = normalize_tasks(tasks)
         self.input_dim = input_dim
@@ -160,7 +161,7 @@ class MTLModel:
         masks are drawn from ``dropout_rng`` and recorded in the cache.
         """
         B = x.shape[0]
-        cache: dict = {"x": x, "mask": mask, "lstm": []}
+        cache: dict = {"lstm": []}
         inp = x
         for l in range(self.hp.num_lstm_layers):
             hs, layer_cache = neural.lstm_forward(self._layer(f"lstm{l}", _LSTM_KEYS), inp, mask)
@@ -351,14 +352,14 @@ def instance_outputs(model: MTLModel, inst: TrainingInstance) -> dict:
 
 def _branch_tensors(thread: Thread, branches: Sequence[Branch], table: EmbeddingTable,
                     T: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inputs (N, T, dim) and masks (N, T) of a thread's branches, cut at the
-    leaf end or zero-padded to T steps; each post is embedded once."""
+    """Inputs (N, T, dim) and masks (N, T) of a thread's branches, zero-padded
+    to T steps; each post is embedded once."""
     texts = {p.id: p.text for p in thread.posts}
     vectors: dict[str, np.ndarray] = {}
     x = np.zeros((len(branches), T, table.dimension))
     mask = np.zeros((len(branches), T), dtype=bool)
     for i, branch in enumerate(branches):
-        for t, pid in enumerate(branch.post_ids[:T]):
+        for t, pid in enumerate(branch.post_ids):
             if pid not in vectors:
                 vectors[pid] = embed_tweet(preprocess(texts[pid]), table)
             x[i, t] = vectors[pid]
@@ -372,13 +373,16 @@ def build_instances(corpus: Corpus, table: EmbeddingTable,
     """Turn every branch of every thread into a training instance.
 
     Thread-level labels are replicated to each branch. All instances share
-    one padded length (the longest surviving branch, or ``pad_to``).
+    one padded length (the longest surviving branch, or ``pad_to``, which
+    must not be shorter).
     """
     per_thread = [(thread, decompose_branches(thread, max_len=max_branch_len))
                   for thread in corpus.threads]
     if not per_thread:
         return []
     longest = max((len(b) for _, branches in per_thread for b in branches), default=1)
+    if pad_to is not None and pad_to < longest:
+        raise ValueError(f"pad_to {pad_to} is shorter than the longest branch ({longest} posts)")
     T = pad_to if pad_to is not None else longest
     instances = []
     for thread, branches in per_thread:
@@ -390,18 +394,17 @@ def build_instances(corpus: Corpus, table: EmbeddingTable,
                if thread.veracity_label is not None else None)
         x, mask = _branch_tensors(thread, branches, table, T)
         for branch, x_b, mask_b in zip(branches, x, mask):
-            post_ids = branch.post_ids[:T]
-            stances = np.array([stance_of[pid] for pid in post_ids])
+            stances = np.array([stance_of[pid] for pid in branch.post_ids])
             instances.append(TrainingInstance(
                 x=x_b,
                 mask=mask_b,
-                true_length=len(post_ids),
+                true_length=len(branch),
                 stance_labels=stances if np.any(stances >= 0) else None,
                 detection_label=det,
                 veracity_label=ver,
                 thread_id=thread.id,
                 event=thread.event,
-                post_ids=post_ids,
+                post_ids=branch.post_ids,
             ))
     return instances
 

@@ -193,5 +193,5 @@ def run_search(space: SearchSpace,
                                            for t in history))
     ok = [t for t in history if t.status == "ok"]
     if not ok:
-        raise RuntimeError("all trials failed")
+        raise RuntimeError(f"all trials failed; trial 0 {history[0].status}")
     return min(ok, key=lambda t: (t.objective, t.number)), history

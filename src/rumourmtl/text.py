@@ -42,7 +42,7 @@ class EmbeddingTable:
         return self._entries.get(token)
 
     def __contains__(self, token: str) -> bool:
-        return token in self._entries
+        return self.get(token) is not None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -70,9 +70,6 @@ class HashEmbeddings(EmbeddingTable):
         vec /= np.linalg.norm(vec)
         self._entries[token] = vec
         return vec
-
-    def __contains__(self, token: str) -> bool:
-        return True
 
 
 def hash_embeddings(dimension: int, seed: int = 0) -> HashEmbeddings:
@@ -119,7 +116,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
 
 def embed_tweet(tokens: Sequence[str], table: EmbeddingTable) -> np.ndarray:
     """Average the vectors of in-vocabulary tokens; zero vector if none."""
-    vectors = [table.get(t) for t in tokens if t in table]
+    vectors = [v for v in map(table.get, tokens) if v is not None]
     if not vectors:
         return np.zeros(table.dimension)
     return np.mean(vectors, axis=0)

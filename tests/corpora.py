@@ -29,7 +29,7 @@ RUMOUREVAL_TRAIN = (127, 50, 95)
 def bare_thread(thread_id: str, event: str, detection: str | None,
                 veracity: str | None, text: str = "placeholder text") -> Thread:
     return Thread(
-        source=Post.create(id=thread_id, text=text),
+        source=Post(id=thread_id, text=text),
         replies=(),
         event=event,
         detection_label=detection,
@@ -70,13 +70,13 @@ def pheme_shaped_corpus(events: dict[str, tuple] = EVENT_COUNTS) -> Corpus:
 def random_tree_thread(rng: np.random.Generator, n_posts: int,
                        event: str = "ev", thread_id: str = "rt") -> Thread:
     """Thread whose replies attach uniformly at random to earlier posts."""
-    source = Post.create(id=f"{thread_id}-p000", text="source text")
+    source = Post(id=f"{thread_id}-p000", text="source text")
     ids = [source.id]
     replies = []
     for i in range(1, n_posts):
         parent = ids[rng.integers(len(ids))]
-        reply = Post.create(id=f"{thread_id}-p{i:03d}", text=f"reply {i}",
-                            parent_id=parent)
+        reply = Post(id=f"{thread_id}-p{i:03d}", text=f"reply {i}",
+                     parent_id=parent)
         replies.append(reply)
         ids.append(reply.id)
     return Thread(source=source, replies=tuple(replies), event=event,

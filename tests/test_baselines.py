@@ -26,10 +26,10 @@ from rumourmtl.corpus import (
 def thread_with_stances(stances, text="some claim", veracity="true", event="ev",
                         source_id="s"):
     replies = tuple(
-        Post.create(id=f"{source_id}-r{i}", text="a reply", parent_id=source_id,
-                    stance_label=s)
+        Post(id=f"{source_id}-r{i}", text="a reply", parent_id=source_id,
+             stance_label=s)
         for i, s in enumerate(stances))
-    return Thread(source=Post.create(id=source_id, text=text), replies=replies,
+    return Thread(source=Post(id=source_id, text=text), replies=replies,
                   event=event, detection_label="rumour", veracity_label=veracity)
 
 
@@ -183,7 +183,7 @@ class TestNilePipeline:
 
     def test_unlabeled_threads_excluded_from_fit(self):
         labeled = thread_with_stances(["support"], text="claim one", source_id="a")
-        unlabeled = Thread(source=Post.create(id="u", text="claim two"),
+        unlabeled = Thread(source=Post(id="u", text="claim two"),
                            replies=(), event="ev", detection_label="non-rumour",
                            veracity_label=None)
         other = thread_with_stances([], text="claim three", veracity="false",

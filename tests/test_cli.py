@@ -352,6 +352,20 @@ def _evaluate_huge_embeddings(tmp_path, corpus_path):
     return ["evaluate", cfg, "--model", tmp_path / "out" / "model.json"], "embeddings"
 
 
+def _one_class_corpus(tmp_path):
+    """A corpus whose every veracity label is 'true'."""
+    spec = _write(tmp_path / "true.cfg", "events = 3\nthreads_per_event = 6\nseed = 5\n"
+                  "prior_true = 1\nprior_false = 0\nprior_unverified = 0\n")
+    out = tmp_path / "true.ndjson"
+    assert dispatch(["synth", str(spec), "-o", str(out)]) == 0
+    return out
+
+
+def _blocker(tmp_path):
+    """A regular file where an output path needs a directory."""
+    return _write(tmp_path / "blocker", "")
+
+
 #: Bad input at the config and loader boundary: (argv, the key or file the
 #: error line must name), built from a temporary directory and a corpus.
 BAD_INPUTS = {
@@ -414,6 +428,28 @@ BAD_INPUTS = {
         ["train", run_config(tmp, corpus, embeddings=_huge_embeddings(tmp, corpus))],
         "embeddings"),
     "evaluate with overflowing embeddings": _evaluate_huge_embeddings,
+    "non-integer config seed": lambda tmp, corpus: (
+        ["train", run_config(tmp, corpus, seed="abc")], "config key 'seed'"),
+    "non-integer embedding_dim": lambda tmp, corpus: (
+        ["train", run_config(tmp, corpus, embedding_dim="2.5")], "config key 'embedding_dim'"),
+    "non-integer max_branch_len": lambda tmp, corpus: (
+        ["train", run_config(tmp, corpus, max_branch_len="x")], "config key 'max_branch_len'"),
+    "search whose every trial fails": lambda tmp, corpus: (
+        ["search", run_config(tmp, corpus, embeddings=_huge_embeddings(tmp, corpus)),
+         "--trials", "2", "--epochs", "1"], "all trials failed; trial 0 error:"),
+    "loeo nile on one veracity class": lambda tmp, corpus: (
+        ["loeo", run_config(tmp, _one_class_corpus(tmp)), "--models", "nile"],
+        "fold event00: nile"),
+    "loeo nile on one veracity class, --jobs 2": lambda tmp, corpus: (
+        ["loeo", run_config(tmp, _one_class_corpus(tmp)), "--models", "nile", "--jobs", "2"],
+        "fold event00: nile"),
+    "synth into a path under a file": lambda tmp, corpus: (
+        ["synth", _write(tmp / "spec.cfg", "events = 1\n"), "-o", _blocker(tmp) / "c.ndjson"],
+        "blocker"),
+    "analyze into a path under a file": lambda tmp, corpus: (
+        ["analyze", corpus, "-o", _blocker(tmp) / "s.csv"], "blocker"),
+    "train into an output_dir under a file": lambda tmp, corpus: (
+        ["train", run_config(tmp, corpus, output_dir=_blocker(tmp) / "out")], "blocker"),
 }
 
 

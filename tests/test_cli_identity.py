@@ -1,0 +1,39 @@
+"""The file comparison of ``tools/cli_identity.py``, loaded by path."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "cli_identity.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("cli_identity", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tool = load_tool()
+
+
+def test_identical_trees_have_no_problems():
+    files = {"a.log": b"exit 0\n", "out/model.json": b"{}"}
+    assert tool.compare(files, dict(files)) == []
+
+
+def test_differences_and_missing_files_sorted_by_path():
+    ref = {"a": b"1", "b": b"2", "c": b"3"}
+    new = {"b": b"2", "c": b"4", "d": b"5"}
+    assert tool.compare(ref, new) == [
+        "missing in change: a", "differs: c", "missing in ref: d"]
+
+
+def test_roots_and_trees_masked_in_contents(tmp_path):
+    sides = []
+    for side in ("ref", "change"):
+        root, tree = tmp_path / side, tmp_path / f"{side}-tree"
+        (root / "out").mkdir(parents=True)
+        (root / "out" / "run.log").write_text(f"wrote {root}/out/x from {tree}/src\n")
+        sides.append(tool.read_tree(root, tree))
+    assert sides[0] == {"out/run.log": b"wrote <root>/out/x from <tree>/src\n"}
+    assert tool.compare(*sides) == []

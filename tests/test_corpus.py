@@ -23,14 +23,15 @@ from rumourmtl.corpus import (
     save_corpus,
     split_loeo,
 )
+from rumourmtl.mtl import HyperParams
 
 
 def make_thread(parents, event="ev", detection="rumour", veracity="false", stances=None):
     """parents: dict reply-id -> parent-id; source id is 's'."""
-    source = Post.create(id="s", text="source claim")
+    source = Post(id="s", text="source claim")
     replies = tuple(
-        Post.create(id=rid, text=f"reply {rid}", parent_id=pid,
-                    stance_label=(stances or {}).get(rid))
+        Post(id=rid, text=f"reply {rid}", parent_id=pid,
+             stance_label=(stances or {}).get(rid))
         for rid, pid in parents.items())
     return Thread(source=source, replies=replies, event=event,
                   detection_label=detection, veracity_label=veracity)
@@ -68,7 +69,7 @@ class TestSchemaRoundTrip:
         assert set(loaded.threads) == set(corpus.threads)
 
     def test_directory_needs_thread_ids_that_are_file_names(self, tmp_path):
-        thread = Thread(source=Post.create(id="sub/../../up", text="x"), replies=(), event="ev")
+        thread = Thread(source=Post(id="sub/../../up", text="x"), replies=(), event="ev")
         with pytest.raises(CorpusError, match="not a file name"):
             save_corpus(Corpus((thread,)), tmp_path / "dir")
         assert not (tmp_path / "up.json").exists() and not (tmp_path / "dir" / "sub").exists()
@@ -81,6 +82,10 @@ class TestSchemaRoundTrip:
         path.write_text(json.dumps(obj) + "\n")
         source = load_corpus(path).threads[0].source
         assert source.has_url and source.has_hashtag
+
+    def test_url_hashtag_flags_of_a_built_post(self):
+        post = Post("p", "see http://x #t")
+        assert post.has_url and post.has_hashtag
 
 
 class TestLoadErrors:
@@ -320,3 +325,13 @@ class TestGenerator:
             generate_synthetic(GeneratorSpec(coupling=1.5), seed=0)
         with pytest.raises(ValueError):
             generate_synthetic(GeneratorSpec(depth_range=(3, 1)), seed=0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Post("p", "x", stance_label="bogus"),
+    lambda: HyperParams(dropout=1.5),
+    lambda: GeneratorSpec(coupling=2.0),
+], ids=["post stance", "hyperparams dropout", "generator coupling"])
+def test_values_check_themselves_when_built(build):
+    with pytest.raises(ValueError):
+        build()

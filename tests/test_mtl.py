@@ -80,6 +80,11 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="veracity is required"):
             MTLModel(MINI, ("stance",), DIM, 0)
 
+    @pytest.mark.parametrize("input_dim", [0, -6, -6.0, 8.0, "8"])
+    def test_invalid_input_dim(self, input_dim):
+        with pytest.raises(ValueError, match="input_dim must be a positive integer"):
+            MTLModel(MINI, ("veracity",), input_dim, 0)
+
     def test_invalid_hp(self):
         with pytest.raises(ValueError):
             MTLModel(HyperParams(dropout=1.5), ("veracity",), DIM, 0)
@@ -365,6 +370,11 @@ class TestPaddingInvariance:
             np.testing.assert_array_equal(grads_a[name], grads_b[name])
             np.testing.assert_array_equal(params_a[name], params_b[name])
 
+    def test_padding_below_longest_branch_refused(self):
+        corpus = generate_synthetic(GeneratorSpec(events=1, threads_per_event=3), 3)
+        with pytest.raises(ValueError, match="pad_to 1"):
+            build_instances(corpus, hash_embeddings(DIM, 0), pad_to=1)
+
 
 class TestMajorityVote:
     def probs(self, rows):
@@ -417,8 +427,8 @@ class TestPredictThread:
         # prefixes; cut to 3 steps, the first two become duplicates.
         parents = {"p1": "p0", "p2": "p1", "p3": "p2", "p4": "p2", "p5": "p1", "p6": "p0"}
         words = iter(["bravo", "charlie", "delta", "echo", "foxtrot", "golf"])
-        thread = Thread(Post.create("p0", "alpha"),
-                        tuple(Post.create(pid, next(words), parent_id=parent)
+        thread = Thread(Post("p0", "alpha"),
+                        tuple(Post(pid, next(words), parent_id=parent)
                               for pid, parent in parents.items()),
                         event="e", detection_label="rumour", veracity_label="true")
         table = hash_embeddings(DIM, 0)

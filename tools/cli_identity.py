@@ -1,0 +1,148 @@
+"""Byte-identity of the command-line artifacts of a git ref and the working tree.
+
+Run from the repository root:
+
+    python3 tools/cli_identity.py --ref HEAD
+
+The committed files of ``--ref`` are unpacked as ``tools/bench_pairs.py``
+does; the other side is the working tree, uncommitted edits included. Each
+side runs ``python -m rumourmtl.cli`` from its own ``src`` (by
+``PYTHONPATH``) in its own temporary root: ``synth``, ``validate``,
+``analyze`` (to a file and to stdout), ``train``, ``evaluate``, ``loeo`` over
+every model and a three-trial ``search``, on two synthetic corpora. Every
+command's exit status, stdout and stderr are kept in a ``.log`` file beside
+the artifacts.
+
+Inside file contents, each root's path becomes ``<root>`` and its source
+tree's path ``<tree>``; then the two roots are compared file by file. The script prints the files that differ or
+exist on one side only, and exits 0 only if there are none.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Synthetic corpora: the 3 x 6 corpus of the command-line tests and a bushier one.
+CORPORA = {
+    "small": "events = 3\nthreads_per_event = 6\nseed = 5\n",
+    "bushy": ("events = 4\nthreads_per_event = 12\nreplies_min = 6\nreplies_max = 14\n"
+              "depth_min = 1\ndepth_max = 3\nseed = 7\n"),
+}
+RUN_CONFIG = """\
+corpus = {corpus}
+output_dir = {out}
+seed = 1
+tasks = veracity,stance,detection
+embedding_dim = 8
+num_dense_layers = 1
+num_lstm_layers = 2
+dense_width = 8
+lstm_width = 6
+dropout = 0.5
+l2 = 1e-3
+epochs = 2
+batch_size = 16
+"""
+
+
+def commands(root: Path, name: str) -> list[tuple[str, list[str]]]:
+    """(log name, cli arguments) of one corpus's runs, writing under ``root``;
+    writes the corpus's spec and run config first."""
+    spec = root / f"{name}.spec"
+    spec.write_text(CORPORA[name])
+    corpus = root / f"{name}.ndjson"
+    out = root / f"{name}-out"
+    cfg = root / f"{name}.cfg"
+    cfg.write_text(RUN_CONFIG.format(corpus=corpus, out=out / "train"))
+    return [
+        ("synth", ["synth", str(spec), "-o", str(corpus)]),
+        ("validate", ["validate", str(corpus)]),
+        ("analyze-file", ["analyze", str(corpus), "-o", str(out / "stats.csv")]),
+        ("analyze-stdout", ["analyze", str(corpus)]),
+        ("train", ["train", str(cfg)]),
+        ("evaluate", ["evaluate", str(cfg), "--model", str(out / "train" / "model.json"),
+                      "--output-dir", str(out / "evaluate")]),
+        ("loeo", ["loeo", str(cfg), "--models", "majority,nile,single,mtl2vs,mtl2vd,mtl3",
+                  "--jobs", "1", "--output-dir", str(out / "loeo")]),
+        ("search", ["search", str(cfg), "--trials", "3", "--epochs", "1",
+                    "--output-dir", str(out / "search")]),
+    ]
+
+
+def run_tree(tree: Path, root: Path) -> None:
+    """Every command of every corpus with ``tree/src`` first on the path."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    for name in CORPORA:
+        for step, argv in commands(root, name):
+            proc = subprocess.run([sys.executable, "-m", "rumourmtl.cli", *argv], cwd=root,
+                                  env=env, capture_output=True, text=True)
+            (root / f"{name}-{step}.log").write_text(
+                f"exit {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}")
+
+
+def read_tree(root: Path, tree: Path) -> dict[str, bytes]:
+    """Every file under ``root`` by relative path, with the paths of ``root``
+    and of the source ``tree`` replaced by ``<root>`` and ``<tree>``."""
+    # The longer path first, in case the other is its prefix.
+    marks = sorted([(str(root).encode(), b"<root>"), (str(tree).encode(), b"<tree>")],
+                   key=lambda mark: -len(mark[0]))
+    files = {}
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            for old, new in marks:
+                data = data.replace(old, new)
+            files[str(path.relative_to(root))] = data
+    return files
+
+
+def compare(ref: dict[str, bytes], new: dict[str, bytes]) -> list[str]:
+    """One line per file that differs or exists on one side only, sorted by path."""
+    lines = []
+    for path in sorted(ref.keys() | new.keys()):
+        if path not in new:
+            lines.append(f"missing in change: {path}")
+        elif path not in ref:
+            lines.append(f"missing in ref: {path}")
+        elif ref[path] != new[path]:
+            lines.append(f"differs: {path}")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    from bench_pairs import unpack
+
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--ref", default="HEAD", help="git ref of the parent side")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="cli-identity-") as tmp:
+        ref_tree = Path(tmp) / "tree"
+        try:
+            unpack(args.ref, ref_tree)
+        except subprocess.CalledProcessError as exc:
+            print(f"error: git archive {args.ref}: {exc.stderr.decode().strip()}", file=sys.stderr)
+            return 1
+        sides = []
+        for side, tree in (("ref", ref_tree), ("change", ROOT)):
+            root = Path(tmp) / side
+            root.mkdir()
+            run_tree(tree, root)
+            sides.append(read_tree(root, tree))
+        ref, new = sides
+    problems = compare(ref, new)
+    for line in problems:
+        print(line)
+    print(f"ref {args.ref}: {len(ref.keys() | new.keys())} files compared, {len(problems)} differ "
+          f"or are missing")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
