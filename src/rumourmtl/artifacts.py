@@ -9,10 +9,15 @@ from pathlib import Path
 def atomic_write(path: str | Path, text: str) -> None:
     """Write ``text`` to a sibling temp file, then rename it over ``path``.
 
-    Missing parent directories are created.
+    Missing parent directories are created. If the rename fails, the temp
+    file is removed and the error re-raised.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -153,9 +153,8 @@ def _loeo_fold(model_name: str, cfg: RunConfig, corpus: Corpus, table: Embedding
             preds = baselines.nile_predict(nile, labeled)
         else:
             model, _ = _train_mtl(train, table, cfg, mtl.MODEL_TASKS[model_name], fold_seed)
-            thread_preds = [mtl.predict_thread(model, t, table,
+            thread_preds = mtl.predict_threads(model, labeled.threads, table,
                                                max_branch_len=cfg.max_branch_len)
-                            for t in labeled.threads]
             return [p.veracity for p in thread_preds], [p.veracity_probs for p in thread_preds]
         return preds, [[float(c == p) for c in VERACITY_CLASSES] for p in preds]
 
@@ -243,8 +242,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise UsageError(f"embedding dimension {table.dimension} does not match the "
                          f"input dimension {model.input_dim} of checkpoint {args.model}")
     out_dir = Path(cfg.output_dir)
-    predictions = [mtl.predict_thread(model, t, table, max_branch_len=cfg.max_branch_len)
-                   for t in corpus.threads]
+    predictions = mtl.predict_threads(model, corpus.threads, table,
+                                      max_branch_len=cfg.max_branch_len)
     mtl.dump_predictions(predictions, out_dir / "predictions.ndjson")
     labeled = [(p, t) for p, t in zip(predictions, corpus.threads)
                if t.veracity_label is not None]
@@ -320,8 +319,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     def evaluate_config(config: dict, trial_seed: int):
         model = MTLModel(replace(cfg.hp, **config), cfg.tasks, table.dimension, trial_seed)
         mtl.train(model, instances, trial_seed)
-        preds = [mtl.predict_thread(model, t, table, max_branch_len=cfg.max_branch_len).veracity
-                 for t in dev.threads]
+        preds = [p.veracity for p in mtl.predict_threads(model, dev.threads, table,
+                                                         max_branch_len=cfg.max_branch_len)]
         metrics = evaluation.fold_result(dev_event, dev, preds, VERACITY_CLASSES).metrics
         return {"veracity": metrics.macro_f}, metrics.accuracy
 

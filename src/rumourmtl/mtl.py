@@ -5,12 +5,16 @@ softmax heads (hard parameter sharing). Stance is predicted per step,
 detection and veracity from the final valid step. The joint loss sums the
 active tasks' cross-entropies; instances lacking a task's label contribute
 exactly zero to that task's term. Thread-level answers come from majority
-voting over branch predictions.
+voting over branch predictions. Prediction walks the reply trees top-down
+instead of running every branch: each post goes through the LSTM once and
+gets one stance, and each branch's end node gives its veracity and
+detection votes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -28,7 +32,6 @@ from rumourmtl.corpus import (
     STANCE_CLASSES,
     TASK_CLASSES,
     VERACITY_CLASSES,
-    Branch,
     Corpus,
     Thread,
     decompose_branches,
@@ -180,20 +183,34 @@ class MTLModel:
                 rows_b, rows_t = np.nonzero(mask)
             else:
                 rows_b, rows_t = np.arange(B), last_idx
-            dense_caches = []
-            a = H[rows_b, rows_t]
-            for i in range(self.hp.num_dense_layers):
-                a, dc = neural.dense_forward(self._layer(f"{task}/dense{i}", _DENSE_KEYS), a)
-                dense_caches.append(dc)
-            a_drop, dmask = neural.dropout_forward(a, p, rng=dropout_rng)
-            logits = a_drop @ self.params[f"{task}/out/W"] + self.params[f"{task}/out/b"]
-            probs = neural.softmax(logits, axis=-1)
-            cache["heads"][task] = {
-                "dense_caches": dense_caches, "dropout_mask": dmask,
-                "a_drop": a_drop, "probs": probs, "rows": (rows_b, rows_t),
-            }
-            outputs[task] = probs
+            outputs[task], head = self._head(task, H[rows_b, rows_t], p, dropout_rng)
+            head["rows"] = (rows_b, rows_t)
+            cache["heads"][task] = head
         return outputs, cache
+
+    def _head(self, task: str, a: np.ndarray, p: float = 0.0,
+              dropout_rng: Optional[np.random.Generator] = None) -> tuple[np.ndarray, dict]:
+        """``task``'s dense-ReLU stack, dropout of rate ``p`` and softmax over
+        the hidden-state rows ``a``: the probabilities and the backward cache."""
+        dense_caches = []
+        for i in range(self.hp.num_dense_layers):
+            a, dc = neural.dense_forward(self._layer(f"{task}/dense{i}", _DENSE_KEYS), a)
+            dense_caches.append(dc)
+        a_drop, dmask = neural.dropout_forward(a, p, rng=dropout_rng)
+        logits = a_drop @ self.params[f"{task}/out/W"] + self.params[f"{task}/out/b"]
+        probs = neural.softmax(logits, axis=-1)
+        return probs, {"dense_caches": dense_caches, "dropout_mask": dmask,
+                       "a_drop": a_drop, "probs": probs}
+
+    def tree_forward(self, forest: Forest) -> dict:
+        """Eval-mode head rows over a forest: stance one row per node,
+        thread tasks one row per branch, read at the branch's end node."""
+        H = forest.x
+        for l in range(self.hp.num_lstm_layers):
+            H = neural.lstm_tree_forward(self._layer(f"lstm{l}", _LSTM_KEYS), H,
+                                         forest.parent, forest.levels)
+        return {task: self._head(task, H if task in PER_STEP_TASKS else H[forest.ends])[0]
+                for task in self.tasks}
 
     # -- loss ------------------------------------------------------------
 
@@ -350,23 +367,6 @@ def instance_outputs(model: MTLModel, inst: TrainingInstance) -> dict:
 # ---------------------------------------------------------------------------
 # Instance construction
 
-def _branch_tensors(thread: Thread, branches: Sequence[Branch], table: EmbeddingTable,
-                    T: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inputs (N, T, dim) and masks (N, T) of a thread's branches, zero-padded
-    to T steps; each post is embedded once."""
-    texts = {p.id: p.text for p in thread.posts}
-    vectors: dict[str, np.ndarray] = {}
-    x = np.zeros((len(branches), T, table.dimension))
-    mask = np.zeros((len(branches), T), dtype=bool)
-    for i, branch in enumerate(branches):
-        for t, pid in enumerate(branch.post_ids):
-            if pid not in vectors:
-                vectors[pid] = embed_tweet(preprocess(texts[pid]), table)
-            x[i, t] = vectors[pid]
-        mask[i, :len(branch)] = True
-    return x, mask
-
-
 def build_instances(corpus: Corpus, table: EmbeddingTable,
                     max_branch_len: int = DEFAULT_MAX_BRANCH_LEN,
                     pad_to: Optional[int] = None) -> list[TrainingInstance]:
@@ -392,12 +392,20 @@ def build_instances(corpus: Corpus, table: EmbeddingTable,
                if thread.detection_label is not None else None)
         ver = (VERACITY_CLASSES.index(thread.veracity_label)
                if thread.veracity_label is not None else None)
-        x, mask = _branch_tensors(thread, branches, table, T)
-        for branch, x_b, mask_b in zip(branches, x, mask):
+        texts = {p.id: p.text for p in thread.posts}
+        vectors: dict[str, np.ndarray] = {}  # each post is embedded once
+        x = np.zeros((len(branches), T, table.dimension))
+        mask = np.zeros((len(branches), T), dtype=bool)
+        for i, branch in enumerate(branches):
+            for t, pid in enumerate(branch.post_ids):
+                if pid not in vectors:
+                    vectors[pid] = embed_tweet(preprocess(texts[pid]), table)
+                x[i, t] = vectors[pid]
+            mask[i, :len(branch)] = True
             stances = np.array([stance_of[pid] for pid in branch.post_ids])
             instances.append(TrainingInstance(
-                x=x_b,
-                mask=mask_b,
+                x=x[i],
+                mask=mask[i],
                 true_length=len(branch),
                 stance_labels=stances if np.any(stances >= 0) else None,
                 detection_label=det,
@@ -507,42 +515,129 @@ def _majority_vote(branch_probs: np.ndarray, classes: Sequence[str]) -> tuple[st
         summed = branch_probs.sum(axis=0)
         best = summed[tied].max()
         winner = int(min(c for c in tied if summed[c] >= best - 1e-15))
-    mean_probs = branch_probs.mean(axis=0)
-    return classes[winner], mean_probs
+    return classes[winner], branch_probs.sum(axis=0) / len(branch_probs)
+
+
+@dataclass(frozen=True)
+class Forest:
+    """The reply trees of several threads as one node table.
+
+    A node is a (thread, post) pair that some branch of ``decompose_branches``
+    reaches. Rows are nodes sorted by depth, so the nodes of depth k are the
+    rows ``levels[k]:levels[k + 1]`` and every parent lies in the level
+    before its child, as ``neural.lstm_tree_forward`` takes them.
+    """
+
+    x: np.ndarray                       # (N, dim): each node's post, embedded once
+    parent: np.ndarray                  # (N,): the parent's row, -1 at a root
+    levels: list[int]
+    ends: np.ndarray                    # end row of every branch, thread after thread
+    rows: tuple[dict[str, int], ...]    # per thread: post id -> row
+    n_branches: tuple[int, ...]         # per thread
+
+
+def build_forest(threads: Sequence[Thread], table: EmbeddingTable,
+                 max_branch_len: int = DEFAULT_MAX_BRANCH_LEN) -> Forest:
+    """The ``Forest`` of ``threads``' branches cut to ``max_branch_len``."""
+    depth: list[int] = []
+    parent: list[int] = []
+    texts: list[str] = []
+    ends: list[int] = []
+    n_branches: list[int] = []
+    found: list[dict[str, int]] = []    # per thread: post id -> node, in order found
+    for thread in threads:
+        text_of = {p.id: p.text for p in thread.posts}
+        nodes: dict[str, int] = {}
+        branches = decompose_branches(thread, max_len=max_branch_len)
+        for branch in branches:
+            up = -1
+            for t, pid in enumerate(branch.post_ids):
+                node = nodes.get(pid)
+                if node is None:
+                    node = nodes[pid] = len(depth)
+                    depth.append(t)
+                    parent.append(up)
+                    texts.append(text_of[pid])
+                up = node
+            ends.append(up)
+        n_branches.append(len(branches))
+        found.append(nodes)
+    # A stable sort by depth; rank[node] is the node's row, and rank[-1] = -1
+    # keeps a root's parent at -1.
+    order = np.argsort(depth, kind="stable")
+    rank = np.empty(len(order) + 1, dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    rank[-1] = -1
+    row_of = rank.tolist()
+    return Forest(
+        x=np.array([embed_tweet(preprocess(texts[n]), table) for n in order.tolist()]),
+        parent=rank[np.asarray(parent)[order]],
+        levels=[0, *itertools.accumulate(np.bincount(depth).tolist())],
+        ends=rank[ends],
+        rows=tuple({pid: row_of[n] for pid, n in nodes.items()} for nodes in found),
+        n_branches=tuple(n_branches),
+    )
+
+
+def predict_threads(model: MTLModel, threads: Sequence[Thread], table: EmbeddingTable,
+                    max_branch_len: int = DEFAULT_MAX_BRANCH_LEN) -> list[ThreadPrediction]:
+    """Predict thread-level classes by majority vote over each thread's
+    branches, and per-tweet stance, in one top-down pass over all threads.
+
+    Each node of the threads' ``Forest`` goes through the LSTM once, one
+    depth level of every thread at a time, so a post that several branches
+    share is computed once. Stance reads every node; veracity and detection
+    read each branch's end node, so a truncated branch that appears twice
+    keeps both votes.
+    """
+    if not threads:
+        return []
+    forest = build_forest(threads, table, max_branch_len)
+    outputs = model.tree_forward(forest)
+    if not math.isfinite(sum(p.sum() for p in outputs.values())):
+        # Name the first thread that owns a non-finite row: stance rows are
+        # nodes, the other heads' rows branches.
+        node_owner = np.empty(len(forest.x), dtype=int)
+        for k, rows in enumerate(forest.rows):
+            node_owner[list(rows.values())] = k
+        branch_owner = np.repeat(np.arange(len(threads)), forest.n_branches)
+        first = min(int((node_owner if task in PER_STEP_TASKS else branch_owner)
+                        [~np.isfinite(p).all(axis=1)].min(initial=len(threads)))
+                    for task, p in outputs.items())
+        raise FloatingPointError(f"thread {threads[first].id}: non-finite model output")
+
+    stance_of = None  # per row
+    if "stance" in model.tasks:
+        stance_of = [STANCE_CLASSES[v] for v in np.argmax(outputs["stance"], axis=1).tolist()]
+    predictions = []
+    start = 0
+    for thread, rows, n in zip(threads, forest.rows, forest.n_branches):
+        branch_rows = slice(start, start + n)
+        start += n
+        veracity, v_probs = _majority_vote(outputs["veracity"][branch_rows], VERACITY_CLASSES)
+        detection = d_probs = None
+        if "detection" in model.tasks:
+            detection, d_probs = _majority_vote(outputs["detection"][branch_rows],
+                                                DETECTION_CLASSES)
+        stance = None
+        if stance_of is not None:
+            stance = tuple(sorted((pid, stance_of[row]) for pid, row in rows.items()))
+        predictions.append(ThreadPrediction(
+            thread_id=thread.id,
+            event=thread.event,
+            veracity=veracity,
+            veracity_probs=v_probs,
+            detection=detection,
+            detection_probs=d_probs,
+            stance=stance,
+        ))
+    return predictions
 
 
 def predict_thread(model: MTLModel, thread: Thread, table: EmbeddingTable,
                    max_branch_len: int = DEFAULT_MAX_BRANCH_LEN) -> ThreadPrediction:
-    """Predict thread-level classes by majority vote over branches.
-
-    Per-tweet stance comes from the first branch (in deterministic order)
-    containing the tweet.
-    """
-    branches = decompose_branches(thread, max_len=max_branch_len)
-    x, mask = _branch_tensors(thread, branches, table, max(len(b) for b in branches))
-    outputs, _ = model.forward(x, mask, train=False)
-    if not math.isfinite(sum(p.sum() for p in outputs.values())):
-        raise FloatingPointError(f"thread {thread.id}: non-finite model output")
-    veracity, v_probs = _majority_vote(outputs["veracity"], VERACITY_CLASSES)
-    detection = d_probs = None
-    if "detection" in model.tasks:
-        detection, d_probs = _majority_vote(outputs["detection"], DETECTION_CLASSES)
-    stance = None
-    if "stance" in model.tasks:
-        # Stance rows follow the branches' post ids; each post keeps its first.
-        row_ids = [pid for branch in branches for pid in branch.post_ids]
-        first = {pid: row for row, pid in reversed(list(enumerate(row_ids)))}
-        votes = np.argmax(outputs["stance"], axis=1)
-        stance = tuple(sorted((pid, STANCE_CLASSES[votes[row]]) for pid, row in first.items()))
-    return ThreadPrediction(
-        thread_id=thread.id,
-        event=thread.event,
-        veracity=veracity,
-        veracity_probs=v_probs,
-        detection=detection,
-        detection_probs=d_probs,
-        stance=stance,
-    )
+    """``predict_threads`` of one thread."""
+    return predict_threads(model, [thread], table, max_branch_len)[0]
 
 
 def dump_predictions(predictions: Sequence[ThreadPrediction], path: str | Path,

@@ -1,7 +1,8 @@
 """Minimal differentiable core for the branch models.
 
 Batched LSTM and dense-ReLU layers with hand-written reverse-mode
-gradients, softmax/cross-entropy, inverted dropout, L2 regularization, an
+gradients, a top-down LSTM pass over reply trees for prediction,
+softmax/cross-entropy, inverted dropout, L2 regularization, an
 adaptive-moment optimizer and finite-difference gradient checking. All
 arithmetic is double precision; parameter sets are flat ``{name: array}``
 dicts so optimizer state, checkpoints and gradient reports share one
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -90,6 +91,24 @@ def init_dense_layer(rng: np.random.Generator, in_dim: int, out_dim: int) -> Par
 # ---------------------------------------------------------------------------
 # LSTM layer
 
+def lstm_cell(params: Params, xw: np.ndarray, h: np.ndarray, c: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """One LSTM step for a batch of rows.
+
+    ``xw`` is the rows' input projection ``x @ Wx``, ``h`` and ``c`` their
+    previous hidden and cell states. Returns the new cell and hidden states
+    and the gate activations ``(ifo, g, tanh_c)`` that backward needs.
+    """
+    h_dim = c.shape[1]
+    z = xw + h @ params["Wh"] + params["b"]
+    ifo = sigmoid(z[:, :3 * h_dim])
+    i, f, o = ifo[:, :h_dim], ifo[:, h_dim:2 * h_dim], ifo[:, 2 * h_dim:]
+    g = np.tanh(z[:, 3 * h_dim:])
+    c_new = f * c + i * g
+    tanh_c = np.tanh(c_new)
+    return c_new, o * tanh_c, (ifo, g, tanh_c)
+
+
 def lstm_forward(params: Params, x: np.ndarray, mask: np.ndarray
                  ) -> tuple[np.ndarray, dict]:
     """Run the LSTM recurrence over a batch.
@@ -113,19 +132,36 @@ def lstm_forward(params: Params, x: np.ndarray, mask: np.ndarray
     hs = np.empty((B, T, h_dim))
     steps = []
     for t in range(T):
-        z = xw[:, t] + h @ params["Wh"] + params["b"]
-        ifo = sigmoid(z[:, :3 * h_dim])
-        i, f, o = ifo[:, :h_dim], ifo[:, h_dim:2 * h_dim], ifo[:, 2 * h_dim:]
-        g = np.tanh(z[:, 3 * h_dim:])
-        c_hat = f * c + i * g
-        tanh_c = np.tanh(c_hat)
-        h_hat = o * tanh_c
+        c_hat, h_hat, (ifo, g, tanh_c) = lstm_cell(params, xw[:, t], h, c)
         m = mask[:, t].astype(float)[:, None]
         steps.append({"c_prev": c, "ifo": ifo, "g": g, "tanh_c": tanh_c, "m": m})
         c = m * c_hat + (1.0 - m) * c
         h = m * h_hat + (1.0 - m) * h
         hs[:, t, :] = h
     return hs, {"x": x, "hs": hs, "steps": steps}
+
+
+def lstm_tree_forward(params: Params, x: np.ndarray, parent: np.ndarray,
+                      levels: Sequence[int]) -> np.ndarray:
+    """Run the LSTM top-down over a forest of nodes; returns their hidden
+    states (N, h).
+
+    ``x`` is (N, d), one row per node, sorted by depth: the nodes of depth
+    k are the rows ``levels[k]:levels[k + 1]``. ``parent[n]`` is the row of
+    node n's parent, -1 for a root. A node's state depends only on its path
+    from the root, so it equals ``lstm_forward``'s at that node's step of
+    any branch through it, and each node is computed once however many
+    branches share it. One step covers a whole level.
+    """
+    h_dim = params["Wh"].shape[0]
+    xw = x @ params["Wx"]
+    # The extra last row stays zero: the state a root gathers through -1.
+    h = np.zeros((len(x) + 1, h_dim))
+    c = np.zeros((len(x) + 1, h_dim))
+    for start, stop in zip(levels[:-1], levels[1:]):
+        up = parent[start:stop]
+        c[start:stop], h[start:stop], _ = lstm_cell(params, xw[start:stop], h[up], c[up])
+    return h[:-1]
 
 
 def lstm_backward(params: Params, cache: dict, d_hs: np.ndarray, input_grad: bool = True

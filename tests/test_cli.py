@@ -462,6 +462,16 @@ def test_bad_input_exit_1(case, tmp_path, corpus_path, capsys):
     assert len(errors) == 1 and named in errors[0]
 
 
+def test_failed_rename_leaves_no_temp_file(tmp_path, corpus_path, capsys):
+    target = tmp_path / "stats"
+    target.mkdir()
+    capsys.readouterr()
+    assert dispatch(["analyze", str(corpus_path), "-o", str(target)]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "cannot write output" in errors[0]
+    assert target.is_dir() and not (tmp_path / "stats.tmp").exists()
+
+
 #: Any JSON value, nested a little, with integers small enough that no layer
 #: width or dimension read from a checkpoint allocates a large array.
 SMALL_JSON_VALUES = st.recursive(

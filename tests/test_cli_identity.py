@@ -37,3 +37,14 @@ def test_roots_and_trees_masked_in_contents(tmp_path):
         sides.append(tool.read_tree(root, tree))
     assert sides[0] == {"out/run.log": b"wrote <root>/out/x from <tree>/src\n"}
     assert tool.compare(*sides) == []
+
+
+def test_json_differences_sized():
+    ref = {"p.ndjson": b'{"pred": "true", "probs": [0.25, 0.75]}\n{"pred": "false"}\n',
+           "m.json": b'{"f": 0.5, "ok": true}', "r.csv": b"a,1\n"}
+    new = {"p.ndjson": b'{"pred": "true", "probs": [0.25, 0.7500001]}\n{"pred": "true"}\n',
+           "m.json": b'{"f": 0.5, "ok": false, "extra": 1}', "r.csv": b"a,2\n"}
+    assert tool.compare(ref, new) == [
+        "differs: m.json (largest numeric difference 0, 2 other values differ)",
+        "differs: p.ndjson (largest numeric difference 1e-07, 1 other values differ)",
+        "differs: r.csv"]

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from corpora import random_tree_thread
 from rumourmtl import mtl as mtl_module
 from rumourmtl import neural
 from rumourmtl.corpus import (
+    DETECTION_CLASSES,
     STANCE_CLASSES,
+    VERACITY_CLASSES,
     Corpus,
     GeneratorSpec,
     Post,
@@ -16,22 +19,25 @@ from rumourmtl.corpus import (
     generate_synthetic,
 )
 from rumourmtl.mtl import (
+    MODEL_TASKS,
     HyperParams,
     MTLModel,
     TrainingInstance,
     _majority_vote,
     branch_accuracy,
+    build_forest,
     build_instances,
     check_gradients,
     dump_predictions,
     instance_outputs,
     joint_loss,
     predict_thread,
+    predict_threads,
     train,
 )
 from rumourmtl.neural import PROB_CLIP
 from rumourmtl.search import default_space
-from rumourmtl.text import embed_tweet, hash_embeddings
+from rumourmtl.text import EmbeddingTable, embed_tweet, hash_embeddings
 
 MINI = HyperParams(num_dense_layers=1, num_lstm_layers=1, dense_width=6,
                    lstm_width=5, dropout=0.0, epochs=3, learning_rate=1e-2)
@@ -457,6 +463,125 @@ class TestPredictThread:
         assert set(obj) == {"thread", "event", "veracity", "detection", "stance", "model"}
         assert set(obj["veracity"]) == {"pred", "probs"}
         assert obj["detection"] is None and obj["stance"] is None
+
+
+WORDS = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel")
+
+
+def worded_trees(seed, sizes):
+    """``random_tree_thread`` trees whose posts carry random words, so that
+    posts at one depth differ (the generator's texts differ only in digits)."""
+    rng = np.random.default_rng(seed)
+
+    def reword(post):
+        return dataclasses.replace(post, text=" ".join(rng.choice(WORDS, size=2)))
+
+    threads = []
+    for i, n_posts in enumerate(sizes):
+        thread = random_tree_thread(rng, n_posts, thread_id=f"t{i}")
+        threads.append(dataclasses.replace(thread, source=reword(thread.source),
+                                           replies=tuple(map(reword, thread.replies))))
+    return threads
+
+
+class TestTreePass:
+    SIZES = (1, 2, 6, 15, 30, 12)
+
+    def model(self, model_name):
+        hp = dataclasses.replace(MINI, num_lstm_layers=2)
+        model = MTLModel(hp, MODEL_TASKS[model_name], DIM, 12)
+        for name in model.params:
+            if name.endswith("out/W"):
+                model.params[name] *= 20.0  # spread the rows over several classes
+        return model
+
+    @pytest.mark.parametrize("max_branch_len", [25, 3])
+    @pytest.mark.parametrize("model_name", ["single", "mtl2vs", "mtl3"])
+    def test_matches_branch_path(self, model_name, max_branch_len):
+        threads = worded_trees(8, self.SIZES)
+        table = hash_embeddings(DIM, 0)
+        model = self.model(model_name)
+        forest = build_forest(threads, table, max_branch_len)
+        tree_rows = model.tree_forward(forest)
+        preds = predict_threads(model, threads, table, max_branch_len)
+        start = 0
+        labels_seen = set()
+        for k, (thread, pred) in enumerate(zip(threads, preds)):
+            instances = build_instances(Corpus((thread,)), table, max_branch_len=max_branch_len)
+            outputs, _ = model.forward(np.stack([inst.x for inst in instances]),
+                                       np.stack([inst.mask for inst in instances]))
+            branches = slice(start, start + len(instances))
+            start += len(instances)
+            for task, classes in (("veracity", VERACITY_CLASSES),
+                                  ("detection", DETECTION_CLASSES)):
+                if task not in model.tasks:
+                    assert getattr(pred, task) is None
+                    continue
+                np.testing.assert_allclose(tree_rows[task][branches], outputs[task],
+                                           rtol=0, atol=1e-12)
+                label, probs = _majority_vote(outputs[task], classes)
+                assert getattr(pred, task) == label
+                np.testing.assert_allclose(getattr(pred, f"{task}_probs"), probs,
+                                           rtol=0, atol=1e-12)
+                labels_seen.add((task, label))
+            if "stance" not in model.tasks:
+                assert pred.stance is None
+                continue
+            post_rows = [forest.rows[k][pid] for inst in instances for pid in inst.post_ids]
+            np.testing.assert_allclose(tree_rows["stance"][post_rows], outputs["stance"],
+                                       rtol=0, atol=1e-12)
+            expected = {pid: STANCE_CLASSES[int(np.argmax(row))]
+                        for pid, row in zip((pid for inst in instances for pid in inst.post_ids),
+                                            outputs["stance"])}
+            assert pred.stance == tuple(sorted(expected.items()))
+            labels_seen.update(("stance", label) for label in expected.values())
+        assert start == len(forest.ends)
+        assert len({label for task, label in labels_seen if task == "veracity"}) >= 2
+
+    @pytest.mark.parametrize("max_branch_len", [25, 3])
+    def test_batch_equals_alone(self, max_branch_len):
+        threads = worded_trees(6, self.SIZES)
+        table = hash_embeddings(DIM, 0)
+        model = self.model("mtl3")
+        batch = predict_threads(model, threads, table, max_branch_len)
+        for thread, together in zip(threads, batch):
+            alone = predict_thread(model, thread, table, max_branch_len)
+            assert (alone.thread_id, alone.veracity, alone.detection, alone.stance) == (
+                together.thread_id, together.veracity, together.detection, together.stance)
+            np.testing.assert_allclose(alone.veracity_probs, together.veracity_probs,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(alone.detection_probs, together.detection_probs,
+                                       rtol=0, atol=1e-12)
+
+    def test_forest_levels_and_parents(self):
+        threads = worded_trees(7, self.SIZES)
+        forest = build_forest(threads, hash_embeddings(DIM, 0), max_branch_len=3)
+        assert forest.levels[0] == 0 and forest.levels[-1] == len(forest.x)
+        for depth, (lo, hi) in enumerate(zip(forest.levels, forest.levels[1:])):
+            parents = forest.parent[lo:hi]
+            if depth == 0:
+                assert (parents == -1).all() and hi - lo == len(threads)
+            else:
+                assert ((parents >= forest.levels[depth - 1]) & (parents < lo)).all()
+        assert len(forest.x) == sum(len(rows) for rows in forest.rows)
+        assert len(forest.ends) == sum(forest.n_branches)
+
+    def test_empty(self):
+        assert predict_threads(self.model("mtl3"), [], hash_embeddings(DIM, 0)) == []
+
+    def test_non_finite_output_names_its_thread(self):
+        threads = worded_trees(8, (3, 5, 4, 6))
+        bad = threads[2]
+        boom = Post(f"{bad.id}-boom", "boom boom", parent_id=bad.replies[-1].id)
+        threads[2] = dataclasses.replace(bad, replies=(*bad.replies, boom))
+        # Two huge tokens overflow the mean of one post's vectors: that post's
+        # node and every branch through it turn non-finite, nothing else.
+        table = EmbeddingTable(DIM, {"boom": np.array([1e308, -1e308, 1e308, -1e308]),
+                                     **{w: np.full(DIM, 0.1 * i) for i, w in enumerate(WORDS)}})
+        model = self.model("mtl3")
+        predict_threads(model, threads[:2] + threads[3:], table)
+        with pytest.raises(FloatingPointError, match=f"thread {bad.id}: non-finite"):
+            predict_threads(model, threads, table)
 
 
 class TestInstances:

@@ -15,12 +15,17 @@ the artifacts.
 
 Inside file contents, each root's path becomes ``<root>`` and its source
 tree's path ``<tree>``; then the two roots are compared file by file. The script prints the files that differ or
-exist on one side only, and exits 0 only if there are none.
+exist on one side only, and exits 0 only if there are none. For a ``.json``
+or ``.ndjson`` file that differs, its line also gives the largest absolute
+difference between numbers at the same place and the count of other values
+(labels, say) that differ, so a last-bit change of a probability is told
+apart from a changed prediction.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -103,6 +108,45 @@ def read_tree(root: Path, tree: Path) -> dict[str, bytes]:
     return files
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def value_differences(ref, new) -> tuple[float, int]:
+    """The largest absolute difference between numbers at the same place of
+    two JSON values, and the count of other values that differ; a place on
+    one side only counts as one such value."""
+    largest, other = 0.0, 0
+    stack = [(ref, new)]
+    while stack:
+        a, b = stack.pop()
+        if isinstance(a, dict) and isinstance(b, dict):
+            stack.extend((a[key], b[key]) for key in a.keys() & b.keys())
+            other += len(a.keys() ^ b.keys())
+        elif isinstance(a, list) and isinstance(b, list):
+            stack.extend(zip(a, b))
+            other += abs(len(a) - len(b))
+        elif _is_number(a) and _is_number(b):
+            if a != b and not (a != a and b != b):  # NaN matches NaN
+                largest = max(largest, abs(a - b))
+        elif a != b:
+            other += 1
+    return largest, other
+
+
+def json_values(path: str, data: bytes) -> list | None:
+    """A ``.json`` file's value, or an ``.ndjson`` file's lines, as one list;
+    None for any other file or one that does not parse."""
+    try:
+        if path.endswith(".json"):
+            return [json.loads(data)]
+        if path.endswith(".ndjson"):
+            return [json.loads(line) for line in data.splitlines() if line.strip()]
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError
+        pass
+    return None
+
+
 def compare(ref: dict[str, bytes], new: dict[str, bytes]) -> list[str]:
     """One line per file that differs or exists on one side only, sorted by path."""
     lines = []
@@ -112,7 +156,13 @@ def compare(ref: dict[str, bytes], new: dict[str, bytes]) -> list[str]:
         elif path not in ref:
             lines.append(f"missing in ref: {path}")
         elif ref[path] != new[path]:
-            lines.append(f"differs: {path}")
+            line = f"differs: {path}"
+            values = json_values(path, ref[path]), json_values(path, new[path])
+            if None not in values:
+                largest, other = value_differences(*values)
+                line += (f" (largest numeric difference {largest:.3g}, "
+                         f"{other} other values differ)")
+            lines.append(line)
     return lines
 
 
