@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,27 +56,17 @@ class BowVocabulary:
         return len(self.index)
 
 
-def stance_proportions(thread: Thread,
-                       stance_of: Optional[Callable[[str], Optional[str]]] = None
-                       ) -> tuple[float, float, float]:
-    """Proportions of (support, deny, query) among the thread's replies.
-
-    ``stance_of`` maps a post id to a stance label (predicted or gold);
-    defaults to the gold annotations. Threads without replies get (0, 0, 0).
-    """
-    if stance_of is None:
-        gold = {p.id: p.stance_label for p in thread.replies}
-        stance_of = gold.get
+def stance_proportions(thread: Thread) -> tuple[float, float, float]:
+    """Proportions of (support, deny, query) among the thread's replies, by
+    their gold stance annotations. Threads without replies get (0, 0, 0)."""
     n = len(thread.replies)
     if n == 0:
         return (0.0, 0.0, 0.0)
-    counts = Counter(stance_of(p.id) for p in thread.replies)
+    counts = Counter(p.stance_label for p in thread.replies)
     return (counts["support"] / n, counts["deny"] / n, counts["query"] / n)
 
 
-def extract_features(thread: Thread, vocab: BowVocabulary,
-                     stance_of: Optional[Callable[[str], Optional[str]]] = None
-                     ) -> np.ndarray:
+def extract_features(thread: Thread, vocab: BowVocabulary) -> np.ndarray:
     """BOW counts over the source tweet + URL/hashtag flags + SDQ proportions."""
     vec = np.zeros(len(vocab) + 5)
     for token in preprocess(thread.source.text):
@@ -85,7 +75,7 @@ def extract_features(thread: Thread, vocab: BowVocabulary,
             vec[col] += 1.0
     vec[len(vocab)] = float(thread.source.has_url)
     vec[len(vocab) + 1] = float(thread.source.has_hashtag)
-    vec[len(vocab) + 2:] = stance_proportions(thread, stance_of)
+    vec[len(vocab) + 2:] = stance_proportions(thread)
     return vec
 
 
@@ -101,7 +91,15 @@ class LinearModel:
 
 def svm_fit(features: np.ndarray, labels: Sequence[str], l2: float = 1e-3,
             epochs: int = 100, seed: int = 0) -> LinearModel:
-    """Train one hinge-loss separator per veracity class against the rest."""
+    """Train one hinge-loss separator per veracity class against the rest.
+
+    Step ``s`` (from 1) visits one example of a fresh permutation per epoch
+    with rate ``1 / sqrt(s)``: it decays the weights by ``1 - rate * l2``
+    and moves each class whose margin is below 1 towards the example. The
+    classes move together, by one broadcast update of +-rate times the
+    example; a class without a violation adds an exact zero, and a step
+    without any skips the update.
+    """
     if len({lbl for lbl in labels}) < 2:
         raise ValueError("need at least two classes in the training labels")
     classes = VERACITY_CLASSES
@@ -109,18 +107,18 @@ def svm_fit(features: np.ndarray, labels: Sequence[str], l2: float = 1e-3,
     weights = np.zeros((len(classes), d))
     biases = np.zeros(len(classes))
     rng = np.random.default_rng(seed)
-    y = np.array([[1.0 if lbl == c else -1.0 for lbl in labels] for c in classes])
-    step = 0
-    for epoch in range(epochs):
-        for i in rng.permutation(n):
-            step += 1
-            lr = 1.0 / np.sqrt(step)
-            xi = features[i]
-            margins = (weights @ xi + biases) * y[:, i]
-            violated = margins < 1.0
-            weights *= 1.0 - lr * l2
-            weights[violated] += lr * np.outer(y[violated, i], xi)
-            biases[violated] += lr * y[violated, i]
+    order = [i for _ in range(epochs) for i in rng.permutation(n).tolist()]
+    lrs = 1.0 / np.sqrt(np.arange(1, len(order) + 1))
+    y = np.array([[1.0 if lbl == c else -1.0 for c in classes] for lbl in labels])
+    xs, ys = list(features), list(y)  # row views, cheaper to pick from a list
+    for i, lr, decay in zip(order, lrs.tolist(), (1.0 - lrs * l2).tolist()):
+        xi, yi = xs[i], ys[i]
+        violated = (weights @ xi + biases) * yi < 1.0
+        weights *= decay
+        if True in violated.tolist():
+            ly = violated * (lr * yi)
+            weights += ly[:, None] * xi
+            biases += ly
     return LinearModel(classes=classes, weights=weights, biases=biases)
 
 
@@ -142,31 +140,20 @@ def svm_predict(model: LinearModel, features: np.ndarray) -> list[str]:
 class NileModel:
     vocab: BowVocabulary
     linear: LinearModel
-    stance_of: Optional[Callable[[Thread], Callable[[str], Optional[str]]]] = None
 
 
-def nile_fit(train: Corpus, epochs: int = 100, seed: int = 0,
-             stance_source: Optional[Callable[[Thread], Callable[[str], Optional[str]]]] = None
-             ) -> NileModel:
-    """Fit the linear baseline on every veracity-labeled training thread.
-
-    ``stance_source(thread)`` returns a post-id -> stance lookup; by default
-    the gold stance annotations are used.
-    """
+def nile_fit(train: Corpus, epochs: int = 100, seed: int = 0) -> NileModel:
+    """Fit the linear baseline on every veracity-labeled training thread."""
     vocab = BowVocabulary.build(train)
     labeled = [t for t in train.threads if t.veracity_label is not None]
     if not labeled:
         raise ValueError("no veracity labels in the training corpus")
-    feats = np.stack([
-        extract_features(t, vocab, stance_source(t) if stance_source else None)
-        for t in labeled])
+    feats = np.stack([extract_features(t, vocab) for t in labeled])
     labels = [t.veracity_label for t in labeled]
     linear = svm_fit(feats, labels, epochs=epochs, seed=seed)
-    return NileModel(vocab=vocab, linear=linear, stance_of=stance_source)
+    return NileModel(vocab=vocab, linear=linear)
 
 
 def nile_predict(model: NileModel, test: Corpus) -> list[str]:
-    feats = np.stack([
-        extract_features(t, model.vocab, model.stance_of(t) if model.stance_of else None)
-        for t in test.threads])
+    feats = np.stack([extract_features(t, model.vocab) for t in test.threads])
     return svm_predict(model.linear, feats)

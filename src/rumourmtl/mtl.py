@@ -374,7 +374,9 @@ def build_instances(corpus: Corpus, table: EmbeddingTable,
 
     Thread-level labels are replicated to each branch. All instances share
     one padded length (the longest surviving branch, or ``pad_to``, which
-    must not be shorter).
+    must not be shorter). Per thread, each reached post is embedded once and
+    the branch inputs, masks and stance labels are one gather each by a
+    (branches, T) table of post rows; instances hold views of them.
     """
     per_thread = [(thread, decompose_branches(thread, max_len=max_branch_len))
                   for thread in corpus.threads]
@@ -386,28 +388,32 @@ def build_instances(corpus: Corpus, table: EmbeddingTable,
     T = pad_to if pad_to is not None else longest
     instances = []
     for thread, branches in per_thread:
-        stance_of = {p.id: -1 if p.stance_label is None else STANCE_CLASSES.index(p.stance_label)
-                     for p in thread.posts}
         det = (DETECTION_CLASSES.index(thread.detection_label)
                if thread.detection_label is not None else None)
         ver = (VERACITY_CLASSES.index(thread.veracity_label)
                if thread.veracity_label is not None else None)
-        texts = {p.id: p.text for p in thread.posts}
-        vectors: dict[str, np.ndarray] = {}  # each post is embedded once
-        x = np.zeros((len(branches), T, table.dimension))
-        mask = np.zeros((len(branches), T), dtype=bool)
-        for i, branch in enumerate(branches):
-            for t, pid in enumerate(branch.post_ids):
-                if pid not in vectors:
-                    vectors[pid] = embed_tweet(preprocess(texts[pid]), table)
-                x[i, t] = vectors[pid]
-            mask[i, :len(branch)] = True
-            stances = np.array([stance_of[pid] for pid in branch.post_ids])
+        posts = {p.id: p for p in thread.posts}
+        row: dict[str, int] = {}  # each reached post, in the order found
+        for branch in branches:
+            for pid in branch.post_ids:
+                row.setdefault(pid, len(row))
+        # One row per reached post, embedded once; index -1 (padding) reads
+        # the last row, a zero vector with no stance label.
+        vectors = np.zeros((len(row) + 1, table.dimension))
+        vectors[:-1] = [embed_tweet(preprocess(posts[pid].text), table) for pid in row]
+        stance = np.array([-1 if (label := posts[pid].stance_label) is None
+                           else STANCE_CLASSES.index(label) for pid in row] + [-1])
+        index = np.array([[row[pid] for pid in branch.post_ids] + [-1] * (T - len(branch))
+                          for branch in branches])
+        x, mask, labels = vectors[index], index >= 0, stance[index]
+        labelled = (labels >= 0).any(axis=1).tolist()
+        for branch, x_i, mask_i, labels_i, labelled_i in zip(branches, x, mask, labels, labelled):
+            n = len(branch)
             instances.append(TrainingInstance(
-                x=x[i],
-                mask=mask[i],
-                true_length=len(branch),
-                stance_labels=stances if np.any(stances >= 0) else None,
+                x=x_i,
+                mask=mask_i,
+                true_length=n,
+                stance_labels=labels_i[:n] if labelled_i else None,
                 detection_label=det,
                 veracity_label=ver,
                 thread_id=thread.id,

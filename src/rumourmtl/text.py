@@ -8,6 +8,7 @@ validity mask so variable-length sequences can share one batch layout.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -15,14 +16,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 
-def preprocess(text: str) -> list[str]:
-    """Lowercase, replace every non-alphabetic character with a space, split.
+_WORD = re.compile("[a-z]+")
 
-    Replacement (rather than in-place deletion) keeps fragments like
-    "don't" as [don, t] instead of merging them.
+
+def preprocess(text: str) -> list[str]:
+    """The runs of ASCII letters a-z in the lowercased text, in order.
+
+    Every other character separates tokens, so "don't" gives [don, t], and
+    digits, punctuation and non-ASCII letters are dropped.
     """
-    chars = [c if "a" <= c <= "z" else " " for c in text.lower()]
-    return "".join(chars).split()
+    return _WORD.findall(text.lower())
 
 
 class EmbeddingTable:
@@ -115,11 +118,15 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
 
 
 def embed_tweet(tokens: Sequence[str], table: EmbeddingTable) -> np.ndarray:
-    """Average the vectors of in-vocabulary tokens; zero vector if none."""
+    """Average the vectors of in-vocabulary tokens; zero vector if none.
+
+    The sum and the division are the ones ``np.mean(vectors, axis=0)``
+    runs, without its Python wrapper, so the result is the same bit for bit.
+    """
     vectors = [v for v in map(table.get, tokens) if v is not None]
     if not vectors:
         return np.zeros(table.dimension)
-    return np.mean(vectors, axis=0)
+    return np.add.reduce(vectors, axis=0) / len(vectors)
 
 
 @dataclass(frozen=True)

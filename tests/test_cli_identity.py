@@ -48,3 +48,22 @@ def test_json_differences_sized():
         "differs: m.json (largest numeric difference 0, 2 other values differ)",
         "differs: p.ndjson (largest numeric difference 1e-07, 1 other values differ)",
         "differs: r.csv"]
+
+
+def test_embedding_file_leaves_posts_out_of_vocabulary(tmp_path):
+    from rumourmtl.cli import dispatch
+    from rumourmtl.corpus import load_corpus
+    from rumourmtl.text import load_embeddings, preprocess
+
+    spec, corpus = tmp_path / "small.spec", tmp_path / "small.ndjson"
+    spec.write_text(tool.CORPORA[tool.OOV_CORPUS])
+    assert dispatch(["synth", str(spec), "-o", str(corpus)]) == 0
+    text = tool.embedding_file(corpus)
+    assert tool.embedding_file(corpus) == text
+    (tmp_path / "oov.vec").write_text(text)
+    table = load_embeddings(tmp_path / "oov.vec")
+    posts = [preprocess(p.text) for t in load_corpus(corpus).threads for p in t.posts]
+    tokens = sorted({tok for toks in posts for tok in toks})
+    assert table.dimension == tool.OOV_DIM and len(table) == len(tokens) // 2
+    assert all((tok in table) == (i % 2 == 1) for i, tok in enumerate(tokens))
+    assert any(not any(tok in table for tok in toks) for toks in posts)

@@ -16,6 +16,7 @@ from rumourmtl.corpus import (
     GeneratorSpec,
     Post,
     Thread,
+    decompose_branches,
     generate_synthetic,
 )
 from rumourmtl.mtl import (
@@ -37,7 +38,7 @@ from rumourmtl.mtl import (
 )
 from rumourmtl.neural import PROB_CLIP
 from rumourmtl.search import default_space
-from rumourmtl.text import EmbeddingTable, embed_tweet, hash_embeddings
+from rumourmtl.text import EmbeddingTable, embed_tweet, hash_embeddings, load_embeddings, preprocess
 
 MINI = HyperParams(num_dense_layers=1, num_lstm_layers=1, dense_width=6,
                    lstm_width=5, dropout=0.0, epochs=3, learning_rate=1e-2)
@@ -628,6 +629,90 @@ class TestInstances:
         for inst in instances:
             if inst.stance_labels is not None:
                 assert len(inst.stance_labels) == inst.true_length
+
+
+def labelled_trees(seed, sizes):
+    """``worded_trees`` with random stance labels (None for about a third of
+    the posts, every post of some threads) and mixed thread labels."""
+    rng = np.random.default_rng(seed)
+    threads = []
+    for i, thread in enumerate(worded_trees(seed, sizes)):
+        def label(post, none_share=(1.0 if i % 3 == 2 else 0.35)):
+            stance = None if rng.random() < none_share else str(rng.choice(STANCE_CLASSES))
+            return dataclasses.replace(post, stance_label=stance)
+
+        rumour = i % 4 != 3
+        threads.append(dataclasses.replace(
+            thread, source=label(thread.source), replies=tuple(map(label, thread.replies)),
+            detection_label="rumour" if rumour else "non-rumour",
+            veracity_label=VERACITY_CLASSES[i % 3] if rumour else None))
+    return threads
+
+
+def per_branch_instances(corpus, table, max_branch_len, pad_to):
+    """Reference ``build_instances``: every step of every branch embeds its post."""
+    per_thread = [(thread, decompose_branches(thread, max_len=max_branch_len))
+                  for thread in corpus.threads]
+    T = pad_to or max(len(b) for _, branches in per_thread for b in branches)
+    rows = []
+    for thread, branches in per_thread:
+        posts = {p.id: p for p in thread.posts}
+        for branch in branches:
+            x = np.zeros((T, table.dimension))
+            for t, pid in enumerate(branch.post_ids):
+                x[t] = embed_tweet(preprocess(posts[pid].text), table)
+            stances = np.array([-1 if posts[pid].stance_label is None
+                                else STANCE_CLASSES.index(posts[pid].stance_label)
+                                for pid in branch.post_ids])
+            labels = (
+                None if thread.detection_label is None
+                else DETECTION_CLASSES.index(thread.detection_label),
+                None if thread.veracity_label is None
+                else VERACITY_CLASSES.index(thread.veracity_label))
+            rows.append((x, np.arange(T) < len(branch), len(branch),
+                         stances if (stances >= 0).any() else None, labels,
+                         thread.id, thread.event, branch.post_ids))
+    return rows
+
+
+class TestInstancesMatchPerBranch:
+    SIZES = (1, 2, 6, 15, 30, 12, 9, 4)
+
+    def assert_matches(self, corpus, table, max_branch_len=25, pad_to=None):
+        got = build_instances(corpus, table, max_branch_len=max_branch_len, pad_to=pad_to)
+        want = per_branch_instances(corpus, table, max_branch_len, pad_to)
+        assert len(got) == len(want)
+        for inst, (x, mask, n, stances, labels, thread_id, event, post_ids) in zip(got, want):
+            assert inst.x.tobytes() == x.tobytes() and inst.x.shape == x.shape
+            np.testing.assert_array_equal(inst.mask, mask)
+            assert inst.mask.dtype == bool and inst.true_length == n
+            if stances is None:
+                assert inst.stance_labels is None
+            else:
+                assert inst.stance_labels.dtype == stances.dtype
+                np.testing.assert_array_equal(inst.stance_labels, stances)
+            assert (inst.detection_label, inst.veracity_label) == labels
+            assert (inst.thread_id, inst.event, inst.post_ids) == (thread_id, event, post_ids)
+        return got
+
+    @pytest.mark.parametrize("max_branch_len, pad_to", [(25, None), (3, None), (25, 40)])
+    def test_random_trees(self, max_branch_len, pad_to):
+        corpus = Corpus(tuple(labelled_trees(5, self.SIZES)))
+        got = self.assert_matches(corpus, hash_embeddings(DIM, 3), max_branch_len, pad_to)
+        assert any(inst.stance_labels is None for inst in got)
+        assert any(inst.stance_labels is not None and (inst.stance_labels < 0).any()
+                   for inst in got)
+
+    def test_loaded_table_missing_tokens(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("".join(f"{w} " + " ".join(f"{0.25 * i - 0.5 * j:g}" for j in range(DIM))
+                                + "\n" for i, w in enumerate(WORDS[::2])))
+        table = load_embeddings(path)
+        corpus = Corpus(tuple(labelled_trees(6, self.SIZES)))
+        got = self.assert_matches(corpus, table)
+        self.assert_matches(corpus, table, max_branch_len=3, pad_to=9)
+        zero_steps = sum(int((~inst.x[:inst.true_length].any(axis=1)).sum()) for inst in got)
+        assert zero_steps > 0
 
 
 class TestGradientCheck:

@@ -27,6 +27,19 @@ class TestPreprocess:
     def test_apostrophe_splits(self):
         assert preprocess("don't") == ["don", "t"]
 
+    @settings(max_examples=300)
+    @given(st.text(alphabet=st.one_of(st.sampled_from("\u0130\u00df\u212aksS\u017fzZaA09 _'.-\n"),
+                                      st.characters()), max_size=80))
+    def test_matches_character_loop(self, text):
+        # The character loop that the one regular expression replaced; "İ"
+        # lowercases to "i" plus a combining dot, the Kelvin sign to "k".
+        chars = [c if "a" <= c <= "z" else " " for c in text.lower()]
+        assert preprocess(text) == "".join(chars).split()
+
+    def test_lowercase_forms_of_non_ascii_letters(self):
+        assert preprocess("\u0130stanbul Stra\u00dfe \u212aelvin \u017fun") == [
+            "i", "stanbul", "stra", "e", "kelvin", "un"]
+
     @settings(max_examples=100)
     @given(st.text(max_size=80))
     def test_idempotent_on_own_output(self, text):
@@ -63,6 +76,22 @@ class TestEmbedTweet:
         used = [np.linalg.norm(table.get(t)) for t in tokens if t in table]
         bound = max(used) if used else 0.0
         assert np.linalg.norm(out) <= bound + 1e-12
+
+
+class TestEmbedTweetMatchesMean:
+    @pytest.mark.parametrize("dim", [1, 32, 300])
+    def test_bit_identical_to_np_mean(self, dim):
+        rng = np.random.default_rng(dim)
+        words = [f"w{i}" for i in range(50)]
+        table = EmbeddingTable(dim, {w: rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4)
+                                     for w in words})
+        for n in range(1, 41):
+            tokens = list(rng.choice(words, size=n)) + ["oov"] * int(rng.integers(3))
+            rng.shuffle(tokens)
+            got = embed_tweet(tokens, table)
+            want = np.mean([table.get(t) for t in tokens if t in table], axis=0)
+            assert got.dtype == want.dtype and got.shape == (dim,)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestEmbeddingFiles:

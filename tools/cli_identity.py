@@ -9,9 +9,12 @@ does; the other side is the working tree, uncommitted edits included. Each
 side runs ``python -m rumourmtl.cli`` from its own ``src`` (by
 ``PYTHONPATH``) in its own temporary root: ``synth``, ``validate``,
 ``analyze`` (to a file and to stdout), ``train``, ``evaluate``, ``loeo`` over
-every model and a three-trial ``search``, on two synthetic corpora. Every
-command's exit status, stdout and stderr are kept in a ``.log`` file beside
-the artifacts.
+every model and a three-trial ``search``, on two synthetic corpora. Those
+runs use hash embeddings, which hold every token; so ``train``, ``evaluate``
+and ``loeo`` run once more on the small corpus with an embedding file that
+the script writes and that leaves out every other token (see
+``embedding_file``). Every command's exit status, stdout and stderr are kept
+in a ``.log`` file beside the artifacts.
 
 Inside file contents, each root's path becomes ``<root>`` and its source
 tree's path ``<tree>``; then the two roots are compared file by file. The script prints the files that differ or
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -57,6 +61,23 @@ batch_size = 16
 """
 
 
+#: Corpus of the out-of-vocabulary runs, and the dimension of their vectors.
+OOV_CORPUS = "small"
+OOV_DIM = 8
+
+
+def model_commands(cfg: Path, out: Path) -> list[tuple[str, list[str]]]:
+    """(log name, cli arguments) of ``train``, ``evaluate`` and ``loeo`` with
+    the run config ``cfg``, whose output directory is ``out / "train"``."""
+    return [
+        ("train", ["train", str(cfg)]),
+        ("evaluate", ["evaluate", str(cfg), "--model", str(out / "train" / "model.json"),
+                      "--output-dir", str(out / "evaluate")]),
+        ("loeo", ["loeo", str(cfg), "--models", "majority,nile,single,mtl2vs,mtl2vd,mtl3",
+                  "--jobs", "1", "--output-dir", str(out / "loeo")]),
+    ]
+
+
 def commands(root: Path, name: str) -> list[tuple[str, list[str]]]:
     """(log name, cli arguments) of one corpus's runs, writing under ``root``;
     writes the corpus's spec and run config first."""
@@ -71,25 +92,54 @@ def commands(root: Path, name: str) -> list[tuple[str, list[str]]]:
         ("validate", ["validate", str(corpus)]),
         ("analyze-file", ["analyze", str(corpus), "-o", str(out / "stats.csv")]),
         ("analyze-stdout", ["analyze", str(corpus)]),
-        ("train", ["train", str(cfg)]),
-        ("evaluate", ["evaluate", str(cfg), "--model", str(out / "train" / "model.json"),
-                      "--output-dir", str(out / "evaluate")]),
-        ("loeo", ["loeo", str(cfg), "--models", "majority,nile,single,mtl2vs,mtl2vd,mtl3",
-                  "--jobs", "1", "--output-dir", str(out / "loeo")]),
+        *model_commands(cfg, out),
         ("search", ["search", str(cfg), "--trials", "3", "--epochs", "1",
                     "--output-dir", str(out / "search")]),
     ]
 
 
+def embedding_file(corpus: Path) -> str:
+    """An embedding file over the ndjson ``corpus``: the runs of a-z in its
+    lowercased post texts, sorted, and every other one of them from the
+    second kept, each with a vector that depends only on its rank. Some
+    posts of the small corpus then have no token in the file at all."""
+    tokens: set[str] = set()
+    for line in corpus.read_text().splitlines():
+        for post in json.loads(line)["posts"]:
+            tokens.update(re.findall("[a-z]+", post["text"].lower()))
+    return "".join(
+        token + "".join(f" {((5 * k + 3 * j) % 17 - 8) / 8:g}" for j in range(OOV_DIM)) + "\n"
+        for k, token in enumerate(sorted(tokens)[1::2]))
+
+
+def oov_commands(root: Path) -> list[tuple[str, list[str]]]:
+    """(log name, cli arguments) of the out-of-vocabulary runs; writes their
+    embedding file and run config first, from the synthesized corpus."""
+    corpus = root / f"{OOV_CORPUS}.ndjson"
+    vectors = root / "oov.vec"
+    vectors.write_text(embedding_file(corpus))
+    out = root / "oov-out"
+    cfg = root / "oov.cfg"
+    cfg.write_text(RUN_CONFIG.format(corpus=corpus, out=out / "train")
+                   + f"embeddings = {vectors}\n")
+    return model_commands(cfg, out)
+
+
 def run_tree(tree: Path, root: Path) -> None:
-    """Every command of every corpus with ``tree/src`` first on the path."""
+    """Every command of every corpus, then the out-of-vocabulary runs, with
+    ``tree/src`` first on the path."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    for name in CORPORA:
-        for step, argv in commands(root, name):
+
+    def run(name: str, steps: list[tuple[str, list[str]]]) -> None:
+        for step, argv in steps:
             proc = subprocess.run([sys.executable, "-m", "rumourmtl.cli", *argv], cwd=root,
                                   env=env, capture_output=True, text=True)
             (root / f"{name}-{step}.log").write_text(
                 f"exit {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}")
+
+    for name in CORPORA:
+        run(name, commands(root, name))
+    run("oov", oov_commands(root))
 
 
 def read_tree(root: Path, tree: Path) -> dict[str, bytes]:
