@@ -11,6 +11,8 @@ and task.
 Run:  python3 demos/04_search_and_diagnostics.py
 """
 
+import math
+
 import numpy as np
 
 from rumourmtl.analysis import analyze_corpus, stats_csv
@@ -46,7 +48,8 @@ for seed in range(n_seeds):
              for _ in range(budget)]
     random_hits += any(planted(c) == 0.0 for c in draws)
 
-print(f"search space: {space.size} configurations, budget {budget} trials")
+size = math.prod(len(values) for _, values in space.dimensions)
+print(f"search space: {size} configurations, budget {budget} trials")
 print(f"guided search found the optimum in {tpe_hits}/{n_seeds} seeds")
 print(f"random sampling found it in {random_hits}/{n_seeds} seeds")
 

@@ -14,6 +14,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -63,6 +64,17 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return parse_config_text(read_text(path), where=str(path))
 
 
+def config_value(values: dict[str, str], key: str, cast: type, default=None):
+    """``values[key]`` read by ``cast``, or ``default`` when ``key`` is
+    absent; a UsageError naming the key when ``cast`` rejects the value."""
+    if key not in values:
+        return default
+    try:
+        return cast(values[key])
+    except ValueError:
+        raise UsageError(f"config key {key!r}: bad value {values[key]!r}") from None
+
+
 _HP_KEYS = {f.name: type(f.default) for f in fields(HyperParams)}
 #: Integer run keys and the least value of each.
 _INT_KEYS = {"seed": 0, "embedding_dim": 1, "max_branch_len": 1}
@@ -83,15 +95,9 @@ class RunConfig:
     def from_values(cls, values: dict[str, str]) -> "RunConfig":
         if "corpus" not in values:
             raise UsageError("config is missing required key 'corpus'")
-
-        def parse(key: str, cast: type):
-            try:
-                return cast(values[key])
-            except ValueError:
-                raise UsageError(f"config key {key!r}: bad value {values[key]!r}") from None
-
-        hp_kwargs = {key: parse(key, cast) for key, cast in _HP_KEYS.items() if key in values}
-        kwargs = {key: parse(key, int) for key in _INT_KEYS if key in values}
+        hp_kwargs = {key: config_value(values, key, cast)
+                     for key, cast in _HP_KEYS.items() if key in values}
+        kwargs = {key: config_value(values, key, int) for key in _INT_KEYS if key in values}
         if "output_dir" in values:
             kwargs["output_dir"] = values["output_dir"]
         if values.get("embeddings"):
@@ -174,27 +180,23 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    values = load_config_file(args.spec)
+    read = partial(config_value, load_config_file(args.spec))  # (key, cast, default)
     default = GeneratorSpec()
-
-    def get(key: str, value):
-        return type(value)(values[key]) if key in values else value
-
     try:
         spec = GeneratorSpec(
-            events=get("events", default.events),
-            threads_per_event=get("threads_per_event", default.threads_per_event),
-            depth_range=(get("depth_min", default.depth_range[0]),
-                         get("depth_max", default.depth_range[1])),
-            veracity_priors=tuple(get(f"prior_{c}", p) for c, p
+            events=read("events", int, default.events),
+            threads_per_event=read("threads_per_event", int, default.threads_per_event),
+            depth_range=(read("depth_min", int, default.depth_range[0]),
+                         read("depth_max", int, default.depth_range[1])),
+            veracity_priors=tuple(read(f"prior_{c}", float, p) for c, p
                                   in zip(VERACITY_CLASSES, default.veracity_priors)),
-            nonrumour_fraction=get("nonrumour_fraction", default.nonrumour_fraction),
-            coupling=get("coupling", default.coupling),
-            replies_range=(get("replies_min", default.replies_range[0]),
-                           get("replies_max", default.replies_range[1])),
-            tokens_per_post=get("tokens_per_post", default.tokens_per_post),
+            nonrumour_fraction=read("nonrumour_fraction", float, default.nonrumour_fraction),
+            coupling=read("coupling", float, default.coupling),
+            replies_range=(read("replies_min", int, default.replies_range[0]),
+                           read("replies_max", int, default.replies_range[1])),
+            tokens_per_post=read("tokens_per_post", int, default.tokens_per_post),
         )
-        seed = args.seed if args.seed is not None else int(values.get("seed", 0))
+        seed = args.seed if args.seed is not None else read("seed", int, 0)
         corpus = generate_synthetic(spec, seed)
     except ValueError as exc:
         raise UsageError(f"{args.spec}: {exc}") from None

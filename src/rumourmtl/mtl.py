@@ -5,10 +5,11 @@ softmax heads (hard parameter sharing). Stance is predicted per step,
 detection and veracity from the final valid step. The joint loss sums the
 active tasks' cross-entropies; instances lacking a task's label contribute
 exactly zero to that task's term. Thread-level answers come from majority
-voting over branch predictions. Prediction walks the reply trees top-down
-instead of running every branch: each post goes through the LSTM once and
-gets one stance, and each branch's end node gives its veracity and
-detection votes.
+voting over branch predictions. One node table (``Forest``) numbers and
+embeds each post that a branch reaches, once. Training instances are
+gathered from it, and prediction walks it top-down instead of running every
+branch: each post goes through the LSTM once and gets one stance, and each
+branch's end node gives its veracity and detection votes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from rumourmtl.corpus import (
     STANCE_CLASSES,
     TASK_CLASSES,
     VERACITY_CLASSES,
+    Branch,
     Corpus,
+    Post,
     Thread,
     decompose_branches,
 )
@@ -374,52 +377,43 @@ def build_instances(corpus: Corpus, table: EmbeddingTable,
 
     Thread-level labels are replicated to each branch. All instances share
     one padded length (the longest surviving branch, or ``pad_to``, which
-    must not be shorter). Per thread, each reached post is embedded once and
-    the branch inputs, masks and stance labels are one gather each by a
-    (branches, T) table of post rows; instances hold views of them.
+    must not be shorter). The branch inputs, masks and stance labels are
+    gathered from the corpus's ``Forest`` by one (branches, T) table of its
+    rows, the inputs thread by thread; instances hold views of them.
     """
-    per_thread = [(thread, decompose_branches(thread, max_len=max_branch_len))
-                  for thread in corpus.threads]
-    if not per_thread:
+    threads = corpus.threads
+    if not threads:
         return []
-    longest = max((len(b) for _, branches in per_thread for b in branches), default=1)
+    forest = build_forest(threads, table, max_branch_len)
+    longest = max(map(len, forest.branches))
     if pad_to is not None and pad_to < longest:
         raise ValueError(f"pad_to {pad_to} is shorter than the longest branch ({longest} posts)")
     T = pad_to if pad_to is not None else longest
+    owner = np.repeat(np.arange(len(threads)), forest.n_branches).tolist()  # per branch
+    index = np.array([[forest.rows[k][pid] for pid in branch.post_ids] + [-1] * (T - len(branch))
+                      for k, branch in zip(owner, forest.branches)])
+    # Padding (index -1) reads the last row; each gather resets those cells.
+    mask = index >= 0
+    stance = np.array([-1 if (y := post.stance_label) is None else STANCE_CLASSES.index(y)
+                       for post in forest.posts], dtype=np.int64)[index]
+    stance[~mask] = -1
+    labelled = (stance >= 0).any(axis=1).tolist()
     instances = []
-    for thread, branches in per_thread:
-        det = (DETECTION_CLASSES.index(thread.detection_label)
-               if thread.detection_label is not None else None)
-        ver = (VERACITY_CLASSES.index(thread.veracity_label)
-               if thread.veracity_label is not None else None)
-        posts = {p.id: p for p in thread.posts}
-        row: dict[str, int] = {}  # each reached post, in the order found
-        for branch in branches:
-            for pid in branch.post_ids:
-                row.setdefault(pid, len(row))
-        # One row per reached post, embedded once; index -1 (padding) reads
-        # the last row, a zero vector with no stance label.
-        vectors = np.zeros((len(row) + 1, table.dimension))
-        vectors[:-1] = [embed_tweet(preprocess(posts[pid].text), table) for pid in row]
-        stance = np.array([-1 if (label := posts[pid].stance_label) is None
-                           else STANCE_CLASSES.index(label) for pid in row] + [-1])
-        index = np.array([[row[pid] for pid in branch.post_ids] + [-1] * (T - len(branch))
-                          for branch in branches])
-        x, mask, labels = vectors[index], index >= 0, stance[index]
-        labelled = (labels >= 0).any(axis=1).tolist()
-        for branch, x_i, mask_i, labels_i, labelled_i in zip(branches, x, mask, labels, labelled):
-            n = len(branch)
-            instances.append(TrainingInstance(
-                x=x_i,
-                mask=mask_i,
-                true_length=n,
-                stance_labels=labels_i[:n] if labelled_i else None,
-                detection_label=det,
-                veracity_label=ver,
-                thread_id=thread.id,
-                event=thread.event,
-                post_ids=branch.post_ids,
-            ))
+    bounds = itertools.pairwise(itertools.accumulate(forest.n_branches, initial=0))
+    for thread, (lo, hi) in zip(threads, bounds):
+        # Inputs are gathered per thread: under glibc, one corpus-sized array takes fresh
+        # pages where these reuse freed memory (10% more peak on the bench's paper run).
+        x = forest.x[index[lo:hi]]
+        x[~mask[lo:hi]] = 0.0
+        det = None if (y := thread.detection_label) is None else DETECTION_CLASSES.index(y)
+        ver = None if (y := thread.veracity_label) is None else VERACITY_CLASSES.index(y)
+        instances += [TrainingInstance(
+            x=x_i, mask=mask_i, true_length=len(branch),
+            stance_labels=stance_i[:len(branch)] if labelled_i else None,
+            detection_label=det, veracity_label=ver,
+            thread_id=thread.id, event=thread.event, post_ids=branch.post_ids)
+            for branch, x_i, mask_i, stance_i, labelled_i in zip(
+                forest.branches[lo:hi], x, mask[lo:hi], stance[lo:hi], labelled[lo:hi])]
     return instances
 
 
@@ -532,12 +526,15 @@ class Forest:
     reaches. Rows are nodes sorted by depth, so the nodes of depth k are the
     rows ``levels[k]:levels[k + 1]`` and every parent lies in the level
     before its child, as ``neural.lstm_tree_forward`` takes them.
+    ``build_instances`` gathers each branch's inputs from the same rows.
     """
 
     x: np.ndarray                       # (N, dim): each node's post, embedded once
+    posts: tuple[Post, ...]             # (N,): each node's post
     parent: np.ndarray                  # (N,): the parent's row, -1 at a root
     levels: list[int]
-    ends: np.ndarray                    # end row of every branch, thread after thread
+    branches: tuple[Branch, ...]        # every branch, thread after thread
+    ends: np.ndarray                    # end row of each of ``branches``
     rows: tuple[dict[str, int], ...]    # per thread: post id -> row
     n_branches: tuple[int, ...]         # per thread
 
@@ -547,15 +544,16 @@ def build_forest(threads: Sequence[Thread], table: EmbeddingTable,
     """The ``Forest`` of ``threads``' branches cut to ``max_branch_len``."""
     depth: list[int] = []
     parent: list[int] = []
-    texts: list[str] = []
+    posts: list[Post] = []              # per node
+    branches: list[Branch] = []
     ends: list[int] = []
     n_branches: list[int] = []
     found: list[dict[str, int]] = []    # per thread: post id -> node, in order found
     for thread in threads:
-        text_of = {p.id: p.text for p in thread.posts}
+        post_of = {p.id: p for p in thread.posts}
         nodes: dict[str, int] = {}
-        branches = decompose_branches(thread, max_len=max_branch_len)
-        for branch in branches:
+        thread_branches = decompose_branches(thread, max_len=max_branch_len)
+        for branch in thread_branches:
             up = -1
             for t, pid in enumerate(branch.post_ids):
                 node = nodes.get(pid)
@@ -563,10 +561,11 @@ def build_forest(threads: Sequence[Thread], table: EmbeddingTable,
                     node = nodes[pid] = len(depth)
                     depth.append(t)
                     parent.append(up)
-                    texts.append(text_of[pid])
+                    posts.append(post_of[pid])
                 up = node
             ends.append(up)
-        n_branches.append(len(branches))
+        branches += thread_branches
+        n_branches.append(len(thread_branches))
         found.append(nodes)
     # A stable sort by depth; rank[node] is the node's row, and rank[-1] = -1
     # keeps a root's parent at -1.
@@ -575,10 +574,16 @@ def build_forest(threads: Sequence[Thread], table: EmbeddingTable,
     rank[order] = np.arange(len(order))
     rank[-1] = -1
     row_of = rank.tolist()
+    row_posts = tuple(posts[n] for n in order.tolist())
+    x = np.empty((len(row_posts), table.dimension))
+    for r, post in enumerate(row_posts):
+        x[r] = embed_tweet(preprocess(post.text), table)
     return Forest(
-        x=np.array([embed_tweet(preprocess(texts[n]), table) for n in order.tolist()]),
-        parent=rank[np.asarray(parent)[order]],
+        x=x,
+        posts=row_posts,
+        parent=rank[np.asarray(parent, dtype=np.intp)[order]],
         levels=[0, *itertools.accumulate(np.bincount(depth).tolist())],
+        branches=tuple(branches),
         ends=rank[ends],
         rows=tuple({pid: row_of[n] for pid, n in nodes.items()} for nodes in found),
         n_branches=tuple(n_branches),

@@ -36,18 +36,8 @@ class SearchSpace:
     def from_dict(cls, dims: Mapping[str, Sequence]) -> "SearchSpace":
         return cls(tuple((name, tuple(values)) for name, values in dims.items()))
 
-    @property
-    def size(self) -> int:
-        return math.prod(len(values) for _, values in self.dimensions)
-
     def contains(self, config: Mapping) -> bool:
         return all(config.get(name) in values for name, values in self.dimensions)
-
-    def enumerate(self) -> list[dict]:
-        configs = [{}]
-        for name, values in self.dimensions:
-            configs = [{**c, name: v} for c in configs for v in values]
-        return configs
 
 
 def default_space() -> SearchSpace:

@@ -383,6 +383,12 @@ BAD_INPUTS = {
     "non-integer synth spec value": lambda tmp, corpus: (
         ["synth", _write(tmp / "spec.cfg", "events = three\n"), "-o", tmp / "x.ndjson"],
         "spec.cfg"),
+    "non-integer synth events": lambda tmp, corpus: (
+        ["synth", _write(tmp / "spec.txt", "events = abc\n"), "-o", tmp / "x.ndjson"],
+        "config key 'events'"),
+    "non-integer synth seed": lambda tmp, corpus: (
+        ["synth", _write(tmp / "spec.txt", "seed = x\n"), "-o", tmp / "x.ndjson"],
+        "config key 'seed'"),
     "evaluate with another embedding dim": _evaluate_other_dim,
     "loeo --jobs 0": lambda tmp, corpus: (
         ["loeo", run_config(tmp, corpus), "--models", "majority", "--jobs", "0"], "--jobs"),

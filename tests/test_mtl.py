@@ -567,8 +567,28 @@ class TestTreePass:
         assert len(forest.x) == sum(len(rows) for rows in forest.rows)
         assert len(forest.ends) == sum(forest.n_branches)
 
+    @pytest.mark.parametrize("max_branch_len", [25, 3])
+    def test_forest_posts_branches_and_vectors(self, max_branch_len):
+        threads = worded_trees(7, self.SIZES)
+        table = hash_embeddings(DIM, 0)
+        forest = build_forest(threads, table, max_branch_len)
+        assert forest.branches == tuple(branch for thread in threads
+                                        for branch in decompose_branches(thread, max_branch_len))
+        assert len(forest.branches) == len(forest.ends) == sum(forest.n_branches)
+        for branch, end in zip(forest.branches, forest.ends):
+            assert forest.posts[end].id == branch.post_ids[-1]
+        assert len(forest.posts) == len(forest.x)
+        for thread, rows in zip(threads, forest.rows):
+            post_of = {post.id: post for post in thread.posts}
+            for pid, r in rows.items():
+                assert forest.posts[r].id == pid and forest.posts[r] == post_of[pid]
+        for r, post in enumerate(forest.posts):
+            assert forest.x[r].tobytes() == embed_tweet(preprocess(post.text), table).tobytes()
+
     def test_empty(self):
         assert predict_threads(self.model("mtl3"), [], hash_embeddings(DIM, 0)) == []
+        forest = build_forest([], hash_embeddings(DIM, 0))
+        assert forest.x.shape == (0, DIM) and forest.levels == [0] and forest.branches == ()
 
     def test_non_finite_output_names_its_thread(self):
         threads = worded_trees(8, (3, 5, 4, 6))
@@ -622,6 +642,9 @@ class TestInstances:
         model = MTLModel(MINI, ("veracity",), DIM, 1)
         predict_thread(model, corpus.threads[0], table)
         assert len(embedded) == len(corpus.threads[0].posts)
+
+    def test_empty_corpus(self):
+        assert build_instances(Corpus(()), hash_embeddings(DIM, 0)) == []
 
     def test_stance_alignment(self):
         corpus = generate_synthetic(GeneratorSpec(events=1, threads_per_event=4), 6)

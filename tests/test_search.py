@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -10,7 +11,6 @@ from rumourmtl.search import (
     SearchSpace,
     TPEConfig,
     Trial,
-    default_space,
     objective,
     run_search,
     tpe_suggest,
@@ -25,14 +25,6 @@ def make_trial(n, config, obj, status="ok"):
 
 
 class TestSearchSpace:
-    def test_default_size(self):
-        assert default_space().size == 192
-
-    def test_enumerate_matches_size(self):
-        configs = TINY.enumerate()
-        assert len(configs) == TINY.size == 6
-        assert len({tuple(sorted(c.items())) for c in configs}) == 6
-
     def test_contains(self):
         assert TINY.contains({"a": 2, "b": 10})
         assert not TINY.contains({"a": 4, "b": 10})
@@ -105,7 +97,7 @@ class TestTpeSuggest:
     def test_prefers_unseen_over_repeat(self, monkeypatch):
         # every config except one has been tried; plenty of candidates should
         # surface the remaining one at least sometimes
-        all_configs = TINY.enumerate()
+        all_configs = [{"a": a, "b": b} for a, b in itertools.product((1, 2, 3), (10, 20))]
         missing = all_configs.pop()
         history = [make_trial(i, c, 0.2 + 0.1 * i) for i, c in enumerate(all_configs)]
         rng = np.random.default_rng(5)

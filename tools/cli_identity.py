@@ -10,9 +10,9 @@ side runs ``python -m rumourmtl.cli`` from its own ``src`` (by
 ``PYTHONPATH``) in its own temporary root: ``synth``, ``validate``,
 ``analyze`` (to a file and to stdout), ``train``, ``evaluate``, ``loeo`` over
 every model and a three-trial ``search``, on two synthetic corpora. Those
-runs use hash embeddings, which hold every token; so ``train``, ``evaluate``
-and ``loeo`` run once more on the small corpus with an embedding file that
-the script writes and that leaves out every other token (see
+runs use hash embeddings, which hold every token; so ``train``, ``evaluate``,
+``loeo`` and ``search`` run once more on the small corpus with an embedding
+file that the script writes and that leaves out every other token (see
 ``embedding_file``). Every command's exit status, stdout and stderr are kept
 in a ``.log`` file beside the artifacts.
 
@@ -67,14 +67,17 @@ OOV_DIM = 8
 
 
 def model_commands(cfg: Path, out: Path) -> list[tuple[str, list[str]]]:
-    """(log name, cli arguments) of ``train``, ``evaluate`` and ``loeo`` with
-    the run config ``cfg``, whose output directory is ``out / "train"``."""
+    """(log name, cli arguments) of ``train``, ``evaluate``, ``loeo`` and
+    ``search`` with the run config ``cfg``, whose output directory is
+    ``out / "train"``."""
     return [
         ("train", ["train", str(cfg)]),
         ("evaluate", ["evaluate", str(cfg), "--model", str(out / "train" / "model.json"),
                       "--output-dir", str(out / "evaluate")]),
         ("loeo", ["loeo", str(cfg), "--models", "majority,nile,single,mtl2vs,mtl2vd,mtl3",
                   "--jobs", "1", "--output-dir", str(out / "loeo")]),
+        ("search", ["search", str(cfg), "--trials", "3", "--epochs", "1",
+                    "--output-dir", str(out / "search")]),
     ]
 
 
@@ -93,8 +96,6 @@ def commands(root: Path, name: str) -> list[tuple[str, list[str]]]:
         ("analyze-file", ["analyze", str(corpus), "-o", str(out / "stats.csv")]),
         ("analyze-stdout", ["analyze", str(corpus)]),
         *model_commands(cfg, out),
-        ("search", ["search", str(cfg), "--trials", "3", "--epochs", "1",
-                    "--output-dir", str(out / "search")]),
     ]
 
 
