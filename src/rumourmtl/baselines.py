@@ -125,12 +125,8 @@ def svm_fit(features: np.ndarray, labels: Sequence[str], l2: float = 1e-3,
 def svm_predict(model: LinearModel, features: np.ndarray) -> list[str]:
     """Argmax margin; exact ties resolve to the alphabetically first class."""
     scores = np.atleast_2d(features) @ model.weights.T + model.biases
-    preds = []
-    for row in scores:
-        best = row.max()
-        preds.append(min(model.classes[i] for i in range(len(model.classes))
-                         if row[i] >= best))
-    return preds
+    # ``svm_fit``'s classes are in alphabetical order, and argmax takes the first maximum.
+    return [model.classes[i] for i in np.argmax(scores, axis=1).tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
@@ -143,7 +143,7 @@ def _train_mtl(corpus: Corpus, table: EmbeddingTable, cfg: RunConfig,
     return model, mtl.train(model, instances, seed)
 
 
-def _loeo_fold(model_name: str, cfg: RunConfig, corpus: Corpus, table: EmbeddingTable,
+def _loeo_fold(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, model_name: str,
                event: str) -> Optional[evaluation.FoldResult]:
     """One (model, event) fold; module-level so that a process pool can run it."""
     fold_seed = int(derive_rng(cfg.seed, f"fold:{event}").integers(2 ** 31))
@@ -253,11 +253,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         metrics = evaluation.compute_metrics(
             [p.veracity for p, _ in labeled],
             [t.veracity_label for _, t in labeled], VERACITY_CLASSES)
-        atomic_write(out_dir / "metrics.json", json.dumps({
-            "accuracy": metrics.accuracy,
-            "macro_f": metrics.macro_f,
-            "per_class_f1": metrics.per_class_f1,
-        }, sort_keys=True) + "\n")
+        atomic_write(out_dir / "metrics.json", json.dumps(asdict(metrics), sort_keys=True) + "\n")
     print(f"wrote {out_dir / 'predictions.ndjson'}")
     return 0
 
@@ -275,14 +271,13 @@ def cmd_loeo(args: argparse.Namespace) -> int:
             raise UsageError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    table = _embedding_table(cfg)
+    run_fold = partial(_loeo_fold, cfg, corpus, _embedding_table(cfg))
     names, events = zip(*[(name, event) for name in model_names for event in corpus.events])
-    fold_args = (names, [cfg] * len(names), [corpus] * len(names), [table] * len(names), events)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(_loeo_fold, *fold_args))
+            outcomes = list(pool.map(run_fold, names, events))
     else:
-        outcomes = list(map(_loeo_fold, *fold_args))
+        outcomes = list(map(run_fold, names, events))
     out_dir = Path(cfg.output_dir)
     fold_results: dict[str, list[evaluation.FoldResult]] = {name: [] for name in model_names}
     for name, fold in zip(names, outcomes):

@@ -249,7 +249,7 @@ def _thread_from_obj(obj: dict, where: str) -> Thread:
 def read_text(path: Path) -> str:
     """The text of ``path``; a file that cannot be read as text is bad input."""
     try:
-        return path.read_text()
+        return path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"{path}: cannot read as text: {exc}") from None
 

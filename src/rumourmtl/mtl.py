@@ -231,9 +231,9 @@ class MTLModel:
 
     def loss_and_grads(self, batch: Sequence[TrainingInstance], train: bool = False,
                        dropout_rng: Optional[np.random.Generator] = None
-                       ) -> tuple[float, Params, dict]:
-        """Batch-mean data loss and its exact gradients for one mini-batch,
-        as (loss, grads, cache); ``neural.optimizer_step`` adds the L2 term."""
+                       ) -> tuple[float, Params]:
+        """Batch-mean data loss and its exact gradients for one mini-batch;
+        ``neural.optimizer_step`` adds the L2 term."""
         outputs, cache = self.forward(*_stack(batch), train=train, dropout_rng=dropout_rng)
         loss, dlogits = self.batch_data_loss(batch, outputs)
 
@@ -256,7 +256,7 @@ class MTLModel:
             d_up, layer_grads = neural.lstm_backward(
                 self._layer(f"lstm{l}", _LSTM_KEYS), cache["lstm"][l], d_up, input_grad=l > 0)
             grads.update(_prefixed(f"lstm{l}", layer_grads))
-        return loss, grads, cache
+        return loss, grads
 
     # -- persistence -----------------------------------------------------
 
@@ -442,11 +442,7 @@ def train(model: MTLModel, instances: Sequence[TrainingInstance], seed: int,
         epoch_losses = []
         for start in range(0, n, hp.batch_size):
             batch = [instances[i] for i in perm[start:start + hp.batch_size]]
-            try:
-                loss, grads, _ = model.loss_and_grads(batch, train=True, dropout_rng=rng_dropout)
-            except FloatingPointError as exc:
-                raise FloatingPointError(
-                    f"epoch {epoch}, batch {start // hp.batch_size}: {exc}") from None
+            loss, grads = model.loss_and_grads(batch, train=True, dropout_rng=rng_dropout)
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}, batch {start // hp.batch_size}")
@@ -606,16 +602,13 @@ def predict_threads(model: MTLModel, threads: Sequence[Thread], table: Embedding
     forest = build_forest(threads, table, max_branch_len)
     outputs = model.tree_forward(forest)
     if not math.isfinite(sum(p.sum() for p in outputs.values())):
-        # Name the first thread that owns a non-finite row: stance rows are
-        # nodes, the other heads' rows branches.
-        node_owner = np.empty(len(forest.x), dtype=int)
-        for k, rows in enumerate(forest.rows):
-            node_owner[list(rows.values())] = k
-        branch_owner = np.repeat(np.arange(len(threads)), forest.n_branches)
-        first = min(int((node_owner if task in PER_STEP_TASKS else branch_owner)
-                        [~np.isfinite(p).all(axis=1)].min(initial=len(threads)))
-                    for task, p in outputs.items())
-        raise FloatingPointError(f"thread {threads[first].id}: non-finite model output")
+        # Name the first thread with a non-finite row in any head: stance
+        # rows are its nodes, the other heads' rows its branches.
+        bounds = itertools.pairwise(itertools.accumulate(forest.n_branches, initial=0))
+        for thread, rows, (lo, hi) in zip(threads, forest.rows, bounds):
+            if not all(np.isfinite(p[list(rows.values()) if task in PER_STEP_TASKS else
+                                     slice(lo, hi)]).all() for task, p in outputs.items()):
+                raise FloatingPointError(f"thread {thread.id}: non-finite model output")
 
     stance_of = None  # per row
     if "stance" in model.tasks:
@@ -703,8 +696,8 @@ def check_gradients(hp: HyperParams, tasks: Iterable[str], input_dim: int, seed:
             veracity_label=int(rng.integers(0, 3)),
             thread_id=f"gc{i}", event="gc",
         ))
-    _, analytic, _ = model.loss_and_grads(batch, train=with_dropout,
-                                          dropout_rng=derive_rng(seed, "gradcheck-drop"))
+    _, analytic = model.loss_and_grads(batch, train=with_dropout,
+                                       dropout_rng=derive_rng(seed, "gradcheck-drop"))
     neural.add_l2_grads(model.params, analytic, hp.l2)
 
     def loss_fn(params: Params) -> float:

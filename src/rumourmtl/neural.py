@@ -407,7 +407,7 @@ def save_params(params: Params, path: str | Path, meta: Optional[dict] = None) -
 
 
 def load_params(path: str | Path) -> tuple[Params, dict]:
-    payload = json.loads(Path(path).read_text())
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if payload.get("version") != CHECKPOINT_VERSION:

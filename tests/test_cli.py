@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -583,3 +587,40 @@ class TestTrainLoaderFuzz:
         vec = _write(tmp / "fuzz.vec", "\n".join(lines) + "\n")
         cfg = run_config(tmp, corpus, name="fuzz-vec.cfg", epochs=1, embeddings=vec)
         assert dispatch(["train", str(cfg)]) in (0, 1)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(args, cwd, python_flags=(), **env):
+    """``python -m rumourmtl.cli`` in a subprocess, with the repository's
+    ``src`` on its path and ``env`` added to the environment."""
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "rumourmtl.cli", *map(str, args)], cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(SRC), **env}, capture_output=True, text=True)
+
+
+class TestUtf8Files:
+    def test_no_file_opened_with_the_locale_encoding(self, tmp_path, corpus_path):
+        vec = _write(tmp_path / "words.vec", "".join(
+            f"{tok} {k % 3} 0.5 -1\n" for k, tok in enumerate(_corpus_tokens(corpus_path))))
+        cfg = run_config(tmp_path, corpus_path, epochs=1, embeddings=vec)
+        strict = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+        for args in (["train", cfg],
+                     ["evaluate", cfg, "--model", tmp_path / "out" / "model.json"],
+                     ["analyze", corpus_path, "-o", tmp_path / "s.csv"]):
+            proc = run_cli(args, tmp_path, strict)
+            assert proc.returncode == 0, (args[0], proc.stderr)
+
+    def test_non_ascii_corpus_under_the_c_locale(self, tmp_path, corpus_path):
+        threads = [json.loads(line) for line in corpus_path.read_text().splitlines()]
+        for thread in threads:
+            thread["event"] = f"événement-{thread['event']}"
+            for post in thread["posts"]:
+                post["text"] += " café"
+        corpus = _write_bytes(tmp_path / "accents.ndjson", "".join(
+            json.dumps(t, ensure_ascii=False) + "\n" for t in threads).encode("utf-8"))
+        proc = run_cli(["analyze", corpus, "-o", "s.csv"], tmp_path,
+                       PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+        assert proc.returncode == 0, proc.stderr
+        assert threads[0]["event"] in (tmp_path / "s.csv").read_bytes().decode("utf-8")

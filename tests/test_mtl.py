@@ -196,7 +196,7 @@ class TestSingleLoss:
 
     def test_loss_and_grads_batch_loss_and_joint_loss_agree(self):
         model, batch = self.mixed_batch()
-        loss, _, _ = model.loss_and_grads(batch)
+        loss, _ = model.loss_and_grads(batch)
         assert loss == pytest.approx(model.batch_loss(batch), abs=1e-12)
         per_instance = [joint_loss(instance_outputs(model, inst), inst) for inst in batch]
         assert loss == pytest.approx(np.mean(per_instance), abs=1e-12)
@@ -240,7 +240,7 @@ class TestHardSharing:
         before = instance_outputs(model, probe)["veracity"].copy()
         stance_only = [make_instance(rng, detection=None, veracity=None)
                        for _ in range(3)]
-        _, grads, _ = model.loss_and_grads(stance_only)
+        _, grads = model.loss_and_grads(stance_only)
         for name, g in grads.items():
             if name.startswith("veracity/"):
                 np.testing.assert_array_equal(g, 0.0)
@@ -303,6 +303,17 @@ class TestTraining:
         with pytest.raises(ValueError, match="veracity-labeled"):
             train(model, instances, 0)
 
+    def test_non_finite_loss_names_epoch_and_batch(self):
+        rng = np.random.default_rng(7)
+        instances = [make_instance(rng) for _ in range(4)]
+        x = instances[1].x.copy()
+        x[0] = [np.inf, -np.inf, np.inf, -np.inf]
+        instances[1] = dataclasses.replace(instances[1], x=x)
+        model = MTLModel(dataclasses.replace(MINI, batch_size=len(instances)),
+                         ("veracity", "stance", "detection"), DIM, 0)
+        with pytest.raises(FloatingPointError, match="non-finite loss at epoch 0, batch 0"):
+            train(model, instances, 0)
+
     def test_single_task_and_stripped_mtl3_share_veracity_trajectory(self):
         instances = self.corpus_instances()
         stripped = [TrainingInstance(
@@ -340,7 +351,7 @@ class TestTraining:
             losses = []
             for start in range(0, len(instances), hp.batch_size):
                 batch = [instances[i] for i in perm[start:start + hp.batch_size]]
-                loss, grads, _ = ref.loss_and_grads(batch, train=True, dropout_rng=rng_dropout)
+                loss, grads = ref.loss_and_grads(batch, train=True, dropout_rng=rng_dropout)
                 loss += neural.l2_penalty(ref.params, hp.l2)
                 neural.add_l2_grads(ref.params, grads, hp.l2)
                 neural.optimizer_step(ref.params, grads, state)
@@ -367,7 +378,7 @@ class TestPaddingInvariance:
         results = []
         for instances in (tight, padded):
             model = MTLModel(hp, tasks, DIM, 4)
-            loss, grads, _ = model.loss_and_grads(
+            loss, grads = model.loss_and_grads(
                 instances[:8], train=True, dropout_rng=np.random.default_rng(0))
             history = train(model, instances, 4)
             results.append((loss, grads, history, model.params))
@@ -604,6 +615,31 @@ class TestTreePass:
         with pytest.raises(FloatingPointError, match=f"thread {bad.id}: non-finite"):
             predict_threads(model, threads, table)
 
+    # Each poisoned head and thread: stance NaNs one node of the thread,
+    # veracity every branch row of it, detection its last branch row.
+    @pytest.mark.parametrize("poison, named", [({"stance": 1, "veracity": 2}, 1),
+                                               ({"detection": 2}, 2)])
+    def test_non_finite_row_names_first_thread_across_heads(self, monkeypatch, poison, named):
+        threads = worded_trees(9, (3, 4, 5))
+        table = hash_embeddings(DIM, 0)
+        model = self.model("mtl3")
+        predict_threads(model, threads, table)
+        real = model.tree_forward
+
+        def tree_forward(forest):
+            outputs = real(forest)
+            starts = np.cumsum((0, *forest.n_branches))
+            for task, k in poison.items():
+                rows = {"stance": max(forest.rows[k].values()),
+                        "veracity": slice(starts[k], starts[k + 1]),
+                        "detection": starts[k + 1] - 1}[task]
+                outputs[task][rows] = np.nan
+            return outputs
+
+        monkeypatch.setattr(model, "tree_forward", tree_forward)
+        with pytest.raises(FloatingPointError, match=f"thread {threads[named].id}: non-finite"):
+            predict_threads(model, threads, table)
+
 
 class TestInstances:
     def test_thread_labels_replicated_to_branches(self):
@@ -756,7 +792,7 @@ class TestGradientCheck:
         rng = np.random.default_rng(9)
         model = MTLModel(MINI, ("veracity", "stance", "detection"), DIM, 2)
         inst = make_instance(rng, stance=False, detection=None)
-        _, grads, _ = model.loss_and_grads([inst])
+        _, grads = model.loss_and_grads([inst])
         for name, g in grads.items():
             if name.startswith(("stance/", "detection/")):
                 np.testing.assert_array_equal(g, 0.0)

@@ -9,7 +9,8 @@ does; the other side is the working tree, uncommitted edits included. Each
 side runs ``python -m rumourmtl.cli`` from its own ``src`` (by
 ``PYTHONPATH``) in its own temporary root: ``synth``, ``validate``,
 ``analyze`` (to a file and to stdout), ``train``, ``evaluate``, ``loeo`` over
-every model and a three-trial ``search``, on two synthetic corpora. Those
+every model, ``loeo`` of three models over a two-process pool and a
+three-trial ``search``, on two synthetic corpora. Those
 runs use hash embeddings, which hold every token; so ``train``, ``evaluate``,
 ``loeo`` and ``search`` run once more on the small corpus with an embedding
 file that the script writes and that leaves out every other token (see
@@ -67,15 +68,17 @@ OOV_DIM = 8
 
 
 def model_commands(cfg: Path, out: Path) -> list[tuple[str, list[str]]]:
-    """(log name, cli arguments) of ``train``, ``evaluate``, ``loeo`` and
-    ``search`` with the run config ``cfg``, whose output directory is
-    ``out / "train"``."""
+    """(log name, cli arguments) of ``train``, ``evaluate``, ``loeo`` (serial,
+    and on a two-process pool) and ``search`` with the run config ``cfg``,
+    whose output directory is ``out / "train"``."""
     return [
         ("train", ["train", str(cfg)]),
         ("evaluate", ["evaluate", str(cfg), "--model", str(out / "train" / "model.json"),
                       "--output-dir", str(out / "evaluate")]),
         ("loeo", ["loeo", str(cfg), "--models", "majority,nile,single,mtl2vs,mtl2vd,mtl3",
                   "--jobs", "1", "--output-dir", str(out / "loeo")]),
+        ("loeo-jobs2", ["loeo", str(cfg), "--models", "majority,nile,mtl3", "--jobs", "2",
+                        "--output-dir", str(out / "loeo-jobs2")]),
         ("search", ["search", str(cfg), "--trials", "3", "--epochs", "1",
                     "--output-dir", str(out / "search")]),
     ]
