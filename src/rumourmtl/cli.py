@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from rumourmtl import analysis, baselines, evaluation, mtl, search as search_mod
 from rumourmtl.artifacts import atomic_write
@@ -57,11 +57,15 @@ def parse_config_text(text: str, where: str = "<config>") -> dict[str, str]:
     return values
 
 
-def load_config_file(path: str | Path) -> dict[str, str]:
+def load_config_file(path: str | Path, known: Collection[str]) -> dict[str, str]:
+    """``path``'s key = value pairs; a UsageError names the first key not in ``known``."""
     path = Path(path)
     if not path.is_file():
         raise UsageError(f"config file not found: {path}")
-    return parse_config_text(read_text(path), where=str(path))
+    values = parse_config_text(read_text(path), where=str(path))
+    if unknown := [key for key in values if key not in known]:
+        raise UsageError(f"{path}: unknown config key {unknown[0]!r}")
+    return values
 
 
 def config_value(values: dict[str, str], key: str, cast: type, default=None):
@@ -78,6 +82,7 @@ def config_value(values: dict[str, str], key: str, cast: type, default=None):
 _HP_KEYS = {f.name: type(f.default) for f in fields(HyperParams)}
 #: Integer run keys and the least value of each.
 _INT_KEYS = {"seed": 0, "embedding_dim": 1, "max_branch_len": 1}
+_RUN_KEYS = {"corpus", "output_dir", "embeddings", "tasks", *_INT_KEYS, *_HP_KEYS}
 
 
 @dataclass
@@ -116,7 +121,7 @@ class RunConfig:
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
-    values = load_config_file(args.config)
+    values = load_config_file(args.config, _RUN_KEYS)
     for key in ("seed", "output_dir", "tasks", "epochs"):
         override = getattr(args, key, None)
         if override is not None:
@@ -180,7 +185,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    read = partial(config_value, load_config_file(args.spec))  # (key, cast, default)
+    spec_keys = {"seed", "events", "threads_per_event", "depth_min", "depth_max", "coupling",
+                 "nonrumour_fraction", "replies_min", "replies_max", "tokens_per_post",
+                 *(f"prior_{c}" for c in VERACITY_CLASSES)}
+    read = partial(config_value, load_config_file(args.spec, spec_keys))  # (key, cast, default)
     default = GeneratorSpec()
     try:
         spec = GeneratorSpec(

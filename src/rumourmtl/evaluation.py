@@ -197,22 +197,13 @@ def render_table(rows: list[tuple[str, ...]]) -> tuple[str, str]:
     return csv_doc, txt_doc
 
 
-def emit_report(results: dict[str, Metrics],
-                fold_results: Optional[dict[str, list[FoldResult]]] = None,
-                classes: Optional[Sequence[str]] = None,
-                detail_model: Optional[str] = None) -> tuple[str, str]:
-    """Full report: comparison table plus optional per-event breakdowns.
+def emit_report(results: dict[str, Metrics], fold_results: dict[str, list[FoldResult]],
+                classes: Sequence[str], detail_model: str) -> tuple[str, str]:
+    """Full report: comparison, per-event and ``detail_model``'s per-class tables.
 
     Returns (csv document, text document); output is bit-stable for
     identical inputs.
     """
-    csv_doc, txt_doc = comparison_table(results)
-    if fold_results:
-        ev_csv, ev_txt = per_event_table(fold_results)
-        csv_doc += "\n" + ev_csv
-        txt_doc += "\n" + ev_txt
-        if detail_model and classes and detail_model in fold_results:
-            pc_csv, pc_txt = per_class_table(fold_results[detail_model], classes)
-            csv_doc += "\n" + pc_csv
-            txt_doc += "\n" + pc_txt
-    return csv_doc, txt_doc
+    tables = (comparison_table(results), per_event_table(fold_results),
+              per_class_table(fold_results[detail_model], classes))
+    return "\n".join(csv for csv, _ in tables), "\n".join(txt for _, txt in tables)

@@ -158,13 +158,13 @@ class MTLModel:
     def _layer(self, prefix: str, keys: tuple[str, ...]) -> Params:
         return {key: self.params[f"{prefix}/{key}"] for key in keys}
 
-    def forward(self, x: np.ndarray, mask: np.ndarray, train: bool = False,
+    def forward(self, x: np.ndarray, mask: np.ndarray,
                 dropout_rng: Optional[np.random.Generator] = None) -> tuple[dict, dict]:
         """Run the full model on a batch (B, T, dim).
 
         Returns each head's probability rows, laid out as ``_head_labels``
-        describes, and the cache for backward. During training, dropout
-        masks are drawn from ``dropout_rng`` and recorded in the cache.
+        describes, and the cache for backward. Given ``dropout_rng`` (in
+        training), dropout masks are drawn from it and recorded in the cache.
         """
         B = x.shape[0]
         cache: dict = {"lstm": []}
@@ -176,7 +176,6 @@ class MTLModel:
         H = inp
         last_idx = np.maximum(mask.sum(axis=1).astype(int) - 1, 0)
         cache["H"] = H
-        p = self.hp.dropout if train else 0.0
         outputs: dict = {}
         cache["heads"] = {}
         for task in self.tasks:
@@ -186,15 +185,17 @@ class MTLModel:
                 rows_b, rows_t = np.nonzero(mask)
             else:
                 rows_b, rows_t = np.arange(B), last_idx
-            outputs[task], head = self._head(task, H[rows_b, rows_t], p, dropout_rng)
+            outputs[task], head = self._head(task, H[rows_b, rows_t], dropout_rng)
             head["rows"] = (rows_b, rows_t)
             cache["heads"][task] = head
         return outputs, cache
 
-    def _head(self, task: str, a: np.ndarray, p: float = 0.0,
+    def _head(self, task: str, a: np.ndarray,
               dropout_rng: Optional[np.random.Generator] = None) -> tuple[np.ndarray, dict]:
-        """``task``'s dense-ReLU stack, dropout of rate ``p`` and softmax over
-        the hidden-state rows ``a``: the probabilities and the backward cache."""
+        """``task``'s dense-ReLU stack, dropout (only given ``dropout_rng``) and
+        softmax over the hidden-state rows ``a``: the probabilities and the
+        backward cache."""
+        p = self.hp.dropout if dropout_rng is not None else 0.0
         dense_caches = []
         for i in range(self.hp.num_dense_layers):
             a, dc = neural.dense_forward(self._layer(f"{task}/dense{i}", _DENSE_KEYS), a)
@@ -223,18 +224,18 @@ class MTLModel:
         logits, from the head probabilities of ``forward``'s cache."""
         return _masked_loss(batch, probs)
 
-    def batch_loss(self, batch: Sequence[TrainingInstance], train: bool = False,
+    def batch_loss(self, batch: Sequence[TrainingInstance],
                    dropout_rng: Optional[np.random.Generator] = None) -> float:
         """Forward-only batch-mean data loss (used by the finite-difference oracle)."""
-        outputs, _ = self.forward(*_stack(batch), train=train, dropout_rng=dropout_rng)
+        outputs, _ = self.forward(*_stack(batch), dropout_rng=dropout_rng)
         return self.batch_data_loss(batch, outputs)[0]
 
-    def loss_and_grads(self, batch: Sequence[TrainingInstance], train: bool = False,
+    def loss_and_grads(self, batch: Sequence[TrainingInstance],
                        dropout_rng: Optional[np.random.Generator] = None
                        ) -> tuple[float, Params]:
         """Batch-mean data loss and its exact gradients for one mini-batch;
         ``neural.optimizer_step`` adds the L2 term."""
-        outputs, cache = self.forward(*_stack(batch), train=train, dropout_rng=dropout_rng)
+        outputs, cache = self.forward(*_stack(batch), dropout_rng=dropout_rng)
         loss, dlogits = self.batch_data_loss(batch, outputs)
 
         dH = np.zeros_like(cache["H"])
@@ -363,7 +364,7 @@ def joint_loss(outputs: dict, inst: TrainingInstance) -> float:
 
 def instance_outputs(model: MTLModel, inst: TrainingInstance) -> dict:
     """Eval-mode head rows of a single instance; a thread task's one row as a vector."""
-    outputs, _ = model.forward(inst.x[None], inst.mask[None], train=False)
+    outputs, _ = model.forward(inst.x[None], inst.mask[None])
     return {t: p if t in PER_STEP_TASKS else p[0] for t, p in outputs.items()}
 
 
@@ -389,9 +390,9 @@ def build_instances(corpus: Corpus, table: EmbeddingTable,
     if pad_to is not None and pad_to < longest:
         raise ValueError(f"pad_to {pad_to} is shorter than the longest branch ({longest} posts)")
     T = pad_to if pad_to is not None else longest
-    owner = np.repeat(np.arange(len(threads)), forest.n_branches).tolist()  # per branch
-    index = np.array([[forest.rows[k][pid] for pid in branch.post_ids] + [-1] * (T - len(branch))
-                      for k, branch in zip(owner, forest.branches)])
+    index = np.array([[rows[pid] for pid in branch.post_ids] + [-1] * (T - len(branch))
+                      for rows, span in zip(forest.rows, forest.spans)
+                      for branch in forest.branches[span]])
     # Padding (index -1) reads the last row; each gather resets those cells.
     mask = index >= 0
     stance = np.array([-1 if (y := post.stance_label) is None else STANCE_CLASSES.index(y)
@@ -399,12 +400,11 @@ def build_instances(corpus: Corpus, table: EmbeddingTable,
     stance[~mask] = -1
     labelled = (stance >= 0).any(axis=1).tolist()
     instances = []
-    bounds = itertools.pairwise(itertools.accumulate(forest.n_branches, initial=0))
-    for thread, (lo, hi) in zip(threads, bounds):
+    for thread, span in zip(threads, forest.spans):
         # Inputs are gathered per thread: under glibc, one corpus-sized array takes fresh
         # pages where these reuse freed memory (10% more peak on the bench's paper run).
-        x = forest.x[index[lo:hi]]
-        x[~mask[lo:hi]] = 0.0
+        x = forest.x[index[span]]
+        x[~mask[span]] = 0.0
         det = None if (y := thread.detection_label) is None else DETECTION_CLASSES.index(y)
         ver = None if (y := thread.veracity_label) is None else VERACITY_CLASSES.index(y)
         instances += [TrainingInstance(
@@ -413,7 +413,7 @@ def build_instances(corpus: Corpus, table: EmbeddingTable,
             detection_label=det, veracity_label=ver,
             thread_id=thread.id, event=thread.event, post_ids=branch.post_ids)
             for branch, x_i, mask_i, stance_i, labelled_i in zip(
-                forest.branches[lo:hi], x, mask[lo:hi], stance[lo:hi], labelled[lo:hi])]
+                forest.branches[span], x, mask[span], stance[span], labelled[span])]
     return instances
 
 
@@ -442,7 +442,7 @@ def train(model: MTLModel, instances: Sequence[TrainingInstance], seed: int,
         epoch_losses = []
         for start in range(0, n, hp.batch_size):
             batch = [instances[i] for i in perm[start:start + hp.batch_size]]
-            loss, grads = model.loss_and_grads(batch, train=True, dropout_rng=rng_dropout)
+            loss, grads = model.loss_and_grads(batch, dropout_rng=rng_dropout)
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}, batch {start // hp.batch_size}")
@@ -459,7 +459,7 @@ def branch_accuracy(model: MTLModel, instances: Sequence[TrainingInstance]) -> d
     totals = dict.fromkeys(model.tasks, 0)
     for start in range(0, len(instances), 256):
         batch = instances[start:start + 256]
-        outputs, _ = model.forward(*_stack(batch), train=False)
+        outputs, _ = model.forward(*_stack(batch))
         for task, p in outputs.items():
             labels, _ = _head_labels(batch, task)
             live = labels >= 0
@@ -532,7 +532,7 @@ class Forest:
     branches: tuple[Branch, ...]        # every branch, thread after thread
     ends: np.ndarray                    # end row of each of ``branches``
     rows: tuple[dict[str, int], ...]    # per thread: post id -> row
-    n_branches: tuple[int, ...]         # per thread
+    spans: tuple[slice, ...]            # per thread: its slice of ``branches`` and ``ends``
 
 
 def build_forest(threads: Sequence[Thread], table: EmbeddingTable,
@@ -543,7 +543,7 @@ def build_forest(threads: Sequence[Thread], table: EmbeddingTable,
     posts: list[Post] = []              # per node
     branches: list[Branch] = []
     ends: list[int] = []
-    n_branches: list[int] = []
+    spans: list[slice] = []
     found: list[dict[str, int]] = []    # per thread: post id -> node, in order found
     for thread in threads:
         post_of = {p.id: p for p in thread.posts}
@@ -560,8 +560,8 @@ def build_forest(threads: Sequence[Thread], table: EmbeddingTable,
                     posts.append(post_of[pid])
                 up = node
             ends.append(up)
+        spans.append(slice(len(branches), len(branches) + len(thread_branches)))
         branches += thread_branches
-        n_branches.append(len(thread_branches))
         found.append(nodes)
     # A stable sort by depth; rank[node] is the node's row, and rank[-1] = -1
     # keeps a root's parent at -1.
@@ -582,7 +582,7 @@ def build_forest(threads: Sequence[Thread], table: EmbeddingTable,
         branches=tuple(branches),
         ends=rank[ends],
         rows=tuple({pid: row_of[n] for pid, n in nodes.items()} for nodes in found),
-        n_branches=tuple(n_branches),
+        spans=tuple(spans),
     )
 
 
@@ -604,25 +604,20 @@ def predict_threads(model: MTLModel, threads: Sequence[Thread], table: Embedding
     if not math.isfinite(sum(p.sum() for p in outputs.values())):
         # Name the first thread with a non-finite row in any head: stance
         # rows are its nodes, the other heads' rows its branches.
-        bounds = itertools.pairwise(itertools.accumulate(forest.n_branches, initial=0))
-        for thread, rows, (lo, hi) in zip(threads, forest.rows, bounds):
-            if not all(np.isfinite(p[list(rows.values()) if task in PER_STEP_TASKS else
-                                     slice(lo, hi)]).all() for task, p in outputs.items()):
+        for thread, rows, span in zip(threads, forest.rows, forest.spans):
+            if not all(np.isfinite(p[list(rows.values()) if task in PER_STEP_TASKS else span]).all()
+                       for task, p in outputs.items()):
                 raise FloatingPointError(f"thread {thread.id}: non-finite model output")
 
     stance_of = None  # per row
     if "stance" in model.tasks:
         stance_of = [STANCE_CLASSES[v] for v in np.argmax(outputs["stance"], axis=1).tolist()]
     predictions = []
-    start = 0
-    for thread, rows, n in zip(threads, forest.rows, forest.n_branches):
-        branch_rows = slice(start, start + n)
-        start += n
-        veracity, v_probs = _majority_vote(outputs["veracity"][branch_rows], VERACITY_CLASSES)
+    for thread, rows, span in zip(threads, forest.rows, forest.spans):
+        veracity, v_probs = _majority_vote(outputs["veracity"][span], VERACITY_CLASSES)
         detection = d_probs = None
         if "detection" in model.tasks:
-            detection, d_probs = _majority_vote(outputs["detection"][branch_rows],
-                                                DETECTION_CLASSES)
+            detection, d_probs = _majority_vote(outputs["detection"][span], DETECTION_CLASSES)
         stance = None
         if stance_of is not None:
             stance = tuple(sorted((pid, stance_of[row]) for pid, row in rows.items()))
@@ -696,14 +691,13 @@ def check_gradients(hp: HyperParams, tasks: Iterable[str], input_dim: int, seed:
             veracity_label=int(rng.integers(0, 3)),
             thread_id=f"gc{i}", event="gc",
         ))
-    _, analytic = model.loss_and_grads(batch, train=with_dropout,
-                                       dropout_rng=derive_rng(seed, "gradcheck-drop"))
+    _, analytic = model.loss_and_grads(
+        batch, dropout_rng=derive_rng(seed, "gradcheck-drop") if with_dropout else None)
     neural.add_l2_grads(model.params, analytic, hp.l2)
 
     def loss_fn(params: Params) -> float:
         model.params = params
-        return (model.batch_loss(batch, train=with_dropout,
-                                 dropout_rng=derive_rng(seed, "gradcheck-drop"))
-                + neural.l2_penalty(params, hp.l2))
+        drop_rng = derive_rng(seed, "gradcheck-drop") if with_dropout else None
+        return model.batch_loss(batch, dropout_rng=drop_rng) + neural.l2_penalty(params, hp.l2)
 
     return neural.grad_check(loss_fn, model.params, analytic, eps=eps)

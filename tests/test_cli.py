@@ -66,6 +66,12 @@ class TestConfigParsing:
         with pytest.raises(UsageError, match="must include veracity"):
             RunConfig.from_values({"corpus": "c", "tasks": "stance"})
 
+    def test_readme_minimal_run_config_parses(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("A minimal run config:", 1)[1].split("```")[1]
+        cfg = RunConfig.from_values(parse_config_text(block))
+        assert cfg.corpus == "corpus.ndjson" and cfg.embedding_dim == 300
+
 
 class TestValidate:
     def test_ok(self, corpus_path, capsys):
@@ -150,6 +156,15 @@ class TestTrainEvaluate:
         assert dispatch(["train", str(cfg), "--epochs", "1"]) == 0
         history = json.loads((tmp_path / "out" / "loss_history.json").read_text())
         assert len(history["epoch_loss"]) == 1
+
+    def test_tasks_flag_overrides_config(self, tmp_path, corpus_path, capsys):
+        cfg = run_config(tmp_path, corpus_path, epochs=1, tasks="veracity")
+        assert dispatch(["train", str(cfg), "--tasks", "veracity,detection"]) == 0
+        meta = json.loads((tmp_path / "out" / "model.json").read_text())["meta"]
+        assert meta["tasks"] == ["veracity", "detection"]
+        capsys.readouterr()
+        assert dispatch(["train", str(cfg), "--tasks", "stance"]) == 1
+        assert "tasks" in capsys.readouterr().err
 
     def test_train_deterministic(self, tmp_path, corpus_path, capsys):
         # same config except output_dir, same seed
@@ -460,6 +475,11 @@ BAD_INPUTS = {
         ["analyze", corpus, "-o", _blocker(tmp) / "s.csv"], "blocker"),
     "train into an output_dir under a file": lambda tmp, corpus: (
         ["train", run_config(tmp, corpus, output_dir=_blocker(tmp) / "out")], "blocker"),
+    "unknown run config key": lambda tmp, corpus: (
+        ["train", run_config(tmp, corpus, epoch=1)], "unknown config key 'epoch'"),
+    "unknown synth spec key": lambda tmp, corpus: (
+        ["synth", _write(tmp / "spec.txt", "event = 2\n"), "-o", tmp / "x.ndjson"],
+        "unknown config key 'event'"),
 }
 
 

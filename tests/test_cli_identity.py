@@ -67,3 +67,13 @@ def test_embedding_file_leaves_posts_out_of_vocabulary(tmp_path):
     assert table.dimension == tool.OOV_DIM and len(table) == len(tokens) // 2
     assert all((tok in table) == (i % 2 == 1) for i, tok in enumerate(tokens))
     assert any(not any(tok in table for tok in toks) for toks in posts)
+
+
+def test_a_search_reaches_tpe_and_the_accuracy_objective(tmp_path):
+    from rumourmtl.search import TPE_STARTUP
+
+    searches = [argv for _, argv in tool.model_commands(tmp_path / "run.cfg", tmp_path)
+                if argv[0] == "search"]
+    assert any(int(argv[argv.index("--trials") + 1]) > TPE_STARTUP for argv in searches)
+    assert any(argv[argv.index("--objective") + 1] == "accuracy"
+               for argv in searches if "--objective" in argv)

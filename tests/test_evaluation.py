@@ -10,6 +10,7 @@ from rumourmtl.evaluation import (
     DEFAULT_DEV_EVENT,
     FoldResult,
     Metrics,
+    comparison_table,
     compute_metrics,
     confusion_matrix,
     emit_report,
@@ -178,8 +179,8 @@ class TestReports:
                           preds=("true",), metrics=self.metrics(macro, 0.5))
 
     def test_comparison_table_shape(self):
-        csv_doc, txt_doc = emit_report({"majority": self.metrics(0.148, 0.286),
-                                        "mtl3": self.metrics(0.405, 0.492)})
+        csv_doc, txt_doc = comparison_table({"majority": self.metrics(0.148, 0.286),
+                                             "mtl3": self.metrics(0.405, 0.492)})
         lines = csv_doc.strip().splitlines()
         assert lines[0] == "model,macro_f,accuracy"
         assert lines[1] == "majority,0.148,0.286"
@@ -203,7 +204,7 @@ class TestReports:
         assert txt_doc.startswith("event")
 
     def test_empty_report(self):
-        csv_doc, txt_doc = emit_report({})
+        csv_doc, txt_doc = comparison_table({})
         assert csv_doc == "no results\n" and txt_doc == "no results\n"
 
     def test_bit_stable(self):

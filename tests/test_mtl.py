@@ -351,7 +351,7 @@ class TestTraining:
             losses = []
             for start in range(0, len(instances), hp.batch_size):
                 batch = [instances[i] for i in perm[start:start + hp.batch_size]]
-                loss, grads = ref.loss_and_grads(batch, train=True, dropout_rng=rng_dropout)
+                loss, grads = ref.loss_and_grads(batch, dropout_rng=rng_dropout)
                 loss += neural.l2_penalty(ref.params, hp.l2)
                 neural.add_l2_grads(ref.params, grads, hp.l2)
                 neural.optimizer_step(ref.params, grads, state)
@@ -379,7 +379,7 @@ class TestPaddingInvariance:
         for instances in (tight, padded):
             model = MTLModel(hp, tasks, DIM, 4)
             loss, grads = model.loss_and_grads(
-                instances[:8], train=True, dropout_rng=np.random.default_rng(0))
+                instances[:8], dropout_rng=np.random.default_rng(0))
             history = train(model, instances, 4)
             results.append((loss, grads, history, model.params))
         (loss_a, grads_a, hist_a, params_a), (loss_b, grads_b, hist_b, params_b) = results
@@ -576,7 +576,7 @@ class TestTreePass:
             else:
                 assert ((parents >= forest.levels[depth - 1]) & (parents < lo)).all()
         assert len(forest.x) == sum(len(rows) for rows in forest.rows)
-        assert len(forest.ends) == sum(forest.n_branches)
+        assert len(forest.ends) == forest.spans[-1].stop
 
     @pytest.mark.parametrize("max_branch_len", [25, 3])
     def test_forest_posts_branches_and_vectors(self, max_branch_len):
@@ -585,7 +585,7 @@ class TestTreePass:
         forest = build_forest(threads, table, max_branch_len)
         assert forest.branches == tuple(branch for thread in threads
                                         for branch in decompose_branches(thread, max_branch_len))
-        assert len(forest.branches) == len(forest.ends) == sum(forest.n_branches)
+        assert len(forest.branches) == len(forest.ends) == forest.spans[-1].stop
         for branch, end in zip(forest.branches, forest.ends):
             assert forest.posts[end].id == branch.post_ids[-1]
         assert len(forest.posts) == len(forest.x)
@@ -628,11 +628,10 @@ class TestTreePass:
 
         def tree_forward(forest):
             outputs = real(forest)
-            starts = np.cumsum((0, *forest.n_branches))
             for task, k in poison.items():
                 rows = {"stance": max(forest.rows[k].values()),
-                        "veracity": slice(starts[k], starts[k + 1]),
-                        "detection": starts[k + 1] - 1}[task]
+                        "veracity": forest.spans[k],
+                        "detection": forest.spans[k].stop - 1}[task]
                 outputs[task][rows] = np.nan
             return outputs
 

@@ -9,8 +9,10 @@ does; the other side is the working tree, uncommitted edits included. Each
 side runs ``python -m rumourmtl.cli`` from its own ``src`` (by
 ``PYTHONPATH``) in its own temporary root: ``synth``, ``validate``,
 ``analyze`` (to a file and to stdout), ``train``, ``evaluate``, ``loeo`` over
-every model, ``loeo`` of three models over a two-process pool and a
-three-trial ``search``, on two synthetic corpora. Those
+every model, ``loeo`` of three models over a two-process pool, a
+three-trial ``search`` and an eleven-trial ``search`` of the accuracy
+objective (past ``search.TPE_STARTUP``, so TPE's modelled suggestions run),
+on two synthetic corpora. Those
 runs use hash embeddings, which hold every token; so ``train``, ``evaluate``,
 ``loeo`` and ``search`` run once more on the small corpus with an embedding
 file that the script writes and that leaves out every other token (see
@@ -69,8 +71,9 @@ OOV_DIM = 8
 
 def model_commands(cfg: Path, out: Path) -> list[tuple[str, list[str]]]:
     """(log name, cli arguments) of ``train``, ``evaluate``, ``loeo`` (serial,
-    and on a two-process pool) and ``search`` with the run config ``cfg``,
-    whose output directory is ``out / "train"``."""
+    and on a two-process pool) and ``search`` (three trials, and eleven of
+    the accuracy objective) with the run config ``cfg``, whose output
+    directory is ``out / "train"``."""
     return [
         ("train", ["train", str(cfg)]),
         ("evaluate", ["evaluate", str(cfg), "--model", str(out / "train" / "model.json"),
@@ -81,6 +84,8 @@ def model_commands(cfg: Path, out: Path) -> list[tuple[str, list[str]]]:
                         "--output-dir", str(out / "loeo-jobs2")]),
         ("search", ["search", str(cfg), "--trials", "3", "--epochs", "1",
                     "--output-dir", str(out / "search")]),
+        ("search-tpe", ["search", str(cfg), "--trials", "11", "--epochs", "1",
+                        "--objective", "accuracy", "--output-dir", str(out / "search-tpe")]),
     ]
 
 
