@@ -45,16 +45,19 @@ class UsageError(ValueError):
 # Flat key = value configuration
 
 def parse_config_text(text: str, where: str = "<config>") -> dict[str, str]:
-    values: dict[str, str] = {}
+    entries: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise UsageError(f"{where}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in entries:
+            raise UsageError(f"{where}:{lineno}: key {key!r} already set on line "
+                             f"{entries[key][0]}")
+        entries[key] = (lineno, value)
+    return {key: value for key, (_, value) in entries.items()}
 
 
 def load_config_file(path: str | Path, known: Collection[str]) -> dict[str, str]:
@@ -282,7 +285,7 @@ def cmd_loeo(args: argparse.Namespace) -> int:
     run_fold = partial(_loeo_fold, cfg, corpus, _embedding_table(cfg))
     names, events = zip(*[(name, event) for name in model_names for event in corpus.events])
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(names))) as pool:
             outcomes = list(pool.map(run_fold, names, events))
     else:
         outcomes = list(map(run_fold, names, events))

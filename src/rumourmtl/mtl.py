@@ -211,8 +211,8 @@ class MTLModel:
         thread tasks one row per branch, read at the branch's end node."""
         H = forest.x
         for l in range(self.hp.num_lstm_layers):
-            H = neural.lstm_tree_forward(self._layer(f"lstm{l}", _LSTM_KEYS), H,
-                                         forest.parent, forest.levels)
+            H, _ = neural.lstm_tree_forward(self._layer(f"lstm{l}", _LSTM_KEYS), H,
+                                            forest.parent, forest.levels)
         return {task: self._head(task, H if task in PER_STEP_TASKS else H[forest.ends])[0]
                 for task in self.tasks}
 

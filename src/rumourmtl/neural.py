@@ -1,12 +1,12 @@
 """Minimal differentiable core for the branch models.
 
-Batched LSTM and dense-ReLU layers with hand-written reverse-mode
-gradients, a top-down LSTM pass over reply trees for prediction,
-softmax/cross-entropy, inverted dropout, L2 regularization, an
-adaptive-moment optimizer and finite-difference gradient checking. All
-arithmetic is double precision; parameter sets are flat ``{name: array}``
-dicts so optimizer state, checkpoints and gradient reports share one
-naming scheme.
+One LSTM recurrence (a top-down pass over a forest of nodes, which masked
+branch batches enter as chains) and dense-ReLU layers, each with
+hand-written reverse-mode gradients; softmax/cross-entropy, inverted
+dropout, L2 regularization, an adaptive-moment optimizer and
+finite-difference gradient checking. All arithmetic is double precision;
+parameter sets are flat ``{name: array}`` dicts so optimizer state,
+checkpoints and gradient reports share one naming scheme.
 
 LSTM gate packing along the last axis is [input, forget, output, candidate].
 """
@@ -111,107 +111,106 @@ def lstm_cell(params: Params, xw: np.ndarray, h: np.ndarray, c: np.ndarray
 
 def lstm_forward(params: Params, x: np.ndarray, mask: np.ndarray
                  ) -> tuple[np.ndarray, dict]:
-    """Run the LSTM recurrence over a batch.
+    """Run the LSTM over a batch: ``x`` is (B, T, d), ``mask`` (B, T)
+    boolean. Returns hidden states (B, T, h) and the backward cache.
 
-    ``x`` is (B, T, d), ``mask`` is (B, T) boolean. At masked steps the
-    cell and hidden state carry through unchanged, so padding never
-    influences the outputs. Returns hidden states (B, T, h) and the cache
-    needed for the backward pass: ``x`` and the hidden states whole, and
-    the gate activations of each step.
-
-    The input projection ``x @ Wx`` does not depend on the recurrence, so
-    it is one (B*T, d) GEMM ahead of the loop.
+    Each row is a chain for ``lstm_tree_forward``: its live cells, step by
+    step, are the nodes, each the child of the last live cell before it.
+    ``last[b, t]`` is the node of row b's last live cell up to step t (-1,
+    the zero state, before the first), so a masked step carries the state
+    unchanged, padding never influences the outputs and is not computed.
     """
-    B, T, d = x.shape
-    h_dim = params["Wh"].shape[0]
-    if params["Wx"].shape[0] != d:
-        raise ValueError(f"input dim {d} does not match Wx {params['Wx'].shape}")
-    xw = (x.reshape(B * T, d) @ params["Wx"]).reshape(B, T, 4 * h_dim)
-    h = np.zeros((B, h_dim))
-    c = np.zeros((B, h_dim))
-    hs = np.empty((B, T, h_dim))
-    steps = []
-    for t in range(T):
-        c_hat, h_hat, (ifo, g, tanh_c) = lstm_cell(params, xw[:, t], h, c)
-        m = mask[:, t].astype(float)[:, None]
-        steps.append({"c_prev": c, "ifo": ifo, "g": g, "tanh_c": tanh_c, "m": m})
-        c = m * c_hat + (1.0 - m) * c
-        h = m * h_hat + (1.0 - m) * h
-        hs[:, t, :] = h
-    return hs, {"x": x, "hs": hs, "steps": steps}
+    B, T, _ = x.shape
+    steps, rows = np.nonzero(mask.T)
+    node = np.full((B, T), -1)
+    node[rows, steps] = np.arange(len(rows))
+    last = np.maximum.accumulate(node, axis=1)
+    parent = np.where(steps > 0, last[rows, steps - 1], -1)
+    _, tree = lstm_tree_forward(params, x[rows, steps], parent,
+                                np.searchsorted(steps, np.arange(T + 1)))
+    return tree["h"][last], {"tree": tree, "cells": (rows, steps), "last": last}
 
 
 def lstm_tree_forward(params: Params, x: np.ndarray, parent: np.ndarray,
-                      levels: Sequence[int]) -> np.ndarray:
+                      levels: Sequence[int]) -> tuple[np.ndarray, dict]:
     """Run the LSTM top-down over a forest of nodes; returns their hidden
-    states (N, h).
+    states (N, h) and the cache for ``lstm_tree_backward``.
 
     ``x`` is (N, d), one row per node, sorted by depth: the nodes of depth
-    k are the rows ``levels[k]:levels[k + 1]``. ``parent[n]`` is the row of
-    node n's parent, -1 for a root. A node's state depends only on its path
-    from the root, so it equals ``lstm_forward``'s at that node's step of
-    any branch through it, and each node is computed once however many
-    branches share it. One step covers a whole level.
+    k are the rows ``levels[k]:levels[k + 1]``, and ``parent[n]`` is node
+    n's parent row, -1 for a root. One step covers a whole level, and each
+    node is computed once however many branches share it.
     """
+    n, d = x.shape
     h_dim = params["Wh"].shape[0]
+    if params["Wx"].shape[0] != d:
+        raise ValueError(f"input dim {d} does not match Wx {params['Wx'].shape}")
     xw = x @ params["Wx"]
     # The extra last row stays zero: the state a root gathers through -1.
-    h = np.zeros((len(x) + 1, h_dim))
-    c = np.zeros((len(x) + 1, h_dim))
+    h, c = np.zeros((2, n + 1, h_dim))
+    ifo, g, tanh_c = np.empty((n, 3 * h_dim)), np.empty((n, h_dim)), np.empty((n, h_dim))
     for start, stop in zip(levels[:-1], levels[1:]):
-        up = parent[start:stop]
-        c[start:stop], h[start:stop], _ = lstm_cell(params, xw[start:stop], h[up], c[up])
-    return h[:-1]
+        s, up = slice(start, stop), parent[start:stop]
+        c[s], h[s], (ifo[s], g[s], tanh_c[s]) = lstm_cell(params, xw[s], h[up], c[up])
+    return h[:-1], {"x": x, "parent": parent, "levels": levels, "h": h, "c": c,
+                    "ifo": ifo, "g": g, "tanh_c": tanh_c}
+
+
+def lstm_tree_backward(params: Params, cache: dict, d_h: np.ndarray, input_grad: bool = True
+                       ) -> tuple[Optional[np.ndarray], Params]:
+    """Backprop through ``lstm_tree_forward`` given gradients w.r.t. every
+    node's hidden state (N, h). Returns gradients w.r.t. the inputs (None
+    when ``input_grad`` is false, as for a first layer whose inputs are
+    data) and the parameters.
+
+    The levels run in reverse, each adding its nodes' ``dh`` and ``dc`` into
+    their parents' rows (row N, the zero state of the roots, is dropped) and
+    keeping their gate gradients ``dz``: ``Wx``, ``Wh``, ``b`` and ``dx`` are
+    then one GEMM or sum each over all the nodes.
+    """
+    n, h_dim = d_h.shape
+    parent, levels, c, ifo, g, tanh_c = (
+        cache[k] for k in ("parent", "levels", "c", "ifo", "g", "tanh_c"))
+    dh = np.vstack([d_h, np.zeros((1, h_dim))])
+    dc = np.zeros((n + 1, h_dim))
+    dz = np.empty((n, 4 * h_dim))
+    for start, stop in reversed(list(zip(levels[:-1], levels[1:]))):
+        s, up = slice(start, stop), parent[start:stop]
+        dc_s = dc[s] + dh[s] * ifo[s, 2 * h_dim:] * (1.0 - tanh_c[s] ** 2)
+        dz_s = dz[s]
+        # d(i, f, o) through the packed sigmoid, then d(g) through tanh.
+        dz_s[:, :h_dim] = dc_s * g[s]
+        dz_s[:, h_dim:2 * h_dim] = dc_s * c[up]
+        dz_s[:, 2 * h_dim:3 * h_dim] = dh[s] * tanh_c[s]
+        dz_s[:, :3 * h_dim] *= ifo[s]
+        dz_s[:, :3 * h_dim] *= 1.0 - ifo[s]
+        dz_s[:, 3 * h_dim:] = dc_s * ifo[s, :h_dim] * (1.0 - g[s] ** 2)
+        np.add.at(dh, up, dz_s @ params["Wh"].T)
+        np.add.at(dc, up, dc_s * ifo[s, h_dim:2 * h_dim])
+    grads = {"Wx": cache["x"].T @ dz, "Wh": cache["h"][parent].T @ dz, "b": dz.sum(axis=0)}
+    if not input_grad:
+        return None, grads
+    return dz @ params["Wx"].T, grads
 
 
 def lstm_backward(params: Params, cache: dict, d_hs: np.ndarray, input_grad: bool = True
                   ) -> tuple[Optional[np.ndarray], Params]:
     """Backprop through ``lstm_forward`` given gradients w.r.t. all hidden
-    states. Returns gradients w.r.t. the inputs (None when ``input_grad``
-    is false, as for a first layer whose inputs are data) and the
-    parameters.
+    states (B, T, h). Returns gradients w.r.t. the inputs (None when
+    ``input_grad`` is false) and the parameters.
 
-    The loop keeps each step's gate gradient ``dz``. Every gradient that
-    is a sum over steps is then one (B*T)-row GEMM: ``Wx`` against the
-    inputs, ``Wh`` against the hidden states shifted by one step (zero
-    before the first; a masked step carries ``h``, so this is ``h_prev``
-    under any mask), ``b`` a column sum, and ``dx`` against ``Wx``. These
-    sums run in another order than a per-step accumulation and agree with
-    it to rounding.
+    Each cell's gradient goes to the node whose state it shows (a masked
+    cell's to the live cell it repeats), and each node's ``dx`` to its cell.
     """
-    B, T, h_dim = d_hs.shape
-    x, hs = cache["x"], cache["hs"]
-    d = x.shape[2]
-    dz_all = np.empty((B, T, 4 * h_dim))
-    dh = np.zeros((B, h_dim))
-    dc = np.zeros((B, h_dim))
-    for t in reversed(range(T)):
-        step = cache["steps"][t]
-        m, ifo, g, tanh_c = step["m"], step["ifo"], step["g"], step["tanh_c"]
-        dh = dh + d_hs[:, t, :]
-        dh_hat = m * dh
-        dc_carry = (1.0 - m) * dc
-        dh_carry = (1.0 - m) * dh
-        dc_hat = m * dc + dh_hat * ifo[:, 2 * h_dim:] * (1.0 - tanh_c ** 2)
-        dc = dc_hat * ifo[:, h_dim:2 * h_dim] + dc_carry
-        dz = dz_all[:, t]
-        # d(i, f, o) through the packed sigmoid, then d(g) through tanh.
-        dz[:, :h_dim] = dc_hat * g
-        dz[:, h_dim:2 * h_dim] = dc_hat * step["c_prev"]
-        dz[:, 2 * h_dim:3 * h_dim] = dh_hat * tanh_c
-        dz[:, :3 * h_dim] *= ifo
-        dz[:, :3 * h_dim] *= 1.0 - ifo
-        dz[:, 3 * h_dim:] = dc_hat * ifo[:, :h_dim] * (1.0 - g ** 2)
-        dh = dz @ params["Wh"].T + dh_carry
-    dZ = dz_all.reshape(B * T, 4 * h_dim)
-    h_prev = np.zeros_like(hs)
-    h_prev[:, 1:] = hs[:, :-1]
-    grads = {"Wx": x.reshape(B * T, d).T @ dZ,
-             "Wh": h_prev.reshape(B * T, h_dim).T @ dZ,
-             "b": dZ.sum(axis=0)}
-    if not input_grad:
+    rows, steps = cache["cells"]
+    d_h = np.zeros((len(rows) + 1, d_hs.shape[2]))
+    np.add.at(d_h, cache["last"], d_hs)
+    dx_nodes, grads = lstm_tree_backward(params, cache["tree"], d_h[:-1], input_grad)
+    if dx_nodes is None:
         return None, grads
-    return (dZ @ params["Wx"].T).reshape(B, T, d), grads
+    dx = np.zeros(d_hs.shape[:2] + (params["Wx"].shape[0],))
+    dx[rows, steps] = dx_nodes
+    return dx, grads
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +242,7 @@ def dropout_forward(x: np.ndarray, p: float, rng: Optional[np.random.Generator] 
 
 
 def dropout_backward(d_out: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
-    if mask is None:
-        return d_out
-    return d_out * mask
+    return d_out if mask is None else d_out * mask
 
 
 # ---------------------------------------------------------------------------

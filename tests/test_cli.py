@@ -264,6 +264,27 @@ class TestLoeo:
         assert len(outputs["1"]) == 11  # 3 models x 3 events + report.csv/txt
         assert outputs["1"] == outputs["2"]
 
+    def test_pool_capped_at_task_count(self, tmp_path, corpus_path, capsys, monkeypatch):
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        cfg = run_config(tmp_path, corpus_path)
+        assert dispatch(["loeo", str(cfg), "--models", "majority", "--jobs", "8"]) == 0
+        assert workers == [3]  # one (model, event) task per event
+
     def test_corpus_loaded_once(self, tmp_path, corpus_path, capsys, monkeypatch):
         calls = []
 
@@ -408,6 +429,12 @@ BAD_INPUTS = {
     "non-integer synth seed": lambda tmp, corpus: (
         ["synth", _write(tmp / "spec.txt", "seed = x\n"), "-o", tmp / "x.ndjson"],
         "config key 'seed'"),
+    "repeated run config key": lambda tmp, corpus: (
+        ["train", _write(tmp / "twice.cfg", run_config(tmp, corpus).read_text() + "epochs = 5\n")],
+        "twice.cfg:13: key 'epochs' already set on line 10"),
+    "repeated synth spec key": lambda tmp, corpus: (
+        ["synth", _write(tmp / "spec.cfg", "events = 2\nseed = 1\nevents = 3\n"),
+         "-o", tmp / "x.ndjson"], "spec.cfg:3: key 'events' already set on line 1"),
     "evaluate with another embedding dim": _evaluate_other_dim,
     "loeo --jobs 0": lambda tmp, corpus: (
         ["loeo", run_config(tmp, corpus), "--models", "majority", "--jobs", "0"], "--jobs"),

@@ -15,6 +15,8 @@ from rumourmtl.neural import (
     load_params,
     lstm_backward,
     lstm_forward,
+    lstm_tree_backward,
+    lstm_tree_forward,
     optimizer_init,
     optimizer_step,
     save_params,
@@ -223,6 +225,69 @@ class TestLSTM:
         assert dx.shape == x.shape and skipped_dx is None
         for name in params:
             assert np.array_equal(skipped[name], grads[name]), name
+
+    def test_tree_backward_matches_finite_differences(self):
+        # Two roots (0, 1); root 0 has two children (2, 3) in one level, root
+        # 1 one child (4); node 5 under node 2 and node 6, depth 3, under 5.
+        parent = np.array([-1, -1, 0, 0, 1, 2, 5])
+        levels = [0, 2, 5, 6, 7]
+        rng = np.random.default_rng(11)
+        params = init_lstm_layer(rng, 3, 4)
+        params["b"] += rng.standard_normal(16)
+        x = rng.standard_normal((7, 3))
+        proj = rng.standard_normal((7, 4))
+
+        def loss_of(p, inputs=x):
+            return float(np.sum(lstm_tree_forward(p, inputs, parent, levels)[0] * proj))
+
+        _, cache = lstm_tree_forward(params, x, parent, levels)
+        dx, analytic = lstm_tree_backward(params, cache, proj)
+        assert max(grad_check(loss_of, params, analytic).values()) < 1e-6
+        numeric_dx = neural.finite_difference_grads(lambda p: loss_of(params, p["x"]), {"x": x})
+        assert np.max(np.abs(dx - numeric_dx["x"])) < 1e-8
+
+    def test_masked_batch_backward_matches_tree_backward(self):
+        """``lstm_backward`` equals the tree backward over a forest of the
+        batch's live cells built here, each the child of the last live cell
+        before it in its row and given the gradients of the cells showing it."""
+        rng = np.random.default_rng(12)
+        B, T, d, h = 4, 5, 3, 4
+        params = init_lstm_layer(rng, d, h)
+        x = rng.standard_normal((B, T, d))
+        mask = rng.random((B, T)) < 0.6
+        mask[0] = [False, True, False, True, True]
+        d_hs = rng.standard_normal((B, T, h))
+        cells, parent, d_h = [], [], []
+        for t in range(T):
+            for b in range(B):
+                if mask[b, t]:
+                    before = [cells.index((b, u)) for u in range(t) if mask[b, u]]
+                    parent.append(before[-1] if before else -1)
+                    cells.append((b, t))
+                    until = next((u for u in range(t + 1, T) if mask[b, u]), T)
+                    d_h.append(d_hs[b, t:until].sum(axis=0))
+        levels = np.searchsorted([t for _, t in cells], np.arange(T + 1))
+        rows, steps = (np.array(a) for a in zip(*cells))
+        h_nodes, tree = lstm_tree_forward(params, x[rows, steps], np.array(parent), levels)
+        tree_dx, tree_grads = lstm_tree_backward(params, tree, np.array(d_h))
+        hs, cache = lstm_forward(params, x, mask)
+        dx, grads = lstm_backward(params, cache, d_hs)
+        assert np.max(np.abs(hs[rows, steps] - h_nodes)) < 1e-12
+        assert np.max(np.abs(dx[rows, steps] - tree_dx)) < 1e-12
+        assert not dx[~mask].any()
+        for name in params:
+            assert np.max(np.abs(grads[name] - tree_grads[name])) < 1e-12, name
+
+    def test_fully_masked_row_gives_zero_states_and_input_gradient(self):
+        rng = np.random.default_rng(13)
+        params = init_lstm_layer(rng, 3, 4)
+        x = rng.standard_normal((3, 4, 3))
+        mask = np.ones((3, 4), dtype=bool)
+        mask[1] = False
+        hs, cache = lstm_forward(params, x, mask)
+        dx, _ = lstm_backward(params, cache, rng.standard_normal(hs.shape))
+        assert not hs[1].any() and not dx[1].any()
+        assert hs[0].any() and dx[0].any()
 
     def test_sigmoid_saturates_without_overflow(self):
         x = np.array([-1000.0, -40.0, -0.0, 0.0, 3.0, 1000.0])
