@@ -265,6 +265,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             [p.veracity for p, _ in labeled],
             [t.veracity_label for _, t in labeled], VERACITY_CLASSES)
         atomic_write(out_dir / "metrics.json", json.dumps(asdict(metrics), sort_keys=True) + "\n")
+    else:
+        # No labelled thread, no metrics: an earlier run's file must not stand beside these.
+        (out_dir / "metrics.json").unlink(missing_ok=True)
     print(f"wrote {out_dir / 'predictions.ndjson'}")
     return 0
 

@@ -326,6 +326,8 @@ class GeneratorSpec:
             raise ValueError(f"bad depth_range {self.depth_range}")
         if self.replies_range[0] < 0 or self.replies_range[0] > self.replies_range[1]:
             raise ValueError(f"bad replies_range {self.replies_range}")
+        if self.tokens_per_post < 1:
+            raise ValueError(f"tokens_per_post must be >= 1, got {self.tokens_per_post}")
         if (not all(math.isfinite(p) for p in self.veracity_priors)
                 or abs(sum(self.veracity_priors) - 1.0) > 1e-9 or min(self.veracity_priors) < 0):
             raise ValueError(f"veracity_priors must be a distribution, got {self.veracity_priors}")

@@ -7,9 +7,12 @@ active tasks' cross-entropies; instances lacking a task's label contribute
 exactly zero to that task's term. Thread-level answers come from majority
 voting over branch predictions. One node table (``Forest``) numbers and
 embeds each post that a branch reaches, once. Training instances are
-gathered from it, and prediction walks it top-down instead of running every
-branch: each post goes through the LSTM once and gets one stance, and each
-branch's end node gives its veracity and detection votes.
+gathered from it. Training and prediction share one forward over node rows:
+a batch runs as the node table of its rows' chains, and prediction walks
+the ``Forest`` top-down, so each post goes through the LSTM once and gets
+one stance, and each branch's end node gives its veracity and detection
+votes. ``neural.lstm_forward``/``lstm_backward``, the masked-batch layer
+API, are kept for the tests and the bench tracer.
 """
 
 from __future__ import annotations
@@ -160,61 +163,51 @@ class MTLModel:
 
     def forward(self, x: np.ndarray, mask: np.ndarray,
                 dropout_rng: Optional[np.random.Generator] = None) -> tuple[dict, dict]:
-        """Run the full model on a batch (B, T, dim).
+        """Run the full model on a batch (B, T, dim) as the forest of its rows'
+        chains (``neural.chains``): stance reads every live cell, row after
+        row, and the thread tasks each row's last live cell.
 
         Returns each head's probability rows, laid out as ``_head_labels``
         describes, and the cache for backward. Given ``dropout_rng`` (in
         training), dropout masks are drawn from it and recorded in the cache.
         """
-        B = x.shape[0]
-        cache: dict = {"lstm": []}
-        inp = x
-        for l in range(self.hp.num_lstm_layers):
-            hs, layer_cache = neural.lstm_forward(self._layer(f"lstm{l}", _LSTM_KEYS), inp, mask)
-            cache["lstm"].append(layer_cache)
-            inp = hs
-        H = inp
-        last_idx = np.maximum(mask.sum(axis=1).astype(int) - 1, 0)
-        cache["H"] = H
-        outputs: dict = {}
-        cache["heads"] = {}
-        for task in self.tasks:
-            # Head rows: every valid step for stance, the last valid step
-            # of each instance for thread tasks.
-            if task in PER_STEP_TASKS:
-                rows_b, rows_t = np.nonzero(mask)
-            else:
-                rows_b, rows_t = np.arange(B), last_idx
-            outputs[task], head = self._head(task, H[rows_b, rows_t], dropout_rng)
-            head["rows"] = (rows_b, rows_t)
-            cache["heads"][task] = head
-        return outputs, cache
+        cells, parent, levels, last = neural.chains(mask)
+        return self._forward(x[cells], parent, levels, last[mask], last[:, -1], dropout_rng)
 
-    def _head(self, task: str, a: np.ndarray,
-              dropout_rng: Optional[np.random.Generator] = None) -> tuple[np.ndarray, dict]:
-        """``task``'s dense-ReLU stack, dropout (only given ``dropout_rng``) and
-        softmax over the hidden-state rows ``a``: the probabilities and the
-        backward cache."""
+    def _forward(self, x: np.ndarray, parent: np.ndarray, levels: Sequence[int],
+                 stance_rows: np.ndarray | slice, end_rows: np.ndarray,
+                 dropout_rng: Optional[np.random.Generator] = None) -> tuple[dict, dict]:
+        """The LSTM stack top-down over a forest of nodes (as
+        ``neural.lstm_tree_forward`` takes it), then each task's dense-ReLU
+        stack, dropout (only given ``dropout_rng``) and softmax over its node
+        rows: ``stance_rows`` for stance, ``end_rows`` for the thread tasks.
+        Returns the head probabilities and the cache for backward."""
+        cache: dict = {"lstm": [], "heads": {}}
+        H = x
+        for l in range(self.hp.num_lstm_layers):
+            H, layer_cache = neural.lstm_tree_forward(self._layer(f"lstm{l}", _LSTM_KEYS), H,
+                                                      parent, levels)
+            cache["lstm"].append(layer_cache)
+        cache["H"] = H
         p = self.hp.dropout if dropout_rng is not None else 0.0
-        dense_caches = []
-        for i in range(self.hp.num_dense_layers):
-            a, dc = neural.dense_forward(self._layer(f"{task}/dense{i}", _DENSE_KEYS), a)
-            dense_caches.append(dc)
-        a_drop, dmask = neural.dropout_forward(a, p, rng=dropout_rng)
-        logits = a_drop @ self.params[f"{task}/out/W"] + self.params[f"{task}/out/b"]
-        probs = neural.softmax(logits, axis=-1)
-        return probs, {"dense_caches": dense_caches, "dropout_mask": dmask,
-                       "a_drop": a_drop, "probs": probs}
+        outputs: dict = {}
+        for task in self.tasks:
+            rows = stance_rows if task in PER_STEP_TASKS else end_rows
+            a, dense_caches = H[rows], []
+            for i in range(self.hp.num_dense_layers):
+                a, dc = neural.dense_forward(self._layer(f"{task}/dense{i}", _DENSE_KEYS), a)
+                dense_caches.append(dc)
+            a_drop, dmask = neural.dropout_forward(a, p, rng=dropout_rng)
+            logits = a_drop @ self.params[f"{task}/out/W"] + self.params[f"{task}/out/b"]
+            outputs[task] = neural.softmax(logits, axis=-1)
+            cache["heads"][task] = {"rows": rows, "dense_caches": dense_caches, "a_drop": a_drop,
+                                    "dropout_mask": dmask, "probs": outputs[task]}
+        return outputs, cache
 
     def tree_forward(self, forest: Forest) -> dict:
         """Eval-mode head rows over a forest: stance one row per node,
         thread tasks one row per branch, read at the branch's end node."""
-        H = forest.x
-        for l in range(self.hp.num_lstm_layers):
-            H, _ = neural.lstm_tree_forward(self._layer(f"lstm{l}", _LSTM_KEYS), H,
-                                            forest.parent, forest.levels)
-        return {task: self._head(task, H if task in PER_STEP_TASKS else H[forest.ends])[0]
-                for task in self.tasks}
+        return self._forward(forest.x, forest.parent, forest.levels, slice(None), forest.ends)[0]
 
     # -- loss ------------------------------------------------------------
 
@@ -250,11 +243,12 @@ class MTLModel:
                 d_a, layer_grads = neural.dense_backward(
                     self._layer(f"{task}/dense{i}", _DENSE_KEYS), head["dense_caches"][i], d_a)
                 grads.update(_prefixed(f"{task}/dense{i}", layer_grads))
-            np.add.at(dH, head["rows"], d_a)
+            # One head's rows are distinct nodes.
+            dH[head["rows"]] += d_a
         d_up = dH
         for l in reversed(range(self.hp.num_lstm_layers)):
             # The first layer's inputs are data: no gradient w.r.t. them.
-            d_up, layer_grads = neural.lstm_backward(
+            d_up, layer_grads = neural.lstm_tree_backward(
                 self._layer(f"lstm{l}", _LSTM_KEYS), cache["lstm"][l], d_up, input_grad=l > 0)
             grads.update(_prefixed(f"lstm{l}", layer_grads))
         return loss, grads
@@ -289,9 +283,8 @@ class MTLModel:
 def _stack(batch: Sequence[TrainingInstance]) -> tuple[np.ndarray, np.ndarray]:
     """Inputs and masks of a batch, trimmed to its longest branch.
 
-    Masks are prefixes of ``true_length`` steps. Steps masked in every row
-    only carry state and add exact zeros to every gradient, so trimming
-    them leaves the results bit-identical.
+    Masks are prefixes of ``true_length`` steps. Masked steps are never
+    computed, so the trim only keeps the stacked copy small.
     """
     T = max(inst.true_length for inst in batch)
     return (np.stack([inst.x[:T] for inst in batch]),

@@ -1,7 +1,7 @@
 """Minimal differentiable core for the branch models.
 
-One LSTM recurrence (a top-down pass over a forest of nodes, which masked
-branch batches enter as chains) and dense-ReLU layers, each with
+One LSTM recurrence (a top-down pass over a forest of nodes; ``chains``
+makes a masked branch batch one) and dense-ReLU layers, each with
 hand-written reverse-mode gradients; softmax/cross-entropy, inverted
 dropout, L2 regularization, an adaptive-moment optimizer and
 finite-difference gradient checking. All arithmetic is double precision;
@@ -9,6 +9,9 @@ parameter sets are flat ``{name: array}`` dicts so optimizer state,
 checkpoints and gradient reports share one naming scheme.
 
 LSTM gate packing along the last axis is [input, forget, output, candidate].
+Training and prediction share one model forward over node rows; the
+padded (B, T, h) layer API ``lstm_forward``/``lstm_backward`` is kept for
+the tests and the bench tracer.
 """
 
 from __future__ import annotations
@@ -109,26 +112,32 @@ def lstm_cell(params: Params, xw: np.ndarray, h: np.ndarray, c: np.ndarray
     return c_new, o * tanh_c, (ifo, g, tanh_c)
 
 
-def lstm_forward(params: Params, x: np.ndarray, mask: np.ndarray
-                 ) -> tuple[np.ndarray, dict]:
-    """Run the LSTM over a batch: ``x`` is (B, T, d), ``mask`` (B, T)
-    boolean. Returns hidden states (B, T, h) and the backward cache.
-
-    Each row is a chain for ``lstm_tree_forward``: its live cells, step by
-    step, are the nodes, each the child of the last live cell before it.
-    ``last[b, t]`` is the node of row b's last live cell up to step t (-1,
-    the zero state, before the first), so a masked step carries the state
-    unchanged, padding never influences the outputs and is not computed.
-    """
-    B, T, _ = x.shape
+def chains(mask: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray,
+                                      np.ndarray, np.ndarray]:
+    """A masked batch (B, T) as a forest for ``lstm_tree_forward``: the live
+    cells ``(rows, steps)``, step by step, are the nodes, each the child of
+    the last live cell before it in its row. Returns the cells, parents and
+    level bounds, and ``last``: ``last[b, t]`` is the node of row b's last
+    live cell up to step t (-1, the zero state, before the first)."""
+    B, T = mask.shape
     steps, rows = np.nonzero(mask.T)
     node = np.full((B, T), -1)
     node[rows, steps] = np.arange(len(rows))
     last = np.maximum.accumulate(node, axis=1)
     parent = np.where(steps > 0, last[rows, steps - 1], -1)
-    _, tree = lstm_tree_forward(params, x[rows, steps], parent,
-                                np.searchsorted(steps, np.arange(T + 1)))
-    return tree["h"][last], {"tree": tree, "cells": (rows, steps), "last": last}
+    return (rows, steps), parent, np.searchsorted(steps, np.arange(T + 1)), last
+
+
+def lstm_forward(params: Params, x: np.ndarray, mask: np.ndarray
+                 ) -> tuple[np.ndarray, dict]:
+    """Run the LSTM over a batch: ``x`` is (B, T, d), ``mask`` (B, T)
+    boolean. Returns hidden states (B, T, h) and the backward cache. A
+    masked step repeats the state of the last live cell before it
+    (``chains``), so padding never influences the outputs and is not
+    computed."""
+    cells, parent, levels, last = chains(mask)
+    _, tree = lstm_tree_forward(params, x[cells], parent, levels)
+    return tree["h"][last], {"tree": tree, "cells": cells, "last": last}
 
 
 def lstm_tree_forward(params: Params, x: np.ndarray, parent: np.ndarray,

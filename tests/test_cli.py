@@ -187,6 +187,20 @@ class TestTrainEvaluate:
             assert "bad checkpoint" in capsys.readouterr().err
 
 
+    def test_evaluate_without_veracity_labels_drops_stale_metrics(self, tmp_path, corpus_path,
+                                                                   capsys):
+        cfg = run_config(tmp_path, corpus_path, epochs=1)
+        assert dispatch(["train", str(cfg)]) == 0
+        model = str(tmp_path / "out" / "model.json")
+        assert dispatch(["evaluate", str(cfg), "--model", model]) == 0
+        assert (tmp_path / "out" / "metrics.json").is_file()
+        unlabeled = TestLoeo.unlabel(corpus_path, tmp_path, {"event00", "event01", "event02"})
+        cfg = run_config(tmp_path, unlabeled, name="unlabeled.cfg", epochs=1)
+        assert dispatch(["evaluate", str(cfg), "--model", model]) == 0
+        assert not (tmp_path / "out" / "metrics.json").exists()
+        assert len((tmp_path / "out" / "predictions.ndjson").read_text().splitlines()) == 18
+
+
 class TestLoeo:
     def test_baseline_report(self, tmp_path, corpus_path, capsys):
         cfg = run_config(tmp_path, corpus_path)
@@ -448,6 +462,12 @@ BAD_INPUTS = {
         ["search", run_config(tmp, corpus), "--trials", "0"], "--trials"),
     "search --trials -2": lambda tmp, corpus: (
         ["search", run_config(tmp, corpus), "--trials", "-2"], "--trials"),
+    "synth tokens_per_post 0": lambda tmp, corpus: (
+        ["synth", _write(tmp / "spec.cfg", "tokens_per_post = 0\n"), "-o", tmp / "x.ndjson"],
+        "tokens_per_post"),
+    "synth tokens_per_post -2": lambda tmp, corpus: (
+        ["synth", _write(tmp / "spec.cfg", "tokens_per_post = -2\n"), "-o", tmp / "x.ndjson"],
+        "tokens_per_post"),
     "nan synth prior": lambda tmp, corpus: (
         ["synth", _write(tmp / "nan.cfg", "prior_false = nan\n"), "-o", tmp / "x.ndjson"],
         "veracity_priors"),

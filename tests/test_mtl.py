@@ -394,6 +394,72 @@ class TestPaddingInvariance:
             build_instances(corpus, hash_embeddings(DIM, 0), pad_to=1)
 
 
+def masked_layer_loss_and_grads(model, batch, dropout_rng):
+    """``loss_and_grads`` composed of the masked-batch layer API: every LSTM
+    layer on the padded (B, T, h) layout (``neural.lstm_forward`` and
+    ``lstm_backward``), stance read at ``np.nonzero(mask)`` and the thread
+    tasks at each row's last valid step, and the head gradients scattered
+    into the layout by ``np.add.at``."""
+    hp, params = model.hp, model.params
+
+    def layer(prefix, keys):
+        return {k: params[f"{prefix}/{k}"] for k in keys}
+
+    x, mask = mtl_module._stack(batch)
+    caches, H = [], x
+    for l in range(hp.num_lstm_layers):
+        H, cache = neural.lstm_forward(layer(f"lstm{l}", ("Wx", "Wh", "b")), H, mask)
+        caches.append(cache)
+    probs, heads = {}, {}
+    for task in model.tasks:
+        rows = (np.nonzero(mask) if task == "stance"
+                else (np.arange(len(batch)), mask.sum(axis=1) - 1))
+        a, dense = H[rows], []
+        for i in range(hp.num_dense_layers):
+            a, dc = neural.dense_forward(layer(f"{task}/dense{i}", ("W", "b")), a)
+            dense.append(dc)
+        a_drop, dmask = neural.dropout_forward(a, hp.dropout, rng=dropout_rng)
+        probs[task] = neural.softmax(a_drop @ params[f"{task}/out/W"] + params[f"{task}/out/b"])
+        heads[task] = rows, dense, a_drop, dmask
+    loss, dlogits = model.batch_data_loss(batch, probs)
+    dH, grads = np.zeros_like(H), {}
+    for task in model.tasks:
+        rows, dense, a_drop, dmask = heads[task]
+        grads[f"{task}/out/W"] = a_drop.T @ dlogits[task]
+        grads[f"{task}/out/b"] = dlogits[task].sum(axis=0)
+        d_a = neural.dropout_backward(dlogits[task] @ params[f"{task}/out/W"].T, dmask)
+        for i in reversed(range(hp.num_dense_layers)):
+            d_a, g = neural.dense_backward(layer(f"{task}/dense{i}", ("W", "b")), dense[i], d_a)
+            grads.update({f"{task}/dense{i}/{k}": v for k, v in g.items()})
+        np.add.at(dH, rows, d_a)
+    for l in reversed(range(hp.num_lstm_layers)):
+        dH, g = neural.lstm_backward(layer(f"lstm{l}", ("Wx", "Wh", "b")), caches[l], dH,
+                                     input_grad=l > 0)
+        grads.update({f"lstm{l}/{k}": v for k, v in g.items()})
+    return loss, grads
+
+
+class TestNodeForwardMatchesMaskedLayers:
+    """The model runs batches as node tables; the masked-batch layers give
+    the same loss and gradients, array for array."""
+
+    def test_two_layer_mtl3_with_dropout(self):
+        rng = np.random.default_rng(21)
+        hp = HyperParams(num_dense_layers=2, num_lstm_layers=2, dense_width=6,
+                         lstm_width=5, dropout=0.5)
+        model = MTLModel(hp, ("veracity", "stance", "detection"), DIM, 8)
+        T = 5
+        batch = [make_instance(rng, length=n, steps=T, veracity=n % 3) for n in range(1, T + 1)]
+        batch[1] = make_instance(rng, length=2, steps=T, stance=False)
+        batch[3] = make_instance(rng, length=4, steps=T, detection=None)
+        loss, grads = model.loss_and_grads(batch, dropout_rng=np.random.default_rng(4))
+        ref_loss, ref_grads = masked_layer_loss_and_grads(model, batch, np.random.default_rng(4))
+        assert loss == ref_loss
+        assert grads.keys() == ref_grads.keys() == model.params.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
+
 class TestMajorityVote:
     def probs(self, rows):
         return np.array(rows)
