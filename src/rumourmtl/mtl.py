@@ -168,27 +168,33 @@ class MTLModel:
         row, and the thread tasks each row's last live cell.
 
         Returns each head's probability rows, laid out as ``_head_labels``
-        describes, and the cache for backward. Given ``dropout_rng`` (in
-        training), dropout masks are drawn from it and recorded in the cache.
+        describes, and the cache for backward, which only this forward keeps.
+        Given ``dropout_rng`` (in training), dropout masks are drawn from it
+        and recorded in the cache.
         """
         cells, parent, levels, last = neural.chains(mask)
-        return self._forward(x[cells], parent, levels, last[mask], last[:, -1], dropout_rng)
+        cache: dict = {"lstm": [], "heads": {}}
+        return self._forward(x[cells], parent, levels, last[mask], last[:, -1], dropout_rng,
+                             cache), cache
 
     def _forward(self, x: np.ndarray, parent: np.ndarray, levels: Sequence[int],
                  stance_rows: np.ndarray | slice, end_rows: np.ndarray,
-                 dropout_rng: Optional[np.random.Generator] = None) -> tuple[dict, dict]:
+                 dropout_rng: Optional[np.random.Generator] = None,
+                 cache: Optional[dict] = None) -> dict:
         """The LSTM stack top-down over a forest of nodes (as
         ``neural.lstm_tree_forward`` takes it), then each task's dense-ReLU
         stack, dropout (only given ``dropout_rng``) and softmax over its node
         rows: ``stance_rows`` for stance, ``end_rows`` for the thread tasks.
-        Returns the head probabilities and the cache for backward."""
-        cache: dict = {"lstm": [], "heads": {}}
+        Returns the head probabilities. Only given ``cache`` (as ``forward``
+        makes it) are the layer and head caches of backward recorded into it;
+        without it a layer's state is dropped when the next layer starts."""
         H = x
         for l in range(self.hp.num_lstm_layers):
             H, layer_cache = neural.lstm_tree_forward(self._layer(f"lstm{l}", _LSTM_KEYS), H,
                                                       parent, levels)
-            cache["lstm"].append(layer_cache)
-        cache["H"] = H
+            if cache is not None:
+                cache["lstm"].append(layer_cache)
+            del layer_cache
         p = self.hp.dropout if dropout_rng is not None else 0.0
         outputs: dict = {}
         for task in self.tasks:
@@ -200,14 +206,16 @@ class MTLModel:
             a_drop, dmask = neural.dropout_forward(a, p, rng=dropout_rng)
             logits = a_drop @ self.params[f"{task}/out/W"] + self.params[f"{task}/out/b"]
             outputs[task] = neural.softmax(logits, axis=-1)
-            cache["heads"][task] = {"rows": rows, "dense_caches": dense_caches, "a_drop": a_drop,
-                                    "dropout_mask": dmask, "probs": outputs[task]}
-        return outputs, cache
+            if cache is not None:
+                cache["heads"][task] = dict(rows=rows, dense_caches=dense_caches, a_drop=a_drop,
+                                            dropout_mask=dmask, probs=outputs[task])
+        return outputs
 
     def tree_forward(self, forest: Forest) -> dict:
         """Eval-mode head rows over a forest: stance one row per node,
-        thread tasks one row per branch, read at the branch's end node."""
-        return self._forward(forest.x, forest.parent, forest.levels, slice(None), forest.ends)[0]
+        thread tasks one row per branch, read at the branch's end node; with
+        no backward cache, one layer's state is held at a time."""
+        return self._forward(forest.x, forest.parent, forest.levels, slice(None), forest.ends)
 
     # -- loss ------------------------------------------------------------
 
@@ -231,7 +239,7 @@ class MTLModel:
         outputs, cache = self.forward(*_stack(batch), dropout_rng=dropout_rng)
         loss, dlogits = self.batch_data_loss(batch, outputs)
 
-        dH = np.zeros_like(cache["H"])
+        dH = np.zeros_like(cache["lstm"][-1]["h"][:-1])  # of the top layer's node states
         grads: Params = {}
         for task in self.tasks:
             head = cache["heads"][task]

@@ -94,24 +94,6 @@ def init_dense_layer(rng: np.random.Generator, in_dim: int, out_dim: int) -> Par
 # ---------------------------------------------------------------------------
 # LSTM layer
 
-def lstm_cell(params: Params, xw: np.ndarray, h: np.ndarray, c: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """One LSTM step for a batch of rows.
-
-    ``xw`` is the rows' input projection ``x @ Wx``, ``h`` and ``c`` their
-    previous hidden and cell states. Returns the new cell and hidden states
-    and the gate activations ``(ifo, g, tanh_c)`` that backward needs.
-    """
-    h_dim = c.shape[1]
-    z = xw + h @ params["Wh"] + params["b"]
-    ifo = sigmoid(z[:, :3 * h_dim])
-    i, f, o = ifo[:, :h_dim], ifo[:, h_dim:2 * h_dim], ifo[:, 2 * h_dim:]
-    g = np.tanh(z[:, 3 * h_dim:])
-    c_new = f * c + i * g
-    tanh_c = np.tanh(c_new)
-    return c_new, o * tanh_c, (ifo, g, tanh_c)
-
-
 def chains(mask: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray,
                                       np.ndarray, np.ndarray]:
     """A masked batch (B, T) as a forest for ``lstm_tree_forward``: the live
@@ -147,8 +129,8 @@ def lstm_tree_forward(params: Params, x: np.ndarray, parent: np.ndarray,
 
     ``x`` is (N, d), one row per node, sorted by depth: the nodes of depth
     k are the rows ``levels[k]:levels[k + 1]``, and ``parent[n]`` is node
-    n's parent row, -1 for a root. One step covers a whole level, and each
-    node is computed once however many branches share it.
+    n's parent row, -1 for a root. Each level is one step, computed in place
+    in the cache's arrays, and each node once however many branches share it.
     """
     n, d = x.shape
     h_dim = params["Wh"].shape[0]
@@ -160,7 +142,12 @@ def lstm_tree_forward(params: Params, x: np.ndarray, parent: np.ndarray,
     ifo, g, tanh_c = np.empty((n, 3 * h_dim)), np.empty((n, h_dim)), np.empty((n, h_dim))
     for start, stop in zip(levels[:-1], levels[1:]):
         s, up = slice(start, stop), parent[start:stop]
-        c[s], h[s], (ifo[s], g[s], tanh_c[s]) = lstm_cell(params, xw[s], h[up], c[up])
+        z = xw[s] + h[up] @ params["Wh"] + params["b"]
+        ifo[s] = sigmoid(z[:, :3 * h_dim])
+        np.tanh(z[:, 3 * h_dim:], out=g[s])
+        c[s] = ifo[s, h_dim:2 * h_dim] * c[up] + ifo[s, :h_dim] * g[s]
+        np.tanh(c[s], out=tanh_c[s])
+        np.multiply(ifo[s, 2 * h_dim:], tanh_c[s], out=h[s])
     return h[:-1], {"x": x, "parent": parent, "levels": levels, "h": h, "c": c,
                     "ifo": ifo, "g": g, "tanh_c": tanh_c}
 

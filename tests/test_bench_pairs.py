@@ -1,4 +1,4 @@
-"""The per-metric verdict of ``tools/bench_pairs.py``, loaded by path."""
+"""The per-metric verdict and report of ``tools/bench_pairs.py``, loaded by path."""
 
 import importlib.util
 from pathlib import Path
@@ -13,7 +13,8 @@ def load_tool():
     return module
 
 
-verdict = load_tool().verdict
+tool = load_tool()
+verdict = tool.verdict
 #: Ten parent runs: median 100, quartiles 99.125 and 100.875.
 REF = [98.0, 99.0, 99.0, 99.5, 100.0, 100.0, 100.5, 101.0, 101.0, 102.0]
 
@@ -54,3 +55,19 @@ def test_wide_parent_spread_is_unresolved_unless_every_run_beats():
     assert verdict(wide, [x * 0.5 for x in wide], "higher", 0.25) == "unresolved"
     assert verdict(wide, [151.0 + i for i in range(10)], "higher", 0.25) == "met"
     assert verdict(wide, [49.0 - i for i in range(10)], "lower", 0.25) == "met"
+
+
+def test_report_pairs_runs_by_seed(capsys):
+    """A run that lacks a metric drops its pair, not one side's value: the
+    change's 90s meet the parent's 100s of the same seeds, and the change's
+    200 at seed 0 counts nowhere."""
+    def run(value):
+        metrics = {} if value is None else {"m": {"value": value}}
+        return {"metrics": metrics, "failed": 0, "env": {}}
+
+    results = {"ref": [run(None), run(100.0), run(100.0), run(100.0)],
+               "change": [run(200.0), run(90.0), run(90.0), run(90.0)]}
+    tool.report(results, {"end_to_end": [{"name": "m", "better": "higher", "bound": 0.25}]})
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [row[1:] for row in rows if row[0] == "m"] == [
+        ["100", "100", "100", "90", "90", "90", "0.900", "0/3", "1", "same"]]

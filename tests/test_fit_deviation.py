@@ -2,9 +2,12 @@
 
 import copy
 import importlib.util
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "fit_deviation.py"
 
@@ -65,3 +68,15 @@ def test_missing_fit_and_block_reported():
     assert tool.compare(ref, new) == [
         "paper seed 11: parameter block veracity/out/b largest difference nan",
         "tiny seed 11: missing in change"]
+
+
+@pytest.mark.parametrize("seeds", [",", "", "11..12", "11,x"])
+def test_bad_seeds_refused_before_any_ref_is_unpacked(monkeypatch, capsys, seeds):
+    def unpack(ref, target):
+        raise AssertionError("unpacked a ref")
+
+    monkeypatch.setitem(sys.modules, "bench_pairs", types.SimpleNamespace(unpack=unpack))
+    with pytest.raises(SystemExit) as exc:
+        tool.main(["--seeds", seeds])
+    assert exc.value.code == 2
+    assert "--seeds" in capsys.readouterr().err

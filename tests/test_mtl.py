@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -630,6 +632,32 @@ class TestTreePass:
                                        rtol=0, atol=1e-12)
             np.testing.assert_allclose(alone.detection_probs, together.detection_probs,
                                        rtol=0, atol=1e-12)
+
+    def test_prediction_keeps_no_layer_state(self, monkeypatch):
+        """``tree_forward`` lets each LSTM layer's cache go before the next
+        layer starts; ``forward`` returns one live cache per layer."""
+        hp = dataclasses.replace(MINI, num_lstm_layers=3)
+        model = MTLModel(hp, MODEL_TASKS["mtl3"], DIM, 12)
+        real = neural.lstm_tree_forward
+        gates, alive = [], []
+
+        def lstm_tree_forward(*args):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in gates))
+            h, cache = real(*args)
+            gates.append(weakref.ref(cache["ifo"]))
+            return h, cache
+
+        monkeypatch.setattr(neural, "lstm_tree_forward", lstm_tree_forward)
+        model.tree_forward(build_forest(worded_trees(10, self.SIZES), hash_embeddings(DIM, 0)))
+        assert alive == [0, 0, 0]
+        gates.clear()
+        rng = np.random.default_rng(3)
+        mask = np.arange(6) < rng.integers(1, 7, size=(5, 1))
+        _, cache = model.forward(rng.standard_normal((5, 6, DIM)), mask)
+        gc.collect()
+        assert len(gates) == len(cache["lstm"]) == 3
+        assert all(ref() is layer["ifo"] for ref, layer in zip(gates, cache["lstm"]))
 
     def test_forest_levels_and_parents(self):
         threads = worded_trees(7, self.SIZES)

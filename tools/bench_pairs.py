@@ -12,11 +12,12 @@ For each seed ``first-seed .. first-seed + pairs - 1`` the script runs
 first on even pairs and the working tree first on odd ones, so drift of a
 shared host falls on both sides alike.
 
-It prints, per end-to-end metric of the working tree's BENCHMARK.json: each
-side's median and quartiles, the ratio of the medians (change over ref) and
-how many pairs the change won in the metric's better direction, and a
-verdict (see ``verdict``). Then the failed-check counts of every run, and
-the numpy, BLAS and thread settings each side reported. Exit status 1 when
+It prints, per end-to-end metric of the working tree's BENCHMARK.json and
+over the same pairs (see ``paired``): each side's median and quartiles, the
+ratio of the medians (change over ref), how many pairs the change won in
+the metric's better direction, how many pairs were skipped, and a verdict
+(see ``verdict``). Then the failed-check counts of every run, and the
+numpy, BLAS and thread settings each side reported. Exit status 1 when
 a run fails to produce its result.
 """
 
@@ -88,15 +89,25 @@ def verdict(ref: list[float], new: list[float], better: str, bound: float) -> st
     return "same"
 
 
+def paired(ref_runs: list[dict], new_runs: list[dict], name: str
+           ) -> tuple[list[float], list[float], int]:
+    """Metric ``name`` of the two sides' runs, paired by run index (one
+    seed); an index where either side lacks the metric is skipped. Returns
+    the ref values, the change values and the count of skipped pairs."""
+    pairs = [(a["metrics"][name]["value"], b["metrics"][name]["value"])
+             for a, b in zip(ref_runs, new_runs, strict=True)
+             if name in a["metrics"] and name in b["metrics"]]
+    return [a for a, _ in pairs], [b for _, b in pairs], len(ref_runs) - len(pairs)
+
+
 def report(results: dict[str, list[dict]], definition: dict) -> None:
     ref_runs, new_runs = results["ref"], results["change"]
     print(f"{'metric':24s} {'ref median':>12s} {'q1':>12s} {'q3':>12s} {'change median':>14s}"
-          f" {'q1':>12s} {'q3':>12s} {'ratio':>7s} {'wins':>6s} verdict")
+          f" {'q1':>12s} {'q3':>12s} {'ratio':>7s} {'wins':>6s} {'skipped':>7s} verdict")
     for spec in definition["end_to_end"]:
         name = spec["name"]
-        ref = [r["metrics"][name]["value"] for r in ref_runs if name in r["metrics"]]
-        new = [r["metrics"][name]["value"] for r in new_runs if name in r["metrics"]]
-        if not ref or not new:
+        ref, new, skipped = paired(ref_runs, new_runs, name)
+        if not ref:
             continue
         sign = 1.0 if spec["better"] == "higher" else -1.0
         wins = sum(sign * (b - a) > 0 for a, b in zip(ref, new))
@@ -104,7 +115,7 @@ def report(results: dict[str, list[dict]], definition: dict) -> None:
         ratio = n2 / r2 if r2 else float("nan")
         outcome = verdict(ref, new, spec["better"], spec["bound"])
         print(f"{name:24s} {r2:>12.6g} {r1:>12.6g} {r3:>12.6g} {n2:>14.6g} {n1:>12.6g}"
-              f" {n3:>12.6g} {ratio:>7.3f} {f'{wins}/{len(ref)}':>6s} {outcome}")
+              f" {n3:>12.6g} {ratio:>7.3f} {f'{wins}/{len(ref)}':>6s} {skipped:>7d} {outcome}")
     for side, runs in results.items():
         print(f"{side}: failed checks per run {[r['failed'] for r in runs]}")
         envs = {json.dumps({k: r["env"].get(k) for k in ("numpy", "blas", "threads", "nproc")},

@@ -137,15 +137,26 @@ def write_fits(path: Path, seeds: list[int]) -> None:
     path.write_bytes(pickle.dumps(fits))
 
 
+def seed_list(text: str) -> list[int]:
+    """The value of ``--seeds``: one or more comma-separated integers."""
+    try:
+        seeds = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"no seed in {text!r}")
+    return seeds
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ref", default="HEAD", help="git ref of the parent side")
-    parser.add_argument("--seeds", default="11", help="comma-separated corpus seeds")
+    parser.add_argument("--seeds", type=seed_list, default="11",
+                        help="comma-separated corpus seeds")
     parser.add_argument("--write", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     if args.write is not None:
-        write_fits(args.write, seeds)
+        write_fits(args.write, args.seeds)
         return 0
     from bench_pairs import unpack
 
@@ -160,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
         for side, tree in (("ref", ref_tree), ("change", ROOT)):
             out = Path(tmp) / f"{side}.pickle"
             try:
-                run_side(tree, seeds, out)
+                run_side(tree, args.seeds, out)
             except subprocess.CalledProcessError as exc:
                 print(f"error: the {side} fits exited {exc.returncode}", file=sys.stderr)
                 return 1
