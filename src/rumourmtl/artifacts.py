@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -21,3 +22,13 @@ def atomic_write(path: str | Path, text: str) -> None:
     except OSError:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: str | Path, value) -> None:
+    """``write_ndjson`` of the one value ``value``."""
+    write_ndjson(path, [value])
+
+
+def write_ndjson(path: str | Path, values) -> None:
+    """Write each of ``values`` as one newline-closed line of sorted-key JSON."""
+    atomic_write(path, "".join(json.dumps(v, sort_keys=True) + "\n" for v in values))

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Collection, Optional, Sequence
 
 from rumourmtl import analysis, baselines, evaluation, mtl, search as search_mod
-from rumourmtl.artifacts import atomic_write
+from rumourmtl.artifacts import atomic_write, write_json
 from rumourmtl.corpus import (
     DEFAULT_MAX_BRANCH_LEN,
     VERACITY_CLASSES,
@@ -237,8 +237,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     model, history = _train_mtl(corpus, _embedding_table(cfg), cfg, cfg.tasks, cfg.seed)
     model_path = out_dir / "model.json"
     model.save(model_path)
-    atomic_write(out_dir / "loss_history.json",
-                 json.dumps({"epoch_loss": history}, sort_keys=True) + "\n")
+    write_json(out_dir / "loss_history.json", {"epoch_loss": history})
     print(f"wrote {model_path}")
     return 0
 
@@ -264,7 +263,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         metrics = evaluation.compute_metrics(
             [p.veracity for p, _ in labeled],
             [t.veracity_label for _, t in labeled], VERACITY_CLASSES)
-        atomic_write(out_dir / "metrics.json", json.dumps(asdict(metrics), sort_keys=True) + "\n")
+        write_json(out_dir / "metrics.json", asdict(metrics))
     else:
         # No labelled thread, no metrics: an earlier run's file must not stand beside these.
         (out_dir / "metrics.json").unlink(missing_ok=True)
@@ -343,8 +342,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             seed=cfg.seed, log_path=out_dir / "trials.ndjson")
     except RuntimeError as exc:  # every trial failed; trials.ndjson holds each error
         raise UsageError(str(exc)) from None
-    atomic_write(out_dir / "best_config.json",
-                 json.dumps(best.to_json_obj(), sort_keys=True) + "\n")
+    write_json(out_dir / "best_config.json", best.to_json_obj())
     print(f"best objective {best.objective:.4f} at trial {best.number}")
     return 0
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from rumourmtl.artifacts import atomic_write
+from rumourmtl.artifacts import write_json, write_ndjson
 
 STANCE_CLASSES = ("comment", "deny", "query", "support")
 DETECTION_CLASSES = ("non-rumour", "rumour")
@@ -288,10 +288,9 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
             name = f"{t.id}.json"
             if Path(name).name != name:
                 raise CorpusError(f"{path}: thread id {t.id!r} is not a file name")
-            atomic_write(path / name, json.dumps(_thread_to_obj(t), sort_keys=True) + "\n")
+            write_json(path / name, _thread_to_obj(t))
     else:
-        lines = [json.dumps(_thread_to_obj(t), sort_keys=True) for t in corpus.threads]
-        atomic_write(path, "\n".join(lines) + "\n")
+        write_ndjson(path, map(_thread_to_obj, corpus.threads))
 
 
 # ---------------------------------------------------------------------------

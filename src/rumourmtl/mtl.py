@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import math
 import numbers
 from dataclasses import asdict, dataclass
@@ -29,7 +28,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from rumourmtl import neural
-from rumourmtl.artifacts import atomic_write
+from rumourmtl.artifacts import write_ndjson
 from rumourmtl.corpus import (
     DEFAULT_MAX_BRANCH_LEN,
     DETECTION_CLASSES,
@@ -643,13 +642,8 @@ def predict_thread(model: MTLModel, thread: Thread, table: EmbeddingTable,
 def dump_predictions(predictions: Sequence[ThreadPrediction], path: str | Path,
                      model_name: Optional[str] = None) -> None:
     """Write newline-delimited JSON predictions."""
-    lines = []
-    for pred in predictions:
-        obj = pred.to_json_obj()
-        if model_name is not None:
-            obj["model"] = model_name
-        lines.append(json.dumps(obj, sort_keys=True))
-    atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
+    extra = {} if model_name is None else {"model": model_name}
+    write_ndjson(path, [{**pred.to_json_obj(), **extra} for pred in predictions])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from l and ranked by the ratio l/g.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +15,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from rumourmtl.artifacts import atomic_write
+from rumourmtl.artifacts import write_ndjson
 
 
 @dataclass(frozen=True)
@@ -179,8 +178,7 @@ def run_search(space: SearchSpace,
                           dev_accuracy=None, seed=trial_seed, status=f"error: {exc}")
         history.append(trial)
         if log_path is not None:
-            atomic_write(log_path, "".join(json.dumps(t.to_json_obj(), sort_keys=True) + "\n"
-                                           for t in history))
+            write_ndjson(log_path, [t.to_json_obj() for t in history])
     ok = [t for t in history if t.status == "ok"]
     if not ok:
         raise RuntimeError(f"all trials failed; trial 0 {history[0].status}")

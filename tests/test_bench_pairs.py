@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
 
@@ -71,3 +73,10 @@ def test_report_pairs_runs_by_seed(capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert [row[1:] for row in rows if row[0] == "m"] == [
         ["100", "100", "100", "90", "90", "90", "0.900", "0/3", "1", "same"]]
+
+
+def test_a_ref_that_git_cannot_archive_exits_1_with_its_name(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        tool.unpack("no-such-ref", tmp_path / "tree")
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("error: git archive no-such-ref: ")

@@ -1,7 +1,13 @@
 """The file comparison of ``tools/cli_identity.py``, loaded by path."""
 
 import importlib.util
+import sys
+import types
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "cli_identity.py"
 
@@ -50,6 +56,42 @@ def test_json_differences_sized():
         "differs: r.csv"]
 
 
+def test_a_number_nan_on_one_side_differs():
+    nan = float("nan")
+    assert tool.value_differences([1.0, 2.0], [1.0, nan]) == (0.0, 1)
+    assert tool.value_differences([nan, 2.0], [nan, 2.5]) == (0.5, 0)
+
+
+def test_one_ulp_in_one_block_reported_with_its_size(tmp_path):
+    from rumourmtl.neural import save_params
+
+    params = {"lstm0/Wx": np.linspace(-1.0, 1.0, 24).reshape(3, 8), "veracity/out/b": np.zeros(3)}
+    save_params(params, tmp_path / "ref.json")
+    step = np.nextafter(params["lstm0/Wx"][1, 2], np.inf) - params["lstm0/Wx"][1, 2]
+    params["lstm0/Wx"][1, 2] += step
+    save_params(params, tmp_path / "new.json")
+    ref, new = ({"out/model.json": (tmp_path / f"{side}.json").read_bytes()}
+                for side in ("ref", "new"))
+    assert step > 0 and tool.compare(ref, new) == [
+        f"differs: out/model.json (largest numeric difference {step:.3g}, 0 other values differ)"]
+
+
+def test_fit_inputs_give_each_workload_its_corpus_and_run_config(tmp_path):
+    from rumourmtl.cli import _RUN_KEYS, RunConfig, dispatch, load_config_file
+    from rumourmtl.corpus import generate_synthetic, save_corpus
+
+    runs = dict(tool.fit_commands(tmp_path, [11]))
+    workloads = tool.bench_workloads()
+    for w in workloads.WORKLOADS.values():
+        (_, synth), (_, train), _ = runs[f"{w.name}-11"]
+        assert dispatch(synth) == 0
+        save_corpus(generate_synthetic(w.spec, 11), tmp_path / "expected.ndjson")
+        assert Path(synth[-1]).read_bytes() == (tmp_path / "expected.ndjson").read_bytes()
+        cfg = RunConfig.from_values(load_config_file(train[1], _RUN_KEYS))
+        assert (cfg.corpus, cfg.hp, cfg.tasks, cfg.embedding_dim, cfg.seed) == (
+            synth[-1], replace(w.hp, epochs=w.epochs), w.tasks, w.dim, workloads.MODEL_SEED)
+
+
 def test_embedding_file_leaves_posts_out_of_vocabulary(tmp_path):
     from rumourmtl.cli import dispatch
     from rumourmtl.corpus import load_corpus
@@ -77,3 +119,15 @@ def test_a_search_reaches_tpe_and_the_accuracy_objective(tmp_path):
     assert any(int(argv[argv.index("--trials") + 1]) > TPE_STARTUP for argv in searches)
     assert any(argv[argv.index("--objective") + 1] == "accuracy"
                for argv in searches if "--objective" in argv)
+
+
+@pytest.mark.parametrize("seeds", [",", "", "11..12", "11,x"])
+def test_bad_seeds_refused_before_any_ref_is_unpacked(monkeypatch, capsys, seeds):
+    def unpack(ref, target):
+        raise AssertionError("unpacked a ref")
+
+    monkeypatch.setitem(sys.modules, "bench_pairs", types.SimpleNamespace(unpack=unpack))
+    with pytest.raises(SystemExit) as exc:
+        tool.main(["--seeds", seeds])
+    assert exc.value.code == 2
+    assert "--seeds" in capsys.readouterr().err

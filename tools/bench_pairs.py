@@ -18,7 +18,7 @@ ratio of the medians (change over ref), how many pairs the change won in
 the metric's better direction, how many pairs were skipped, and a verdict
 (see ``verdict``). Then the failed-check counts of every run, and the
 numpy, BLAS and thread settings each side reported. Exit status 1 when
-a run fails to produce its result.
+git cannot archive the ref or a run fails to produce its result.
 """
 
 from __future__ import annotations
@@ -37,10 +37,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def unpack(ref: str, target: Path) -> None:
-    """The committed files of ``ref`` under ``target``."""
+    """The committed files of ``ref`` under ``target``; when git cannot
+    archive ``ref``, its message is printed and the process exits 1."""
     archive = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT,
-                             capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+                             capture_output=True)
+    if archive.returncode != 0:
+        print(f"error: git archive {ref}: {archive.stderr.decode().strip()}", file=sys.stderr)
+        sys.exit(1)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
         tar.extractall(target, filter="data")
 
 
@@ -137,11 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     results: dict[str, list[dict]] = {"ref": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         ref_tree = Path(tmp)
-        try:
-            unpack(args.ref, ref_tree)
-        except subprocess.CalledProcessError as exc:
-            print(f"error: git archive {args.ref}: {exc.stderr.decode().strip()}", file=sys.stderr)
-            return 1
+        unpack(args.ref, ref_tree)
         trees = {"ref": ref_tree, "change": ROOT}
         for i in range(args.pairs):
             seed = args.first_seed + i

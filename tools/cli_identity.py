@@ -2,31 +2,36 @@
 
 Run from the repository root:
 
-    python3 tools/cli_identity.py --ref HEAD
+    python3 tools/cli_identity.py --ref HEAD --seeds 11
 
 The committed files of ``--ref`` are unpacked as ``tools/bench_pairs.py``
 does; the other side is the working tree, uncommitted edits included. Each
-side runs ``python -m rumourmtl.cli`` from its own ``src`` (by
-``PYTHONPATH``) in its own temporary root: ``synth``, ``validate``,
-``analyze`` (to a file and to stdout), ``train``, ``evaluate``, ``loeo`` over
-every model, ``loeo`` of three models over a two-process pool, a
-three-trial ``search`` and an eleven-trial ``search`` of the accuracy
-objective (past ``search.TPE_STARTUP``, so TPE's modelled suggestions run),
-on two synthetic corpora. Those
-runs use hash embeddings, which hold every token; so ``train``, ``evaluate``,
-``loeo`` and ``search`` run once more on the small corpus with an embedding
-file that the script writes and that leaves out every other token (see
-``embedding_file``). Every command's exit status, stdout and stderr are kept
-in a ``.log`` file beside the artifacts.
+side runs ``python -m rumourmtl.cli`` from its own ``src`` (by ``PYTHONPATH``)
+in its own temporary root: ``synth``, ``validate``, ``analyze`` (to a file and
+to stdout), ``train``, ``evaluate``, ``loeo`` over every model, ``loeo`` of
+three models over a two-process pool, a three-trial ``search`` and an
+eleven-trial ``search`` of the accuracy objective (past
+``search.TPE_STARTUP``, so TPE's modelled suggestions run), on two synthetic
+corpora. Those runs use hash embeddings, which hold every token; so ``train``,
+``evaluate``, ``loeo`` and ``search`` run once more on the small corpus with
+an embedding file that the script writes and that leaves out every other token
+(see ``embedding_file``). Last come the benchmark's fits: for each workload of
+the working tree's ``bench/workloads.py`` and each corpus seed of ``--seeds``
+(11 by default), ``synth`` of the workload's corpus, then ``train`` and
+``evaluate`` with its hyperparameters, epochs, tasks and dimension from
+``MODEL_SEED`` (see ``fit_commands``). Both sides get the same input files.
+Every command's exit status, stdout and stderr are kept in a ``.log`` file
+beside the artifacts.
 
 Inside file contents, each root's path becomes ``<root>`` and its source
-tree's path ``<tree>``; then the two roots are compared file by file. The script prints the files that differ or
-exist on one side only, and exits 0 only if there are none. For a ``.json``
-or ``.ndjson`` file that differs, its line also gives the largest absolute
-difference between numbers at the same place and the count of other values
-(labels, say) that differ, so a last-bit change of a probability is told
-apart from a changed prediction.
-"""
+tree's path ``<tree>``; then the two roots are compared file by file. The
+script prints the files that differ or exist on one side only, and exits 0
+only if there are none. For a ``.json`` or ``.ndjson`` file that differs, its
+line also gives the largest absolute difference between numbers at the same
+place of the whole file (every block of a checkpoint) and the count of other
+values that differ (labels, say, or a number that is NaN on one side only), so
+a last-bit change of a parameter or a probability is told apart from a changed
+prediction."""
 
 from __future__ import annotations
 
@@ -37,6 +42,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict, replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -134,9 +140,58 @@ def oov_commands(root: Path) -> list[tuple[str, list[str]]]:
     return model_commands(cfg, out)
 
 
-def run_tree(tree: Path, root: Path) -> None:
-    """Every command of every corpus, then the out-of-vocabulary runs, with
-    ``tree/src`` first on the path."""
+def bench_workloads():
+    """The working tree's ``bench/workloads.py`` module."""
+    sys.path[:0] = [d for d in (str(ROOT / "src"), str(ROOT / "bench")) if d not in sys.path]
+    import workloads
+
+    return workloads
+
+
+def key_values(values: dict) -> str:
+    """``key = value`` lines; a number is written by ``repr``, so it reads back equal."""
+    return "".join(f"{k} = {v if isinstance(v, str) else repr(v)}\n" for k, v in values.items())
+
+
+def fit_spec(spec, seed: int) -> str:
+    """The ``synth`` spec of the ``GeneratorSpec`` ``spec`` at corpus ``seed``."""
+    from rumourmtl.corpus import VERACITY_CLASSES
+
+    values = {"seed": seed}
+    for key, value in asdict(spec).items():
+        if key == "veracity_priors":
+            values.update((f"prior_{c}", p) for c, p in zip(VERACITY_CLASSES, value))
+        elif key.endswith("_range"):
+            values[key[:-5] + "min"], values[key[:-5] + "max"] = value
+        else:
+            values[key] = value
+    return key_values(values)
+
+
+def fit_commands(root: Path, seeds: list[int]) -> list[tuple[str, list[tuple[str, list[str]]]]]:
+    """(log prefix, its (log name, cli arguments)) of the benchmark's fit of
+    each workload at each corpus seed: ``synth``, ``train`` and
+    ``evaluate``; writes their spec and run config under ``root`` first."""
+    workloads = bench_workloads()
+    runs = []
+    for w in workloads.WORKLOADS.values():
+        for seed in seeds:
+            name = f"{w.name}-{seed}"
+            spec, corpus, cfg = (root / f"{name}.{ext}" for ext in ("spec", "ndjson", "cfg"))
+            out = root / f"{name}-out"
+            spec.write_text(fit_spec(w.spec, seed))
+            cfg.write_text(key_values({
+                "corpus": str(corpus), "output_dir": str(out / "train"),
+                "seed": workloads.MODEL_SEED, "tasks": ",".join(w.tasks),
+                "embedding_dim": w.dim, **asdict(replace(w.hp, epochs=w.epochs))}))
+            runs.append((name, [("synth", ["synth", str(spec), "-o", str(corpus)]),
+                                *model_commands(cfg, out)[:2]]))
+    return runs
+
+
+def run_tree(tree: Path, root: Path, seeds: list[int]) -> None:
+    """Every command of every corpus, the out-of-vocabulary runs, then the
+    benchmark's fits at ``seeds``, with ``tree/src`` first on the path."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
 
     def run(name: str, steps: list[tuple[str, list[str]]]) -> None:
@@ -149,6 +204,8 @@ def run_tree(tree: Path, root: Path) -> None:
     for name in CORPORA:
         run(name, commands(root, name))
     run("oov", oov_commands(root))
+    for name, steps in fit_commands(root, seeds):
+        run(name, steps)
 
 
 def read_tree(root: Path, tree: Path) -> dict[str, bytes]:
@@ -174,7 +231,8 @@ def _is_number(value) -> bool:
 def value_differences(ref, new) -> tuple[float, int]:
     """The largest absolute difference between numbers at the same place of
     two JSON values, and the count of other values that differ; a place on
-    one side only counts as one such value."""
+    one side only, or a number that is NaN on one side only, counts as one
+    such value."""
     largest, other = 0.0, 0
     stack = [(ref, new)]
     while stack:
@@ -186,7 +244,9 @@ def value_differences(ref, new) -> tuple[float, int]:
             stack.extend(zip(a, b))
             other += abs(len(a) - len(b))
         elif _is_number(a) and _is_number(b):
-            if a != b and not (a != a and b != b):  # NaN matches NaN
+            if (a != a) != (b != b):  # NaN on one side only
+                other += 1
+            elif a != b and a == a:  # NaN matches NaN
                 largest = max(largest, abs(a - b))
         elif a != b:
             other += 1
@@ -225,24 +285,33 @@ def compare(ref: dict[str, bytes], new: dict[str, bytes]) -> list[str]:
     return lines
 
 
-def main(argv: list[str] | None = None) -> int:
-    from bench_pairs import unpack
+def seed_list(text: str) -> list[int]:
+    """The value of ``--seeds``: one or more comma-separated integers."""
+    try:
+        seeds = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"no seed in {text!r}")
+    return seeds
 
+
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ref", default="HEAD", help="git ref of the parent side")
+    parser.add_argument("--seeds", type=seed_list, default="11",
+                        help="comma-separated corpus seeds of the benchmark's fits")
     args = parser.parse_args(argv)
+    from bench_pairs import unpack
+
     with tempfile.TemporaryDirectory(prefix="cli-identity-") as tmp:
         ref_tree = Path(tmp) / "tree"
-        try:
-            unpack(args.ref, ref_tree)
-        except subprocess.CalledProcessError as exc:
-            print(f"error: git archive {args.ref}: {exc.stderr.decode().strip()}", file=sys.stderr)
-            return 1
+        unpack(args.ref, ref_tree)
         sides = []
         for side, tree in (("ref", ref_tree), ("change", ROOT)):
             root = Path(tmp) / side
             root.mkdir()
-            run_tree(tree, root)
+            run_tree(tree, root, args.seeds)
             sides.append(read_tree(root, tree))
         ref, new = sides
     problems = compare(ref, new)
@@ -251,7 +320,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"ref {args.ref}: {len(ref.keys() | new.keys())} files compared, {len(problems)} differ "
           f"or are missing")
     return 1 if problems else 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
