@@ -10,12 +10,16 @@ construction, entropy is not.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from rumourmtl.corpus import TASK_CLASSES, Corpus, Thread
 from rumourmtl.evaluation import render_table
 from rumourmtl.text import preprocess
+
+#: The tasks of the stats table, in column order.
+TASKS = ("stance", "veracity", "detection")
 
 
 @dataclass(frozen=True)
@@ -43,8 +47,8 @@ class LabelDistribution:
 
 
 def entropy(dist: LabelDistribution) -> float:
-    """Shannon entropy in nats: 0 for a single class, ln K when uniform."""
-    return -sum(p * math.log(p) for p in dist.frequencies if p > 0.0)
+    """Shannon entropy in nats: +0.0 (not -0.0) for a single class, ln K when uniform."""
+    return 0.0 - sum(p * math.log(p) for p in dist.frequencies if p > 0.0)
 
 
 def kurtosis(dist: LabelDistribution) -> Optional[float]:
@@ -87,36 +91,22 @@ def _task_labels(thread: Thread, task: str) -> list[str]:
     return [] if label is None else [label]
 
 
-def _event_distribution(corpus: Corpus, event: str, task: str) -> Optional[LabelDistribution]:
-    classes = TASK_CLASSES[task]
-    counts = [0] * len(classes)
-    for thread in corpus.threads:
-        if thread.event == event:
-            for label in _task_labels(thread, task):
-                counts[classes.index(label)] += 1
-    if sum(counts) == 0:
-        return None
-    return LabelDistribution(task=task, event=event, counts=tuple(counts))
-
-
-def _task_texts(corpus: Corpus, event: str, task: str) -> list[list[str]]:
-    """Preprocessed tokens of all posts in threads labeled for the task."""
-    return [preprocess(p.text) for thread in corpus.threads
-            if thread.event == event and _task_labels(thread, task) for p in thread.posts]
-
-
 def analyze_corpus(corpus: Corpus) -> dict[str, dict[str, Optional[DatasetStats]]]:
     """Per-event, per-task stats table; tasks without labels in an event
     get None cells (like stance for events that carry no stance annotation)."""
     table: dict[str, dict[str, Optional[DatasetStats]]] = {}
     for event in corpus.events:
+        threads = [t for t in corpus.threads if t.event == event]
         row: dict[str, Optional[DatasetStats]] = {}
-        for task in ("stance", "veracity", "detection"):
-            dist = _event_distribution(corpus, event, task)
-            if dist is None:
+        for task in TASKS:
+            labeled = [(t, labels) for t in threads if (labels := _task_labels(t, task))]
+            if not labeled:
                 row[task] = None
                 continue
-            texts = _task_texts(corpus, event, task)
+            counts = Counter(label for _, labels in labeled for label in labels)
+            dist = LabelDistribution(task=task, event=event,
+                                     counts=tuple(counts[c] for c in TASK_CLASSES[task]))
+            texts = [preprocess(p.text) for t, _ in labeled for p in t.posts]
             row[task] = DatasetStats(
                 entropy=entropy(dist),
                 kurtosis=kurtosis(dist),
@@ -132,11 +122,10 @@ def stats_csv(table: dict[str, dict[str, Optional[DatasetStats]]]) -> str:
     Degenerate kurtosis cells are marked ``-3 (degenerate)``; an empty
     table renders as ``no results``, like every report table.
     """
-    tasks = ("stance", "veracity", "detection")
-    rows = [("event", *(f"{task}_{m}" for task in tasks for m in ("entropy", "kurtosis", "ttr")))]
+    rows = [("event", *(f"{task}_{m}" for task in TASKS for m in ("entropy", "kurtosis", "ttr")))]
     for event in sorted(table):
         cells = [event]
-        for task in tasks:
+        for task in TASKS:
             stats = table[event][task]
             if stats is None:
                 cells += ["-", "-", "-"]

@@ -24,6 +24,11 @@ def atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
+def is_file_name(name: str) -> bool:
+    """Whether ``name`` is one path component, without a NUL byte."""
+    return "\0" not in name and Path(name).name == name
+
+
 def write_json(path: str | Path, value) -> None:
     """``write_ndjson`` of the one value ``value``."""
     write_ndjson(path, [value])

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Collection, Optional, Sequence
 
 from rumourmtl import analysis, baselines, evaluation, mtl, search as search_mod
-from rumourmtl.artifacts import atomic_write, write_json
+from rumourmtl.artifacts import atomic_write, is_file_name, write_json
 from rumourmtl.corpus import (
     DEFAULT_MAX_BRANCH_LEN,
     VERACITY_CLASSES,
@@ -125,10 +125,8 @@ class RunConfig:
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
     values = load_config_file(args.config, _RUN_KEYS)
-    for key in ("seed", "output_dir", "tasks", "epochs"):
-        override = getattr(args, key, None)
-        if override is not None:
-            values[key] = str(override)
+    values.update((key, str(value)) for key, value in vars(args).items()
+                  if key in _RUN_KEYS and value is not None)
     return RunConfig.from_values(values)
 
 
@@ -284,8 +282,11 @@ def cmd_loeo(args: argparse.Namespace) -> int:
             raise UsageError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    run_fold = partial(_loeo_fold, cfg, corpus, _embedding_table(cfg))
     names, events = zip(*[(name, event) for name in model_names for event in corpus.events])
+    file_names = [f"predictions_{name}_{event}.ndjson" for name, event in zip(names, events)]
+    if bad := [e for e, f in zip(events, file_names) if not is_file_name(f)]:
+        raise UsageError(f"event {bad[0]!r} cannot be part of a file name")
+    run_fold = partial(_loeo_fold, cfg, corpus, _embedding_table(cfg))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(names))) as pool:
             outcomes = list(pool.map(run_fold, names, events))
@@ -293,14 +294,14 @@ def cmd_loeo(args: argparse.Namespace) -> int:
         outcomes = list(map(run_fold, names, events))
     out_dir = Path(cfg.output_dir)
     fold_results: dict[str, list[evaluation.FoldResult]] = {name: [] for name in model_names}
-    for name, fold in zip(names, outcomes):
+    for name, fold, file_name in zip(names, outcomes, file_names):
         if fold is None:
             continue
         fold_results[name].append(fold)
         mtl.dump_predictions(
             [mtl.ThreadPrediction(tid, fold.event, pred, prob)
              for tid, pred, prob in zip(fold.thread_ids, fold.preds, fold.probs)],
-            out_dir / f"predictions_{name}_{fold.event}.ndjson", model_name=name)
+            out_dir / file_name, model_name=name)
     pooled = {name: evaluation.pool_folds(folds, VERACITY_CLASSES)
               for name, folds in fold_results.items()}
     csv_doc, txt_doc = evaluation.emit_report(

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from rumourmtl.artifacts import write_json, write_ndjson
+from rumourmtl.artifacts import is_file_name, write_json, write_ndjson
 
 STANCE_CLASSES = ("comment", "deny", "query", "support")
 DETECTION_CLASSES = ("non-rumour", "rumour")
@@ -202,16 +202,16 @@ def _thread_to_obj(thread: Thread) -> dict:
     }
 
 
-def _thread_from_obj(obj: dict, where: str) -> Thread:
+def _thread_from_obj(obj: dict) -> Thread:
     try:
         raw_posts = obj["posts"]
         event = obj["event"]
     except (KeyError, TypeError) as exc:
-        raise CorpusError(f"{where}: missing field {exc}") from None
+        raise CorpusError(f"missing field {exc}") from None
     if not isinstance(raw_posts, list) or not raw_posts:
-        raise CorpusError(f"{where}: 'posts' must be a non-empty list")
+        raise CorpusError("'posts' must be a non-empty list")
     if not isinstance(event, str):
-        raise CorpusError(f"{where}: 'event' must be a string, got {event!r}")
+        raise CorpusError(f"'event' must be a string, got {event!r}")
     posts = []
     for rp in raw_posts:
         try:
@@ -225,25 +225,20 @@ def _thread_from_obj(obj: dict, where: str) -> Thread:
                 stance_label=rp.get("stance"),
             )
         except (KeyError, TypeError) as exc:
-            raise CorpusError(f"{where}: malformed post entry: {exc}") from None
-        except CorpusError as exc:
-            raise CorpusError(f"{where}: {exc}") from None
+            raise CorpusError(f"malformed post entry: {exc}") from None
         posts.append(post)
     sources = [p for p in posts if p.parent_id is None]
     if len(sources) != 1:
-        raise CorpusError(f"{where}: expected exactly one source post, got {len(sources)}")
+        raise CorpusError(f"expected exactly one source post, got {len(sources)}")
     source = sources[0]
     replies = tuple(p for p in posts if p is not source)
-    try:
-        return Thread(
-            source=source,
-            replies=replies,
-            event=event,
-            detection_label=obj.get("detection"),
-            veracity_label=obj.get("veracity"),
-        )
-    except CorpusError as exc:
-        raise CorpusError(f"{where}: {exc}") from None
+    return Thread(
+        source=source,
+        replies=replies,
+        event=event,
+        detection_label=obj.get("detection"),
+        veracity_label=obj.get("veracity"),
+    )
 
 
 def read_text(path: Path) -> str:
@@ -271,10 +266,11 @@ def load_corpus(path: str | Path) -> Corpus:
     threads: list[Thread] = []
     for where, text in records:
         try:
-            obj = json.loads(text)
+            threads.append(_thread_from_obj(json.loads(text)))
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{where}: parse failure: {exc}") from None
-        threads.append(_thread_from_obj(obj, where))
+        except CorpusError as exc:
+            raise CorpusError(f"{where}: {exc}") from None
     return Corpus(tuple(threads))
 
 
@@ -286,7 +282,7 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
         path.mkdir(parents=True, exist_ok=True)
         for t in corpus.threads:
             name = f"{t.id}.json"
-            if Path(name).name != name:
+            if not is_file_name(name):
                 raise CorpusError(f"{path}: thread id {t.id!r} is not a file name")
             write_json(path / name, _thread_to_obj(t))
     else:

@@ -8,6 +8,8 @@ computing metrics (micro-averaging across events).
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -186,15 +188,16 @@ def per_class_table(folds: list[FoldResult], classes: Sequence[str]) -> tuple[st
 
 
 def render_table(rows: list[tuple[str, ...]]) -> tuple[str, str]:
-    """A header row plus data rows as CSV and as space-aligned text; "no
-    results" for both when there is no data row."""
+    """A header row plus data rows as ``csv``-module CSV and as space-aligned
+    text; "no results" for both when there is no data row."""
     if len(rows) < 2:
         return "no results\n", "no results\n"
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    csv_doc = "".join(",".join(r) + "\n" for r in rows)
+    csv_doc = io.StringIO()
+    csv.writer(csv_doc, lineterminator="\n").writerows(rows)
     txt_doc = "".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n"
                       for r in rows)
-    return csv_doc, txt_doc
+    return csv_doc.getvalue(), txt_doc
 
 
 def emit_report(results: dict[str, Metrics], fold_results: dict[str, list[FoldResult]],

@@ -503,15 +503,11 @@ def _majority_vote(branch_probs: np.ndarray, classes: Sequence[str]) -> tuple[st
     then by class order (alphabetical for every task's class set)."""
     votes = np.argmax(branch_probs, axis=1)
     counts = np.bincount(votes, minlength=len(classes))
-    top = counts.max()
-    tied = np.nonzero(counts == top)[0]
-    if len(tied) == 1:
-        winner = int(tied[0])
-    else:
-        summed = branch_probs.sum(axis=0)
-        best = summed[tied].max()
-        winner = int(min(c for c in tied if summed[c] >= best - 1e-15))
-    return classes[winner], branch_probs.sum(axis=0) / len(branch_probs)
+    tied = np.nonzero(counts == counts.max())[0]
+    summed = branch_probs.sum(axis=0)
+    best = summed[tied].max()
+    winner = int(min(c for c in tied if summed[c] >= best - 1e-15))
+    return classes[winner], summed / len(branch_probs)
 
 
 @dataclass(frozen=True)
@@ -597,8 +593,6 @@ def predict_threads(model: MTLModel, threads: Sequence[Thread], table: Embedding
     read each branch's end node, so a truncated branch that appears twice
     keeps both votes.
     """
-    if not threads:
-        return []
     forest = build_forest(threads, table, max_branch_len)
     outputs = model.tree_forward(forest)
     if not math.isfinite(sum(p.sum() for p in outputs.values())):

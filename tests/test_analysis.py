@@ -136,6 +136,15 @@ class TestAnalyzeCorpus:
             assert row["detection"] is not None
             assert 0.0 < row["detection"].ttr <= 1.0
 
+    def test_single_class_entropy_is_positive_zero(self):
+        """An event of rumours only: its detection entropy is +0.0 and
+        prints as 0.00, not -0.00."""
+        corpus = generate_synthetic(GeneratorSpec(events=2, nonrumour_fraction=0.0), 3)
+        table = analyze_corpus(corpus)
+        assert math.copysign(1.0, table["event00"]["detection"].entropy) == 1.0
+        header, row = stats_csv(table).splitlines()[:2]
+        assert row.split(",")[header.split(",").index("detection_entropy")] == "0.00"
+
 
 class TestStatsCsv:
     def test_layout_and_degenerate_marker(self):

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -420,6 +422,24 @@ def _blocker(tmp_path):
     return _write(tmp_path / "blocker", "")
 
 
+def _rename_event(corpus_path, tmp_path, event):
+    """Copy of the corpus whose event00 is called ``event``."""
+    threads = tuple(dataclasses.replace(t, event=event) if t.event == "event00" else t
+                    for t in load_corpus(corpus_path).threads)
+    out = tmp_path / "renamed.ndjson"
+    save_corpus(Corpus(threads), out)
+    return out
+
+
+def _loeo_event(tmp_path, corpus_path, event):
+    """``loeo`` of the corpus with event00 called ``event``, into
+    ``tmp_path/a/b/out``, so that a file name that climbs three directories
+    out of it still lands inside ``tmp_path``."""
+    cfg = run_config(tmp_path, _rename_event(corpus_path, tmp_path, event),
+                     output_dir=tmp_path / "a" / "b" / "out")
+    return ["loeo", cfg, "--models", "majority"], repr(event)
+
+
 #: Bad input at the config and loader boundary: (argv, the key or file the
 #: error line must name), built from a temporary directory and a corpus.
 BAD_INPUTS = {
@@ -527,6 +547,9 @@ BAD_INPUTS = {
     "unknown synth spec key": lambda tmp, corpus: (
         ["synth", _write(tmp / "spec.txt", "event = 2\n"), "-o", tmp / "x.ndjson"],
         "unknown config key 'event'"),
+    "loeo event escaping the output dir": lambda tmp, corpus: _loeo_event(
+        tmp, corpus, "/../../../escaped"),
+    "loeo event with a NUL byte": lambda tmp, corpus: _loeo_event(tmp, corpus, "bad\0event"),
 }
 
 
@@ -537,6 +560,42 @@ def test_bad_input_exit_1(case, tmp_path, corpus_path, capsys):
     assert dispatch([str(a) for a in argv]) == 1
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and named in errors[0]
+
+
+@pytest.mark.parametrize("case", ["loeo event escaping the output dir",
+                                  "loeo event with a NUL byte"])
+def test_bad_event_writes_nothing_outside_output_dir(case, tmp_path, corpus_path, capsys):
+    argv, _ = BAD_INPUTS[case](tmp_path, corpus_path)
+    before = set(tmp_path.rglob("*"))
+    assert dispatch([str(a) for a in argv]) == 1
+    out_dir = tmp_path / "a" / "b" / "out"
+    assert [p for p in set(tmp_path.rglob("*")) - before if out_dir not in p.parents] == []
+
+
+class TestCsvQuoting:
+    """An event name holding a comma stays one CSV cell."""
+
+    EVENTS = ["event01", "event02", "paris, attack"]
+
+    def test_stats_csv(self, tmp_path, corpus_path, capsys):
+        target = tmp_path / "stats.csv"
+        corpus = _rename_event(corpus_path, tmp_path, "paris, attack")
+        assert dispatch(["analyze", str(corpus), "-o", str(target)]) == 0
+        with target.open(newline="", encoding="utf-8") as f:
+            header, *rows = csv.reader(f)
+        assert all(len(row) == len(header) for row in rows)
+        assert [row[0] for row in rows] == self.EVENTS
+
+    def test_report_csv(self, tmp_path, corpus_path, capsys):
+        cfg = run_config(tmp_path, _rename_event(corpus_path, tmp_path, "paris, attack"))
+        assert dispatch(["loeo", str(cfg), "--models", "majority"]) == 0
+        text = (tmp_path / "out" / "report.csv").read_text(encoding="utf-8")
+        # The comparison, per-event and per-class tables, one blank line apart.
+        tables = [list(csv.reader(io.StringIO(block))) for block in text.split("\n\n")]
+        for header, *rows in tables:
+            assert all(len(row) == len(header) for row in rows)
+        assert tables[1][0] == ["model", *self.EVENTS]
+        assert [row[0] for row in tables[2][1:]] == self.EVENTS
 
 
 def test_failed_rename_leaves_no_temp_file(tmp_path, corpus_path, capsys):

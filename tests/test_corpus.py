@@ -134,6 +134,51 @@ class TestLoadErrors:
             make_thread({}, detection="non-rumour", veracity="true")
 
 
+def _record(posts, event="ev"):
+    return json.dumps({"event": event, "posts": posts})
+
+
+#: A bad corpus record and the message that follows its location.
+BAD_RECORDS = {
+    "parse failure": ("{not json", "parse failure: Expecting property name enclosed in "
+                                   "double quotes: line 1 column 2 (char 1)"),
+    "missing field": (json.dumps({"posts": [{"id": "s", "text": "x"}]}),
+                      "missing field 'event'"),
+    "posts not a list": (_record({"id": "s"}), "'posts' must be a non-empty list"),
+    "event not a string": (_record([{"id": "s", "text": "x"}], event=3),
+                           "'event' must be a string, got 3"),
+    "malformed post": (_record([{"text": "x"}]), "malformed post entry: 'id'"),
+    "bad stance label": (_record([{"id": "s", "text": "x", "stance": "maybe"}]),
+                         f"post s: unknown stance label 'maybe' (allowed: {STANCE_CLASSES})"),
+    "two sources": (_record([{"id": "s", "text": "x"}, {"id": "t", "text": "y"}]),
+                    "expected exactly one source post, got 2"),
+    "orphan parent": (_record([{"id": "s", "text": "x"},
+                               {"id": "a", "text": "y", "parent": "missing"}]),
+                      "thread s: reply a has orphan parent 'missing'"),
+}
+
+
+@pytest.mark.parametrize("layout", ["ndjson", "directory"])
+@pytest.mark.parametrize("case", BAD_RECORDS)
+def test_bad_record_names_its_location_once(case, layout, tmp_path):
+    """The second record is bad: the error names its line or its file once."""
+    bad, message = BAD_RECORDS[case]
+    good = _record([{"id": "g", "text": "x"}])
+    if layout == "ndjson":
+        path = tmp_path / "corpus.ndjson"
+        path.write_text(f"{good}\n{bad}\n", encoding="utf-8")
+        where = f"{path}:2"
+    else:
+        path = tmp_path / "corpus"
+        path.mkdir()
+        (path / "a.json").write_text(good, encoding="utf-8")
+        (path / "b.json").write_text(bad, encoding="utf-8")
+        where = str(path / "b.json")
+    with pytest.raises(CorpusError) as exc_info:
+        load_corpus(path)
+    assert str(exc_info.value) == f"{where}: {message}"
+
+
 #: Any JSON value, nested a little.
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
