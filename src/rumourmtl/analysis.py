@@ -94,9 +94,11 @@ def _task_labels(thread: Thread, task: str) -> list[str]:
 def analyze_corpus(corpus: Corpus) -> dict[str, dict[str, Optional[DatasetStats]]]:
     """Per-event, per-task stats table; tasks without labels in an event
     get None cells (like stance for events that carry no stance annotation)."""
+    by_event: dict[str, list[Thread]] = {}
+    for t in corpus.threads:
+        by_event.setdefault(t.event, []).append(t)
     table: dict[str, dict[str, Optional[DatasetStats]]] = {}
-    for event in corpus.events:
-        threads = [t for t in corpus.threads if t.event == event]
+    for event, threads in sorted(by_event.items()):
         row: dict[str, Optional[DatasetStats]] = {}
         for task in TASKS:
             labeled = [(t, labels) for t in threads if (labels := _task_labels(t, task))]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
@@ -178,8 +179,8 @@ def _loeo_fold(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, model_name
 
 def cmd_validate(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
-    by_event = {e: sum(1 for t in corpus.threads if t.event == e) for e in corpus.events}
-    print(f"ok: {len(corpus)} threads, {len(corpus.events)} events")
+    by_event = Counter(t.event for t in corpus.threads)
+    print(f"ok: {len(corpus)} threads, {len(by_event)} events")
     for event, n in sorted(by_event.items()):
         print(f"  {event}: {n} threads")
     return 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -212,6 +213,9 @@ def _thread_from_obj(obj: dict) -> Thread:
         raise CorpusError("'posts' must be a non-empty list")
     if not isinstance(event, str):
         raise CorpusError(f"'event' must be a string, got {event!r}")
+    if any(unicodedata.category(ch) == "Cc" for ch in event):
+        # It names output rows and prediction files.
+        raise CorpusError(f"'event' must hold no control character, got {event!r}")
     posts = []
     for rp in raw_posts:
         try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -77,10 +78,10 @@ class FoldResult:
 def dev_event(corpus: Corpus) -> str:
     """The tuning event: ``DEFAULT_DEV_EVENT`` when present, else the event
     with the most threads (ties go to the later name)."""
-    if DEFAULT_DEV_EVENT in corpus.events:
+    counts = Counter(t.event for t in corpus.threads)
+    if DEFAULT_DEV_EVENT in counts:
         return DEFAULT_DEV_EVENT
-    return max(corpus.events,
-               key=lambda e: (sum(1 for t in corpus.threads if t.event == e), e))
+    return max(counts, key=lambda e: (counts[e], e))
 
 
 def held_out_split(corpus: Corpus, event: str) -> tuple[Corpus, Corpus]:

@@ -13,6 +13,10 @@ the ``Forest`` top-down, so each post goes through the LSTM once and gets
 one stance, and each branch's end node gives its veracity and detection
 votes. ``neural.lstm_forward``/``lstm_backward``, the masked-batch layer
 API, are kept for the tests and the bench tracer.
+
+A model computes in the dtype of its parameters: single precision as built
+or loaded. Each head's softmax, the loss and the thread probabilities are
+double; ``check_gradients`` runs its miniature model in double.
 """
 
 from __future__ import annotations
@@ -154,6 +158,12 @@ class MTLModel:
                 width_in = hp.dense_width
             out = neural.init_dense_layer(rng, width_in, len(TASK_CLASSES[task]))
             self.params.update(_prefixed(f"{task}/out", out))
+        self.params = {name: p.astype(np.float32) for name, p in self.params.items()}
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The compute precision: the dtype of the parameters."""
+        return self.params["lstm0/Wx"].dtype
 
     # -- forward ---------------------------------------------------------
 
@@ -186,8 +196,9 @@ class MTLModel:
         rows: ``stance_rows`` for stance, ``end_rows`` for the thread tasks.
         Returns the head probabilities. Only given ``cache`` (as ``forward``
         makes it) are the layer and head caches of backward recorded into it;
-        without it a layer's state is dropped when the next layer starts."""
-        H = x
+        without it a layer's state is dropped when the next layer starts.
+        The inputs are cast to the parameters' dtype, the logits to double."""
+        H = x.astype(self.dtype, copy=False)
         for l in range(self.hp.num_lstm_layers):
             H, layer_cache = neural.lstm_tree_forward(self._layer(f"lstm{l}", _LSTM_KEYS), H,
                                                       parent, levels)
@@ -204,7 +215,7 @@ class MTLModel:
                 dense_caches.append(dc)
             a_drop, dmask = neural.dropout_forward(a, p, rng=dropout_rng)
             logits = a_drop @ self.params[f"{task}/out/W"] + self.params[f"{task}/out/b"]
-            outputs[task] = neural.softmax(logits, axis=-1)
+            outputs[task] = neural.softmax(logits.astype(np.float64, copy=False), axis=-1)
             if cache is not None:
                 cache["heads"][task] = dict(rows=rows, dense_caches=dense_caches, a_drop=a_drop,
                                             dropout_mask=dmask, probs=outputs[task])
@@ -233,10 +244,11 @@ class MTLModel:
     def loss_and_grads(self, batch: Sequence[TrainingInstance],
                        dropout_rng: Optional[np.random.Generator] = None
                        ) -> tuple[float, Params]:
-        """Batch-mean data loss and its exact gradients for one mini-batch;
-        ``neural.optimizer_step`` adds the L2 term."""
+        """Batch-mean data loss and its exact gradients for one mini-batch,
+        in the parameters' dtype; ``neural.optimizer_step`` adds the L2 term."""
         outputs, cache = self.forward(*_stack(batch), dropout_rng=dropout_rng)
         loss, dlogits = self.batch_data_loss(batch, outputs)
+        dlogits = {task: d.astype(self.dtype, copy=False) for task, d in dlogits.items()}
 
         dH = np.zeros_like(cache["lstm"][-1]["h"][:-1])  # of the top layer's node states
         grads: Params = {}
@@ -280,7 +292,14 @@ class MTLModel:
         for name in params:
             if name not in model.params:
                 raise ValueError(f"checkpoint has unknown parameter block {name!r}")
-        model.params = params
+        # Cast to the fresh model's dtype: a value beyond its range becomes
+        # infinite there and is refused as a NaN is.
+        with np.errstate(over="ignore"):
+            model.params = {name: params[name].astype(p.dtype) for name, p in model.params.items()}
+        for name, p in model.params.items():
+            if not np.isfinite(p).all():
+                raise ValueError(f"{path}: parameter block {name!r} has a value that is "
+                                 f"not finite in {p.dtype}")
         return model
 
 
@@ -654,11 +673,13 @@ def check_gradients(hp: HyperParams, tasks: Iterable[str], input_dim: int, seed:
     their own fresh ``gradcheck-drop`` stream, which draws the same masks,
     so both sides compute the same function.
 
-    All parameters get a small random jitter first. Zero-initialized biases
-    can leave ReLU pre-activations exactly at the kink, where central
-    differences disagree with any subgradient choice.
+    The model runs in double precision. All parameters get a small random
+    jitter first. Zero-initialized biases can leave ReLU pre-activations
+    exactly at the kink, where central differences disagree with any
+    subgradient choice.
     """
     model = MTLModel(hp, tasks, input_dim, seed)
+    model.params = {name: p.astype(np.float64) for name, p in model.params.items()}
     jitter_rng = derive_rng(seed, "gradcheck-jitter")
     for p in model.params.values():
         p += 0.05 * jitter_rng.standard_normal(p.shape)

@@ -4,9 +4,11 @@ One LSTM recurrence (a top-down pass over a forest of nodes; ``chains``
 makes a masked branch batch one) and dense-ReLU layers, each with
 hand-written reverse-mode gradients; softmax/cross-entropy, inverted
 dropout, L2 regularization, an adaptive-moment optimizer and
-finite-difference gradient checking. All arithmetic is double precision;
-parameter sets are flat ``{name: array}`` dicts so optimizer state,
-checkpoints and gradient reports share one naming scheme.
+finite-difference gradient checking. Every layer, its backward and the
+optimizer compute in the dtype of their inputs (the model's parameters are
+single precision; the gradient checks run in double); parameter sets are
+flat ``{name: array}`` dicts so optimizer state, checkpoints and gradient
+reports share one naming scheme.
 
 LSTM gate packing along the last axis is [input, forget, output, candidate].
 Training and prediction share one model forward over node rows; the
@@ -138,8 +140,9 @@ def lstm_tree_forward(params: Params, x: np.ndarray, parent: np.ndarray,
         raise ValueError(f"input dim {d} does not match Wx {params['Wx'].shape}")
     xw = x @ params["Wx"]
     # The extra last row stays zero: the state a root gathers through -1.
-    h, c = np.zeros((2, n + 1, h_dim))
-    ifo, g, tanh_c = np.empty((n, 3 * h_dim)), np.empty((n, h_dim)), np.empty((n, h_dim))
+    h, c = np.zeros((2, n + 1, h_dim), xw.dtype)
+    ifo = np.empty((n, 3 * h_dim), xw.dtype)
+    g, tanh_c = np.empty((2, n, h_dim), xw.dtype)
     for start, stop in zip(levels[:-1], levels[1:]):
         s, up = slice(start, stop), parent[start:stop]
         z = xw[s] + h[up] @ params["Wh"] + params["b"]
@@ -167,9 +170,9 @@ def lstm_tree_backward(params: Params, cache: dict, d_h: np.ndarray, input_grad:
     n, h_dim = d_h.shape
     parent, levels, c, ifo, g, tanh_c = (
         cache[k] for k in ("parent", "levels", "c", "ifo", "g", "tanh_c"))
-    dh = np.vstack([d_h, np.zeros((1, h_dim))])
-    dc = np.zeros((n + 1, h_dim))
-    dz = np.empty((n, 4 * h_dim))
+    dh = np.vstack([d_h, np.zeros((1, h_dim), d_h.dtype)])
+    dc = np.zeros((n + 1, h_dim), d_h.dtype)
+    dz = np.empty((n, 4 * h_dim), d_h.dtype)
     for start, stop in reversed(list(zip(levels[:-1], levels[1:]))):
         s, up = slice(start, stop), parent[start:stop]
         dc_s = dc[s] + dh[s] * ifo[s, 2 * h_dim:] * (1.0 - tanh_c[s] ** 2)
@@ -199,12 +202,12 @@ def lstm_backward(params: Params, cache: dict, d_hs: np.ndarray, input_grad: boo
     cell's to the live cell it repeats), and each node's ``dx`` to its cell.
     """
     rows, steps = cache["cells"]
-    d_h = np.zeros((len(rows) + 1, d_hs.shape[2]))
+    d_h = np.zeros((len(rows) + 1, d_hs.shape[2]), d_hs.dtype)
     np.add.at(d_h, cache["last"], d_hs)
     dx_nodes, grads = lstm_tree_backward(params, cache["tree"], d_h[:-1], input_grad)
     if dx_nodes is None:
         return None, grads
-    dx = np.zeros(d_hs.shape[:2] + (params["Wx"].shape[0],))
+    dx = np.zeros(d_hs.shape[:2] + (params["Wx"].shape[0],), dx_nodes.dtype)
     dx[rows, steps] = dx_nodes
     return dx, grads
 
@@ -233,7 +236,8 @@ def dropout_forward(x: np.ndarray, p: float, rng: Optional[np.random.Generator] 
         return x, None
     if rng is None:
         raise ValueError("dropout needs an rng")
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
+    # The draws are double; the mask takes x's dtype, so it promotes nothing.
+    mask = ((rng.random(x.shape) >= p) / (1.0 - p)).astype(x.dtype, copy=False)
     return x * mask, mask
 
 
@@ -290,8 +294,8 @@ class OptimizerState:
 def optimizer_init(params: Params, lr: float = 1e-3) -> OptimizerState:
     state = OptimizerState(lr=lr)
     for name, p in params.items():
-        state.m[name] = np.zeros(p.shape)
-        state.v[name] = np.zeros(p.shape)
+        state.m[name] = np.zeros_like(p)
+        state.v[name] = np.zeros_like(p)
     return state
 
 
@@ -384,7 +388,8 @@ def grad_check(loss_fn: Callable[[Params], float], params: Params,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints (JSON container; Python float repr round-trips doubles exactly)
+# Checkpoints (JSON container; Python float repr round-trips doubles, and so
+# float32 values, exactly)
 
 def save_params(params: Params, path: str | Path, meta: Optional[dict] = None) -> None:
     payload = {
@@ -411,6 +416,4 @@ def load_params(path: str | Path) -> tuple[Params, dict]:
     params = {}
     for name, entry in blocks.items():
         params[name] = np.array(entry["data"], dtype=float).reshape(entry["shape"])
-        if not np.isfinite(params[name]).all():
-            raise ValueError(f"{path}: parameter block {name!r} has a non-finite value")
     return params, payload["meta"]

@@ -373,12 +373,14 @@ def _evaluate_other_dim(tmp_path, corpus_path):
     return ["evaluate", cfg, "--model", tmp_path / "out" / "model.json"], "model.json"
 
 
-def _nan_checkpoint(tmp_path, corpus_path):
+def _bad_checkpoint(tmp_path, corpus_path, value):
+    """``evaluate`` with a trained checkpoint whose first ``veracity/out/b``
+    value is ``value``."""
     cfg = run_config(tmp_path, corpus_path, epochs=1)
     assert dispatch(["train", str(cfg)]) == 0
     payload = json.loads((tmp_path / "out" / "model.json").read_text())
-    payload["params"]["veracity/out/b"]["data"][0] = float("nan")
-    return ["evaluate", cfg, "--model", _write(tmp_path / "nan.json", json.dumps(payload))], \
+    payload["params"]["veracity/out/b"]["data"][0] = value
+    return ["evaluate", cfg, "--model", _write(tmp_path / "bad.json", json.dumps(payload))], \
         "veracity/out/b"
 
 
@@ -508,7 +510,8 @@ BAD_INPUTS = {
         ["loeo", run_config(tmp, corpus), "--models", ","], "--models"),
     "loeo --models majority,majority": lambda tmp, corpus: (
         ["loeo", run_config(tmp, corpus), "--models", "majority,majority"], "--models"),
-    "checkpoint block set to NaN": _nan_checkpoint,
+    "checkpoint block set to NaN": lambda tmp, corpus: _bad_checkpoint(tmp, corpus, float("nan")),
+    "checkpoint value beyond float32": lambda tmp, corpus: _bad_checkpoint(tmp, corpus, 1e39),
     "train with a nan embedding": lambda tmp, corpus: (
         ["train", run_config(tmp, corpus, embeddings=_write(tmp / "nan.vec", "a 1 nan\n"))],
         "nan.vec:1"),
@@ -550,7 +553,22 @@ BAD_INPUTS = {
     "loeo event escaping the output dir": lambda tmp, corpus: _loeo_event(
         tmp, corpus, "/../../../escaped"),
     "loeo event with a NUL byte": lambda tmp, corpus: _loeo_event(tmp, corpus, "bad\0event"),
+    "loeo event with a newline": lambda tmp, corpus: _loeo_event(tmp, corpus, "new\nline"),
+    "validate event with a newline": lambda tmp, corpus: (
+        ["validate", _rename_event(corpus, tmp, "new\nline")], "renamed.ndjson:1"),
+    "validate event with a control character": lambda tmp, corpus: (
+        ["validate", _rename_event(corpus, tmp, "bell\x07")], "renamed.ndjson:1"),
 }
+
+
+@pytest.mark.parametrize("event", ["paris, attack", "Zürich, Île-de-France & Ελλάδα"])
+def test_event_names_with_punctuation_and_non_ascii_work(event, tmp_path, corpus_path, capsys):
+    renamed = _rename_event(corpus_path, tmp_path, event)
+    capsys.readouterr()
+    assert dispatch(["validate", str(renamed)]) == 0
+    assert f"  {event}: 6 threads" in capsys.readouterr().out.splitlines()
+    assert dispatch(["loeo", str(run_config(tmp_path, renamed)), "--models", "majority"]) == 0
+    assert (tmp_path / "out" / f"predictions_majority_{event}.ndjson").is_file()
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)

@@ -450,6 +450,8 @@ class TestNodeForwardMatchesMaskedLayers:
         hp = HyperParams(num_dense_layers=2, num_lstm_layers=2, dense_width=6,
                          lstm_width=5, dropout=0.5)
         model = MTLModel(hp, ("veracity", "stance", "detection"), DIM, 8)
+        # Double, as the inputs and the reference's softmax are.
+        model.params = {name: p.astype(np.float64) for name, p in model.params.items()}
         T = 5
         batch = [make_instance(rng, length=n, steps=T, veracity=n % 3) for n in range(1, T + 1)]
         batch[1] = make_instance(rng, length=2, steps=T, stance=False)
@@ -891,6 +893,70 @@ class TestGradientCheck:
                 np.testing.assert_array_equal(g, 0.0)
 
 
+class TestPrecision:
+    """Models compute in float32; the softmax, the loss and the gradient
+    oracles in float64."""
+
+    LAYERS = ("lstm_tree_forward", "lstm_tree_backward", "dense_forward", "dense_backward",
+              "dropout_forward", "dropout_backward")
+
+    @staticmethod
+    def float_dtypes(value):
+        """The dtype of every float array in ``value``, through its tuples,
+        lists and dicts."""
+        if isinstance(value, np.ndarray):
+            return {value.dtype} if value.dtype.kind == "f" else set()
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, (tuple, list)):
+            return set().union(*map(TestPrecision.float_dtypes, value))
+        return set()
+
+    def test_layers_gradients_and_optimizer_state_are_float32(self, monkeypatch):
+        returned = {name: [] for name in self.LAYERS}
+        for name in self.LAYERS:
+            def recorded(*args, _layer=getattr(neural, name), _out=returned[name], **kwargs):
+                _out.append(_layer(*args, **kwargs))
+                return _out[-1]
+            monkeypatch.setattr(neural, name, recorded)
+        hp = HyperParams(num_dense_layers=2, num_lstm_layers=2, dense_width=6, lstm_width=5,
+                         dropout=0.5)
+        model = MTLModel(hp, ("veracity", "stance", "detection"), DIM, 3)
+        rng = np.random.default_rng(5)
+        batch = [make_instance(rng, length=n, steps=4, veracity=n % 3) for n in range(1, 5)]
+        _, grads = model.loss_and_grads(batch, dropout_rng=np.random.default_rng(6))
+        state = neural.optimizer_init(model.params)
+        neural.optimizer_step(model.params, grads, state, l2=1e-3)
+        corpus = generate_synthetic(GeneratorSpec(events=1, threads_per_event=2), 4)
+        model.tree_forward(build_forest(corpus.threads, hash_embeddings(DIM, 0)))
+        for name, outputs in returned.items():
+            assert outputs and self.float_dtypes(outputs) == {np.dtype(np.float32)}, name
+        for arrays in (grads, state.m, state.v, model.params):
+            assert self.float_dtypes(arrays) == {np.dtype(np.float32)}
+
+    def test_thread_probabilities_sum_to_one(self):
+        corpus = generate_synthetic(GeneratorSpec(events=2, threads_per_event=5), 7)
+        model = MTLModel(MINI, ("veracity", "stance", "detection"), DIM, 4)
+        model.params["veracity/out/W"] *= 30.0  # far from uniform
+        assert model.dtype == np.float32
+        for pred in predict_threads(model, corpus.threads, hash_embeddings(DIM, 0)):
+            for probs in (pred.veracity_probs, pred.detection_probs):
+                assert probs.dtype == np.float64
+                assert abs(probs.sum() - 1.0) < 1e-9
+
+    def test_check_gradients_runs_in_double(self, monkeypatch):
+        seen, grad_check = [], neural.grad_check
+
+        def recorded(loss_fn, params, analytic, eps):
+            seen.append(self.float_dtypes([params, analytic]))
+            return grad_check(loss_fn, params, analytic, eps)
+        monkeypatch.setattr(neural, "grad_check", recorded)
+        hp = HyperParams(num_dense_layers=1, num_lstm_layers=1, dense_width=3, lstm_width=3)
+        report = check_gradients(hp, ("veracity",), 2, seed=0)
+        assert seen == [{np.dtype(np.float64)}]
+        assert max(report.values()) < 1e-6
+
+
 class TestCheckpointRoundTrip:
     def test_save_load(self, tmp_path):
         model = MTLModel(MINI, ("veracity", "stance"), DIM, 17)
@@ -900,7 +966,18 @@ class TestCheckpointRoundTrip:
         assert loaded.tasks == model.tasks
         assert loaded.hp == model.hp
         for name in model.params:
+            assert loaded.params[name].dtype == model.params[name].dtype == np.float32
             np.testing.assert_array_equal(loaded.params[name], model.params[name])
+
+    def test_double_checkpoint_loads_rounded_to_float32(self, tmp_path):
+        model = MTLModel(MINI, ("veracity",), DIM, 17)
+        double = {name: p.astype(np.float64) + 1e-9 for name, p in model.params.items()}
+        model.params = double
+        path = tmp_path / "m.json"
+        model.save(path)
+        loaded = MTLModel.load(path)
+        for name, p in double.items():
+            assert np.array_equal(loaded.params[name], p.astype(np.float32)), name
 
     def tampered_checkpoint(self, tmp_path, edit):
         path = tmp_path / "m.json"
