@@ -19,6 +19,8 @@ from functools import partial
 from pathlib import Path
 from typing import Collection, Optional, Sequence
 
+import numpy as np
+
 from rumourmtl import analysis, baselines, evaluation, mtl, search as search_mod
 from rumourmtl.artifacts import atomic_write, is_file_name, write_json
 from rumourmtl.corpus import (
@@ -405,7 +407,10 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # A finiteness check turns an overflow into exit 1; numpy's warnings
+        # would break the one-line error. Forked loeo workers inherit this.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (UsageError, CorpusError) as exc:
         _report_error(args, str(exc))
         return 1

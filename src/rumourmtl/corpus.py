@@ -246,9 +246,10 @@ def _thread_from_obj(obj: dict) -> Thread:
 
 
 def read_text(path: Path) -> str:
-    """The text of ``path``; a file that cannot be read as text is bad input."""
+    """The text of ``path``, UTF-8 with any leading byte-order mark
+    dropped; a file that cannot be read as text is bad input."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"{path}: cannot read as text: {exc}") from None
 

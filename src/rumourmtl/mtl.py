@@ -363,9 +363,7 @@ def _masked_loss(batch: Sequence[TrainingInstance], probs: dict) -> tuple[float,
         g = p[rows]
         g[np.arange(len(rows)), gold] -= 1.0
         d = np.zeros_like(p)
-        # Thread rows divide by B rather than multiply by their weight 1/B;
-        # the two differ in the last bit, and trained parameters follow it.
-        d[rows] = g * weights[rows, None] if task in PER_STEP_TASKS else g / len(batch)
+        d[rows] = g * weights[rows, None]
         dlogits[task] = d
     return loss, dlogits
 

@@ -247,7 +247,7 @@ def dropout_backward(d_out: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarra
 
 # ---------------------------------------------------------------------------
 # L2 regularization: the penalty lam * sum(p**2) and its gradient 2 * lam * p,
-# each written once; ``optimizer_step`` applies them slab by slab.
+# each written once; ``optimizer_step`` applies them block by block.
 
 def _squared_sum(v: np.ndarray) -> float:
     return float(np.sum(v * v))
@@ -299,25 +299,18 @@ def optimizer_init(params: Params, lr: float = 1e-3) -> OptimizerState:
     return state
 
 
-#: Elements per slab of the in-place update, so its temporaries stay in cache.
-OPTIMIZER_BLOCK = 1 << 14
-
-
 def optimizer_step(params: Params, grads: Params, state: OptimizerState,
                    l2: float = 0.0) -> float:
     """One in-place adaptive-moment update of the objective plus the L2
-    penalty of strength ``l2``; returns that penalty, ``l2 * sum(p**2)``
-    over the parameters before the update.
+    penalty of strength ``l2``; returns that penalty, ``l2_penalty`` of the
+    parameters before the update.
 
-    Every gradient is checked before anything is written. Then, a slab of
-    leading-axis rows at a time, the slab's squares are summed, its L2
-    gradient is added into ``grads`` in place (as ``add_l2_grads`` would)
-    and ``m``, ``v`` and the parameters are updated in place. A basic slice
-    is a view whatever the block's layout, so the writes reach the caller's
-    arrays even when a block is not C-contiguous. Elementwise, the
-    arithmetic is the textbook update's, in its order, so parameters match
-    ``add_l2_grads`` followed by an L2-free step bit for bit; the penalty
-    sums in slab order and may differ from ``l2_penalty`` in the last bits.
+    Every gradient is checked before anything is written. Then, block by
+    block, the L2 gradient is added into ``grads`` in place (as
+    ``add_l2_grads`` would) and ``m``, ``v`` and the parameters are updated
+    in place. Elementwise, the arithmetic is the textbook update's, in its
+    order, so parameters match ``add_l2_grads`` followed by an L2-free step
+    bit for bit.
     """
     for name in params:
         if not np.all(np.isfinite(grads[name])):
@@ -329,25 +322,22 @@ def optimizer_step(params: Params, grads: Params, state: OptimizerState,
     squares = 0.0
     for name, p in params.items():
         g, m, v = grads[name], state.m[name], state.v[name]
-        rows = max(1, OPTIMIZER_BLOCK * len(p) // max(p.size, 1))
-        for r in range(0, len(p), rows):
-            pr, gr, mr, vr = (a[r:r + rows] for a in (p, g, m, v))
-            squares += _squared_sum(pr)
-            gr += _l2_grad(pr, l2)
-            tmp = (1.0 - b1) * gr
-            mr *= b1
-            mr += tmp
-            np.multiply(gr, gr, out=tmp)
-            tmp *= 1.0 - b2
-            vr *= b2
-            vr += tmp
-            np.divide(vr, bc2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += ADAM_EPS
-            step = mr / bc1
-            step *= state.lr
-            step /= tmp
-            pr -= step
+        squares += _squared_sum(p)
+        g += _l2_grad(p, l2)
+        tmp = (1.0 - b1) * g
+        m *= b1
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - b2
+        v *= b2
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        step = m / bc1
+        step *= state.lr
+        step /= tmp
+        p -= step
     return l2 * squares
 
 
@@ -405,7 +395,7 @@ def save_params(params: Params, path: str | Path, meta: Optional[dict] = None) -
 
 
 def load_params(path: str | Path) -> tuple[Params, dict]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if payload.get("version") != CHECKPOINT_VERSION:

@@ -86,7 +86,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     path = Path(path)
     entries: dict[str, np.ndarray] = {}
     dimension: Optional[int] = None
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.split()
             if not fields:

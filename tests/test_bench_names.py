@@ -1,16 +1,23 @@
-"""The benchmark tracer wraps rumourmtl functions and methods by name.
+"""The benchmark calls rumourmtl by name, so a rename in ``src/`` must be
+caught here.
 
-``bench/run.py --trace 1`` fails with ``KeyError`` or ``AttributeError`` when
-one of those names disappears, so a rename in ``src/`` must be caught here.
+The tracer wraps functions and methods by name: ``bench/run.py --trace 1``
+fails with ``KeyError`` or ``AttributeError`` when one of them disappears.
+The workloads call public functions with keyword arguments, so the tiny
+workload is run once, untraced.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 from rumourmtl.mtl import MTLModel
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def load_spans():
@@ -31,3 +38,13 @@ def test_traced_methods_defined_on_model():
     spans = load_spans()
     for attr, _ in spans.METHODS:
         assert attr in MTLModel.__dict__, f"MTLModel.{attr}"
+
+
+def test_tiny_workload_runs_and_reports_every_end_to_end_metric():
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "tiny", "--seed", "11",
+                           "--seconds", "0"], cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert {m["name"] for m in declared} <= set(result["metrics"])

@@ -768,3 +768,47 @@ class TestUtf8Files:
                        PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
         assert proc.returncode == 0, proc.stderr
         assert threads[0]["event"] in (tmp_path / "s.csv").read_bytes().decode("utf-8")
+
+    @pytest.mark.parametrize("kind", ["run config", "synth spec", "ndjson corpus", "embeddings",
+                                      "checkpoint"])
+    def test_leading_byte_order_mark_is_skipped(self, kind, tmp_path, corpus_path):
+        """The command's output is the same with a byte-order mark at the
+        start of the file read."""
+        tokens = _corpus_tokens(corpus_path)
+        vec = _write(tmp_path / "words.vec", "".join(
+            f"{tok} {k % 3} 0.5 -1\n" for k, tok in enumerate(tokens)))
+        cfg = run_config(tmp_path, corpus_path, epochs=1)
+        out = tmp_path / "out"
+        args, read, written = {
+            "run config": (["train", cfg], cfg, out / "model.json"),
+            "synth spec": (["synth", _write(tmp_path / "gen.cfg", "events = 2\nseed = 3\n"),
+                            "-o", tmp_path / "c.ndjson"], tmp_path / "gen.cfg",
+                           tmp_path / "c.ndjson"),
+            "ndjson corpus": (["analyze", corpus_path, "-o", tmp_path / "s.csv"], corpus_path,
+                              tmp_path / "s.csv"),
+            "embeddings": (["train", run_config(tmp_path, corpus_path, name="vec.cfg", epochs=1,
+                                                embeddings=vec)], vec, out / "model.json"),
+            "checkpoint": (["evaluate", cfg, "--model", tmp_path / "model.json"],
+                           tmp_path / "model.json", out / "predictions.ndjson"),
+        }[kind]
+        if kind == "checkpoint":
+            assert dispatch(["train", str(cfg)]) == 0
+            (out / "model.json").replace(read)
+        outputs = []
+        for _ in range(2):
+            assert dispatch([str(a) for a in args]) == 0
+            outputs.append(written.read_bytes())
+            written.unlink()
+            read.write_bytes(b"\xef\xbb\xbf" + read.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("args", [["train"], ["loeo", "--models", "majority,mtl2vs",
+                                              "--jobs", "2"]])
+def test_json_errors_overflow_is_one_stderr_line(args, tmp_path, corpus_path):
+    """Numpy's overflow warnings stay off stderr, forked workers' included."""
+    cfg = run_config(tmp_path, corpus_path, embeddings=_huge_embeddings(tmp_path, corpus_path))
+    proc = run_cli(["--json-errors", args[0], cfg, *args[1:]], tmp_path)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "overflow" in json.loads(proc.stderr)["error"]

@@ -366,10 +366,9 @@ class TestOptimizer:
 
     @staticmethod
     def adam_case(rng):
-        big = neural.OPTIMIZER_BLOCK * 2 + 37
-        return {"big": rng.standard_normal(big),             # more than one slab
-                "rows": rng.standard_normal((700, 50)),      # slabs of whole rows
-                "wide": rng.standard_normal((2, 20000)),     # rows wider than a slab
+        return {"big": rng.standard_normal(2 * (1 << 14) + 37),
+                "rows": rng.standard_normal((700, 50)),
+                "wide": rng.standard_normal((2, 20000)),
                 "T": rng.standard_normal((60, 40)).T,        # not C-contiguous
                 "bias": rng.standard_normal(3)}
 
@@ -435,11 +434,27 @@ class TestOptimizer:
             neural.add_l2_grads(ref, ref_grads, lam)
             assert optimizer_step(ref, ref_grads, ref_state) == 0.0
             penalty = optimizer_step(params, grads, state, lam)
-            assert abs(penalty - expected_penalty) <= 1e-15 * expected_penalty
+            assert penalty == expected_penalty
             assert state.t == ref_state.t == t
             for now, then in ((params, ref), (state.m, ref_state.m), (state.v, ref_state.v)):
                 for k in params:
                     assert np.array_equal(now[k], then[k]), k
+
+    def test_float32_block_with_l2_matches_l2_penalty_and_textbook_update(self):
+        rng = np.random.default_rng(24)
+        params = {"W": rng.standard_normal((500, 500)).astype(np.float32)}
+        state = optimizer_init(params)
+        lam = 1e-3
+        grads = {"W": rng.standard_normal((500, 500)).astype(np.float32)}
+        ref_grads = {"W": grads["W"].copy()}
+        neural.add_l2_grads(params, ref_grads, lam)
+        zeros = {"W": np.zeros((500, 500), np.float32)}
+        ref, m, v = textbook_adam(params, ref_grads, zeros, zeros, 1)
+        expected_penalty = l2_penalty(params, lam)
+        assert optimizer_step(params, grads, state, lam) == expected_penalty
+        assert params["W"].dtype == state.m["W"].dtype == np.float32
+        for now, then in ((params, ref), (state.m, m), (state.v, v)):
+            np.testing.assert_array_equal(now["W"], then["W"])
 
     def test_deterministic(self):
         def run():
