@@ -291,7 +291,8 @@ def cmd_loeo(args: argparse.Namespace) -> int:
         raise UsageError(f"event {bad[0]!r} cannot be part of a file name")
     run_fold = partial(_loeo_fold, cfg, corpus, _embedding_table(cfg))
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(names))) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(names)),
+                                 initializer=np.seterr, initargs=("ignore",)) as pool:
             outcomes = list(pool.map(run_fold, names, events))
     else:
         outcomes = list(map(run_fold, names, events))
@@ -377,24 +378,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None, help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_analyze)
 
-    def run_parser(name: str, func) -> argparse.ArgumentParser:
+    def run_parser(name: str, func, *overrides: str) -> argparse.ArgumentParser:
+        """A subcommand over a run config; each of ``overrides`` ("tasks",
+        "epochs") gets a flag that overrides that config key."""
         p = sub.add_parser(name, help=f"{name} according to a run config")
         p.add_argument("config", help="run config file (key = value)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--output-dir", dest="output_dir", default=None)
-        p.add_argument("--tasks", default=None, help="comma-separated task set")
-        p.add_argument("--epochs", type=int, default=None)
+        if "tasks" in overrides:
+            p.add_argument("--tasks", default=None, help="comma-separated task set")
+        if "epochs" in overrides:
+            p.add_argument("--epochs", type=int, default=None)
         p.set_defaults(func=func)
         return p
 
-    run_parser("train", cmd_train)
+    run_parser("train", cmd_train, "tasks", "epochs")
+    # The model, its tasks included, comes from the checkpoint.
     run_parser("evaluate", cmd_evaluate).add_argument(
         "--model", required=True, help="checkpoint path")
-    p = run_parser("loeo", cmd_loeo)
+    # Each model's tasks come from mtl.MODEL_TASKS.
+    p = run_parser("loeo", cmd_loeo, "epochs")
     p.add_argument("--models", default="majority,mtl3",
                    help=f"comma-separated subset of {','.join(MODEL_NAMES)}")
     p.add_argument("--jobs", type=int, default=1, help="parallel folds")
-    p = run_parser("search", cmd_search)
+    p = run_parser("search", cmd_search, "tasks", "epochs")
     p.add_argument("--trials", type=int, default=30)
     p.add_argument("--objective", choices=("product", "accuracy"), default="product")
     return parser
@@ -408,7 +415,8 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         # A finiteness check turns an overflow into exit 1; numpy's warnings
-        # would break the one-line error. Forked loeo workers inherit this.
+        # would break the one-line error. loeo's pool workers, which inherit
+        # no errstate under spawn or forkserver, set it in their initializer.
         with np.errstate(all="ignore"):
             return args.func(args)
     except (UsageError, CorpusError) as exc:

@@ -245,7 +245,7 @@ class MTLModel:
                        dropout_rng: Optional[np.random.Generator] = None
                        ) -> tuple[float, Params]:
         """Batch-mean data loss and its exact gradients for one mini-batch,
-        in the parameters' dtype; ``neural.optimizer_step`` adds the L2 term."""
+        in the parameters' dtype; ``train`` adds the L2 term."""
         outputs, cache = self.forward(*_stack(batch), dropout_rng=dropout_rng)
         loss, dlogits = self.batch_data_loss(batch, outputs)
         dlogits = {task: d.astype(self.dtype, copy=False) for task, d in dlogits.items()}
@@ -304,7 +304,7 @@ class MTLModel:
 
 
 # ---------------------------------------------------------------------------
-# Joint loss (data term; the optimizer adds L2 during training)
+# Joint loss (data term; ``train`` adds L2)
 
 def _stack(batch: Sequence[TrainingInstance]) -> tuple[np.ndarray, np.ndarray]:
     """Inputs and masks of a batch, trimmed to its longest branch.
@@ -443,7 +443,9 @@ def train(model: MTLModel, instances: Sequence[TrainingInstance], seed: int,
 
     Shuffling, dropout and initialization all draw from named streams of
     the given seed, so identical (model, data, seed) reproduce identical
-    parameters. Returns the per-epoch mean objective history.
+    parameters. A batch's objective is its data loss plus ``l2_penalty`` of
+    the parameters before its step; returns the per-epoch mean objective
+    history.
     """
     if not any(inst.veracity_label is not None for inst in instances):
         raise ValueError("training needs at least one veracity-labeled instance")
@@ -463,8 +465,9 @@ def train(model: MTLModel, instances: Sequence[TrainingInstance], seed: int,
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}, batch {start // hp.batch_size}")
-            # The optimizer adds the L2 gradient and returns the penalty.
-            loss += neural.optimizer_step(model.params, grads, state, hp.l2)
+            loss += neural.l2_penalty(model.params, hp.l2)
+            neural.add_l2_grads(model.params, grads, hp.l2)
+            neural.optimizer_step(model.params, grads, state)
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
     return history

@@ -246,26 +246,17 @@ def dropout_backward(d_out: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# L2 regularization: the penalty lam * sum(p**2) and its gradient 2 * lam * p,
-# each written once; ``optimizer_step`` applies them block by block.
-
-def _squared_sum(v: np.ndarray) -> float:
-    return float(np.sum(v * v))
-
-
-def _l2_grad(v: np.ndarray, lam: float) -> np.ndarray:
-    return 2.0 * lam * v
-
+# L2 regularization: the penalty lam * sum(p**2) and its gradient 2 * lam * p
 
 def l2_penalty(params: Params, lam: float) -> float:
-    return lam * sum(_squared_sum(v) for v in params.values())
+    return lam * sum(float(np.sum(v * v)) for v in params.values())
 
 
 def add_l2_grads(params: Params, grads: Params, lam: float) -> None:
     """Add the L2 gradient into ``grads`` in place; a block missing from
     ``grads`` gets the L2 term alone."""
     for name, v in params.items():
-        l2 = _l2_grad(v, lam)
+        l2 = 2.0 * lam * v
         if name in grads:
             grads[name] += l2
         else:
@@ -299,18 +290,13 @@ def optimizer_init(params: Params, lr: float = 1e-3) -> OptimizerState:
     return state
 
 
-def optimizer_step(params: Params, grads: Params, state: OptimizerState,
-                   l2: float = 0.0) -> float:
-    """One in-place adaptive-moment update of the objective plus the L2
-    penalty of strength ``l2``; returns that penalty, ``l2_penalty`` of the
-    parameters before the update.
+def optimizer_step(params: Params, grads: Params, state: OptimizerState) -> None:
+    """One in-place adaptive-moment (Adam, Kingma & Ba 2015) update of the
+    parameters by ``grads``.
 
     Every gradient is checked before anything is written. Then, block by
-    block, the L2 gradient is added into ``grads`` in place (as
-    ``add_l2_grads`` would) and ``m``, ``v`` and the parameters are updated
-    in place. Elementwise, the arithmetic is the textbook update's, in its
-    order, so parameters match ``add_l2_grads`` followed by an L2-free step
-    bit for bit.
+    block, ``m``, ``v`` and the parameters are updated in place; elementwise,
+    the arithmetic is the textbook update's, in its order.
     """
     for name in params:
         if not np.all(np.isfinite(grads[name])):
@@ -319,11 +305,8 @@ def optimizer_step(params: Params, grads: Params, state: OptimizerState,
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    squares = 0.0
     for name, p in params.items():
         g, m, v = grads[name], state.m[name], state.v[name]
-        squares += _squared_sum(p)
-        g += _l2_grad(p, l2)
         tmp = (1.0 - b1) * g
         m *= b1
         m += tmp
@@ -338,7 +321,6 @@ def optimizer_step(params: Params, grads: Params, state: OptimizerState,
         step *= state.lr
         step /= tmp
         p -= step
-    return l2 * squares
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Tweet preprocessing, embedding lookup and padded branch tensors.
+"""Tweet preprocessing and embedding lookup.
 
 Tweets are lowercased, stripped to alphabetic tokens and represented by the
-mean of their word vectors. Branches become fixed-length matrices with a
-validity mask so variable-length sequences can share one batch layout.
+mean of their word vectors. ``pad_and_mask`` and ``BranchTensor``, a
+branch as a fixed-length matrix with a validity mask, are called by nothing
+in the package; they are kept because the bench tracer wraps them by name.
 """
 
 from __future__ import annotations

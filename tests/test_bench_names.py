@@ -14,7 +14,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from rumourmtl.mtl import MTLModel
+from rumourmtl import mtl
+from rumourmtl.corpus import GeneratorSpec, generate_synthetic
+from rumourmtl.mtl import HyperParams, MTLModel
+from rumourmtl.text import hash_embeddings
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "bench" / "spans.py"
@@ -48,3 +51,21 @@ def test_tiny_workload_runs_and_reports_every_end_to_end_metric():
     assert result["correct"] is True
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert {m["name"] for m in declared} <= set(result["metrics"])
+
+
+def test_tracer_sees_l2_on_the_training_path():
+    """``neural.l2.s`` times the L2 calls of ``mtl.train``: one of each
+    per batch, beside the optimizer step."""
+    spans = load_spans()
+    for module_name, _, _ in spans.FUNCTIONS:  # instrument patches each one
+        importlib.import_module(f"rumourmtl.{module_name}")
+    corpus = generate_synthetic(GeneratorSpec(events=1, threads_per_event=3), 0)
+    instances = [i for i in mtl.build_instances(corpus, hash_embeddings(8, 0))
+                 if i.veracity_label is not None][:6]
+    hp = HyperParams(num_dense_layers=1, dense_width=4, lstm_width=4, batch_size=2, epochs=1)
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        mtl.train(MTLModel(hp, ("veracity",), 8, 0), instances, 0)
+    calls = {name: agg["calls"] for name, agg in tracer.summary().items()}
+    for name in ("neural.l2_penalty", "neural.add_l2_grads", "neural.optimizer_step"):
+        assert calls.get(name) == 3, name

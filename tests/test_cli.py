@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rumourmtl import cli
+from rumourmtl import cli, mtl
 from rumourmtl.cli import RunConfig, UsageError, dispatch, parse_config_text
 from rumourmtl.corpus import Corpus, load_corpus, save_corpus
 from rumourmtl.text import preprocess
@@ -284,7 +284,7 @@ class TestLoeo:
         workers = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **_):
                 workers.append(max_workers)
 
             def __enter__(self):
@@ -326,6 +326,19 @@ class TestSearch:
         assert {"num_dense_layers", "num_lstm_layers", "dense_width",
                 "lstm_width", "l2"} <= set(best["config"])
 
+    def test_tasks_flag_overrides_config(self, tmp_path, corpus_path, capsys, monkeypatch):
+        trained = []
+        train = mtl.train
+
+        def recording_train(model, *args):
+            trained.append(model.tasks)
+            return train(model, *args)
+
+        monkeypatch.setattr(mtl, "train", recording_train)
+        cfg = run_config(tmp_path, corpus_path, epochs=1, tasks="veracity")
+        assert dispatch(["search", str(cfg), "--trials", "1", "--tasks", "veracity,stance"]) == 0
+        assert trained == [("veracity", "stance")]
+
     def test_unlabeled_dev_or_training_split_exit_1(self, tmp_path, corpus_path, capsys):
         # event02 is the dev event: all events have 6 threads, ties go to the later name
         for unlabeled in ({"event02"}, {"event00", "event01"}):
@@ -345,6 +358,18 @@ class TestDispatch:
 
     def test_no_command_exit_1(self, capsys):
         assert dispatch([]) == 1
+
+    @pytest.mark.parametrize("command, flag, value", [("evaluate", "--tasks", "veracity"),
+                                                      ("evaluate", "--epochs", "1"),
+                                                      ("loeo", "--tasks", "veracity")])
+    def test_flag_the_command_does_not_read_exit_1(self, command, flag, value, tmp_path,
+                                                   corpus_path, capsys):
+        """evaluate takes its model from the checkpoint, and loeo each
+        model's tasks from ``MODEL_TASKS``."""
+        model = ["--model", str(tmp_path / "model.json")] if command == "evaluate" else []
+        args = [command, str(run_config(tmp_path, corpus_path)), *model, flag, value]
+        assert dispatch(args) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def _write(path, text):
@@ -736,11 +761,16 @@ class TestTrainLoaderFuzz:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(args, cwd, python_flags=(), **env):
+def run_cli(args, cwd, python_flags=(), start_method=None, **env):
     """``python -m rumourmtl.cli`` in a subprocess, with the repository's
-    ``src`` on its path and ``env`` added to the environment."""
+    ``src`` on its path and ``env`` added to the environment; with a
+    ``start_method``, ``cli.main`` through ``python -c`` after
+    ``multiprocessing.set_start_method(start_method)``."""
+    entry = ["-m", "rumourmtl.cli"] if start_method is None else [
+        "-c", f"import multiprocessing; multiprocessing.set_start_method({start_method!r}); "
+              "from rumourmtl.cli import main; main()"]
     return subprocess.run(
-        [sys.executable, *python_flags, "-m", "rumourmtl.cli", *map(str, args)], cwd=cwd,
+        [sys.executable, *python_flags, *entry, *map(str, args)], cwd=cwd,
         env={**os.environ, "PYTHONPATH": str(SRC), **env}, capture_output=True, text=True)
 
 
@@ -803,12 +833,18 @@ class TestUtf8Files:
         assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("args", [["train"], ["loeo", "--models", "majority,mtl2vs",
-                                              "--jobs", "2"]])
-def test_json_errors_overflow_is_one_stderr_line(args, tmp_path, corpus_path):
-    """Numpy's overflow warnings stay off stderr, forked workers' included."""
+LOEO_JOBS = ["loeo", "--models", "majority,mtl2vs", "--jobs", "2"]
+
+
+@pytest.mark.parametrize("args, start_method", [(["train"], None), (LOEO_JOBS, None),
+                                                (LOEO_JOBS, "spawn")],
+                         ids=["args0", "args1", "spawn"])
+def test_json_errors_overflow_is_one_stderr_line(args, start_method, tmp_path, corpus_path):
+    """Numpy's overflow warnings stay off stderr, pool workers' included,
+    whether they are forked (Linux's default before Python 3.14) or spawned."""
     cfg = run_config(tmp_path, corpus_path, embeddings=_huge_embeddings(tmp_path, corpus_path))
-    proc = run_cli(["--json-errors", args[0], cfg, *args[1:]], tmp_path)
+    proc = run_cli(["--json-errors", args[0], cfg, *args[1:]], tmp_path,
+                   start_method=start_method)
     assert proc.returncode == 1
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert "overflow" in json.loads(proc.stderr)["error"]

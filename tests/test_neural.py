@@ -384,8 +384,8 @@ class TestOptimizer:
             grads = {k: rng.standard_normal(p.shape) for k, p in params.items()}
             grads["T"] = np.ascontiguousarray(grads["T"].T).T
             ref, m, v = textbook_adam(ref, grads, m, v, t)
-            returned = optimizer_step(params, grads, state)
-            assert returned == 0.0 and state.t == t   # the penalty of an L2-free step
+            optimizer_step(params, grads, state)
+            assert state.t == t
             for k in params:
                 np.testing.assert_array_equal(params[k], ref[k])
                 np.testing.assert_array_equal(state.m[k], m[k])
@@ -403,56 +403,33 @@ class TestOptimizer:
 
     def test_non_finite_gradient_writes_nothing(self):
         rng = np.random.default_rng(22)
-        for l2 in (0.0, 1e-2):
-            params = {"a": rng.standard_normal((40, 30)), "z": rng.standard_normal(5)}
-            state = optimizer_init(params)
-            optimizer_step(params, {k: np.ones(p.shape) for k, p in params.items()}, state, l2)
-            snapshot = ({k: p.copy() for k, p in params.items()},
-                        {k: p.copy() for k, p in state.m.items()},
-                        {k: p.copy() for k, p in state.v.items()})
-            bad = {"a": np.ones((40, 30)), "z": np.array([1.0, np.inf, 1.0, 1.0, 1.0])}
-            with pytest.raises(FloatingPointError, match="'z'"):
-                optimizer_step(params, bad, state, l2)
-            assert state.t == 1
-            np.testing.assert_array_equal(bad["a"], 1.0)
-            for now, then in zip((params, state.m, state.v), snapshot):
-                for k in now:
-                    np.testing.assert_array_equal(now[k], then[k])
+        params = {"a": rng.standard_normal((40, 30)), "z": rng.standard_normal(5)}
+        state = optimizer_init(params)
+        optimizer_step(params, {k: np.ones(p.shape) for k, p in params.items()}, state)
+        snapshot = ({k: p.copy() for k, p in params.items()},
+                    {k: p.copy() for k, p in state.m.items()},
+                    {k: p.copy() for k, p in state.v.items()})
+        bad = {"a": np.ones((40, 30)), "z": np.array([1.0, np.inf, 1.0, 1.0, 1.0])}
+        with pytest.raises(FloatingPointError, match="'z'"):
+            optimizer_step(params, bad, state)
+        assert state.t == 1
+        np.testing.assert_array_equal(bad["a"], 1.0)
+        for now, then in zip((params, state.m, state.v), snapshot):
+            for k in now:
+                np.testing.assert_array_equal(now[k], then[k])
 
-    def test_fused_l2_matches_add_l2_grads_then_step(self):
-        rng = np.random.default_rng(23)
-        params = self.adam_case(rng)
-        ref = {k: p.copy(order="K") for k, p in params.items()}
-        assert not ref["T"].flags.c_contiguous
-        state, ref_state = optimizer_init(params), optimizer_init(ref)
-        lam = 1e-3
-        for t in range(1, 4):
-            grads = {k: rng.standard_normal(p.shape) for k, p in params.items()}
-            grads["T"] = np.ascontiguousarray(grads["T"].T).T
-            ref_grads = {k: g.copy(order="K") for k, g in grads.items()}
-            expected_penalty = l2_penalty(ref, lam)
-            neural.add_l2_grads(ref, ref_grads, lam)
-            assert optimizer_step(ref, ref_grads, ref_state) == 0.0
-            penalty = optimizer_step(params, grads, state, lam)
-            assert penalty == expected_penalty
-            assert state.t == ref_state.t == t
-            for now, then in ((params, ref), (state.m, ref_state.m), (state.v, ref_state.v)):
-                for k in params:
-                    assert np.array_equal(now[k], then[k]), k
-
-    def test_float32_block_with_l2_matches_l2_penalty_and_textbook_update(self):
+    def test_float32_block_with_l2_matches_textbook_update(self):
         rng = np.random.default_rng(24)
         params = {"W": rng.standard_normal((500, 500)).astype(np.float32)}
         state = optimizer_init(params)
         lam = 1e-3
         grads = {"W": rng.standard_normal((500, 500)).astype(np.float32)}
-        ref_grads = {"W": grads["W"].copy()}
-        neural.add_l2_grads(params, ref_grads, lam)
+        ref_grads = {"W": grads["W"] + 2.0 * lam * params["W"]}
         zeros = {"W": np.zeros((500, 500), np.float32)}
         ref, m, v = textbook_adam(params, ref_grads, zeros, zeros, 1)
-        expected_penalty = l2_penalty(params, lam)
-        assert optimizer_step(params, grads, state, lam) == expected_penalty
-        assert params["W"].dtype == state.m["W"].dtype == np.float32
+        neural.add_l2_grads(params, grads, lam)
+        optimizer_step(params, grads, state)
+        assert params["W"].dtype == state.m["W"].dtype == grads["W"].dtype == np.float32
         for now, then in ((params, ref), (state.m, m), (state.v, v)):
             np.testing.assert_array_equal(now["W"], then["W"])
 
