@@ -30,7 +30,7 @@ def majority_trainer(train_corpus, seed, dev_event):
 
 
 def linear_trainer(train_corpus, seed, dev_event):
-    model = nile_fit(train_corpus, seed=seed, epochs=40)
+    model = nile_fit(train_corpus, seed=seed)
     return lambda test: nile_predict(model, test)
 
 

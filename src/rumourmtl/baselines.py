@@ -37,23 +37,18 @@ def majority_predict(majority_class: str, test: Corpus) -> list[str]:
 # ---------------------------------------------------------------------------
 # Features
 
-@dataclass(frozen=True)
-class BowVocabulary:
-    """Token -> column index over training source tweets, capped by frequency."""
+VOCABULARY_CAP = 5000
 
-    index: dict[str, int]
 
-    @classmethod
-    def build(cls, train: Corpus, size_cap: int = 5000) -> "BowVocabulary":
-        counts: Counter = Counter()
-        for thread in train.threads:
-            counts.update(preprocess(thread.source.text))
-        # Frequency-descending, token-ascending: deterministic column order.
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:size_cap]
-        return cls(index={token: i for i, (token, _) in enumerate(ranked)})
-
-    def __len__(self) -> int:
-        return len(self.index)
+def bow_vocabulary(train: Corpus) -> dict[str, int]:
+    """Token -> column index over the training source tweets: the
+    ``VOCABULARY_CAP`` most frequent tokens, frequency-descending and
+    token-ascending, so the column order is deterministic."""
+    counts: Counter = Counter()
+    for thread in train.threads:
+        counts.update(preprocess(thread.source.text))
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:VOCABULARY_CAP]
+    return {token: i for i, (token, _) in enumerate(ranked)}
 
 
 def stance_proportions(thread: Thread) -> tuple[float, float, float]:
@@ -66,11 +61,11 @@ def stance_proportions(thread: Thread) -> tuple[float, float, float]:
     return (counts["support"] / n, counts["deny"] / n, counts["query"] / n)
 
 
-def extract_features(thread: Thread, vocab: BowVocabulary) -> np.ndarray:
+def extract_features(thread: Thread, vocab: dict[str, int]) -> np.ndarray:
     """BOW counts over the source tweet + URL/hashtag flags + SDQ proportions."""
     vec = np.zeros(len(vocab) + 5)
     for token in preprocess(thread.source.text):
-        col = vocab.index.get(token)
+        col = vocab.get(token)
         if col is not None:
             vec[col] += 1.0
     vec[len(vocab)] = float(thread.source.has_url)
@@ -82,16 +77,11 @@ def extract_features(thread: Thread, vocab: BowVocabulary) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # One-vs-rest linear classifier (hinge loss, stochastic subgradient descent)
 
-@dataclass
-class LinearModel:
-    classes: tuple[str, ...]
-    weights: np.ndarray  # (n_classes, n_features)
-    biases: np.ndarray   # (n_classes,)
-
-
 def svm_fit(features: np.ndarray, labels: Sequence[str], l2: float = 1e-3,
-            epochs: int = 100, seed: int = 0) -> LinearModel:
-    """Train one hinge-loss separator per veracity class against the rest.
+            epochs: int = 100, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Train one hinge-loss separator per veracity class against the rest:
+    (n_classes, n_features) weights and (n_classes,) biases, with rows in
+    ``VERACITY_CLASSES`` order.
 
     Step ``s`` (from 1) visits one example of a fresh permutation per epoch
     with rate ``1 / sqrt(s)``: it decays the weights by ``1 - rate * l2``
@@ -102,14 +92,13 @@ def svm_fit(features: np.ndarray, labels: Sequence[str], l2: float = 1e-3,
     """
     if len({lbl for lbl in labels}) < 2:
         raise ValueError("need at least two classes in the training labels")
-    classes = VERACITY_CLASSES
     n, d = features.shape
-    weights = np.zeros((len(classes), d))
-    biases = np.zeros(len(classes))
+    weights = np.zeros((len(VERACITY_CLASSES), d))
+    biases = np.zeros(len(VERACITY_CLASSES))
     rng = np.random.default_rng(seed)
     order = [i for _ in range(epochs) for i in rng.permutation(n).tolist()]
     lrs = 1.0 / np.sqrt(np.arange(1, len(order) + 1))
-    y = np.array([[1.0 if lbl == c else -1.0 for c in classes] for lbl in labels])
+    y = np.array([[1.0 if lbl == c else -1.0 for c in VERACITY_CLASSES] for lbl in labels])
     xs, ys = list(features), list(y)  # row views, cheaper to pick from a list
     for i, lr, decay in zip(order, lrs.tolist(), (1.0 - lrs * l2).tolist()):
         xi, yi = xs[i], ys[i]
@@ -119,14 +108,14 @@ def svm_fit(features: np.ndarray, labels: Sequence[str], l2: float = 1e-3,
             ly = violated * (lr * yi)
             weights += ly[:, None] * xi
             biases += ly
-    return LinearModel(classes=classes, weights=weights, biases=biases)
+    return weights, biases
 
 
-def svm_predict(model: LinearModel, features: np.ndarray) -> list[str]:
+def svm_predict(weights: np.ndarray, biases: np.ndarray, features: np.ndarray) -> list[str]:
     """Argmax margin; exact ties resolve to the alphabetically first class."""
-    scores = np.atleast_2d(features) @ model.weights.T + model.biases
-    # ``svm_fit``'s classes are in alphabetical order, and argmax takes the first maximum.
-    return [model.classes[i] for i in np.argmax(scores, axis=1).tolist()]
+    scores = np.atleast_2d(features) @ weights.T + biases
+    # ``VERACITY_CLASSES`` is in alphabetical order, and argmax takes the first maximum.
+    return [VERACITY_CLASSES[i] for i in np.argmax(scores, axis=1).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -134,22 +123,22 @@ def svm_predict(model: LinearModel, features: np.ndarray) -> list[str]:
 
 @dataclass
 class NileModel:
-    vocab: BowVocabulary
-    linear: LinearModel
+    vocab: dict[str, int]
+    weights: np.ndarray
+    biases: np.ndarray
 
 
-def nile_fit(train: Corpus, epochs: int = 100, seed: int = 0) -> NileModel:
+def nile_fit(train: Corpus, seed: int = 0) -> NileModel:
     """Fit the linear baseline on every veracity-labeled training thread."""
-    vocab = BowVocabulary.build(train)
+    vocab = bow_vocabulary(train)
     labeled = [t for t in train.threads if t.veracity_label is not None]
     if not labeled:
         raise ValueError("no veracity labels in the training corpus")
     feats = np.stack([extract_features(t, vocab) for t in labeled])
     labels = [t.veracity_label for t in labeled]
-    linear = svm_fit(feats, labels, epochs=epochs, seed=seed)
-    return NileModel(vocab=vocab, linear=linear)
+    return NileModel(vocab, *svm_fit(feats, labels, seed=seed))
 
 
 def nile_predict(model: NileModel, test: Corpus) -> list[str]:
     feats = np.stack([extract_features(t, model.vocab) for t in test.threads])
-    return svm_predict(model.linear, feats)
+    return svm_predict(model.weights, model.biases, feats)

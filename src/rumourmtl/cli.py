@@ -106,13 +106,13 @@ class RunConfig:
     def from_values(cls, values: dict[str, str]) -> "RunConfig":
         if "corpus" not in values:
             raise UsageError("config is missing required key 'corpus'")
+        if empty := [key for key in ("corpus", "output_dir") if values.get(key) == ""]:
+            raise UsageError(f"config key {empty[0]!r} is empty")
         hp_kwargs = {key: config_value(values, key, cast)
                      for key, cast in _HP_KEYS.items() if key in values}
         kwargs = {key: config_value(values, key, int) for key in _INT_KEYS if key in values}
-        if "output_dir" in values:
-            kwargs["output_dir"] = values["output_dir"]
-        if values.get("embeddings"):
-            kwargs["embeddings"] = values["embeddings"]
+        # An empty ``embeddings`` means hash embeddings, like an absent one.
+        kwargs.update((key, values[key]) for key in ("output_dir", "embeddings") if values.get(key))
         try:
             if "tasks" in values:
                 kwargs["tasks"] = mtl.normalize_tasks(
@@ -128,6 +128,8 @@ class RunConfig:
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
     values = load_config_file(args.config, _RUN_KEYS)
+    if args.output_dir == "":
+        raise UsageError("--output-dir is empty")
     values.update((key, str(value)) for key, value in vars(args).items()
                   if key in _RUN_KEYS and value is not None)
     return RunConfig.from_values(values)
@@ -189,6 +191,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if not args.output:
+        raise UsageError("-o/--output is empty")
     spec_keys = {"seed", "events", "threads_per_event", "depth_min", "depth_max", "coupling",
                  "nonrumour_fraction", "replies_min", "replies_max", "tokens_per_post",
                  *(f"prior_{c}" for c in VERACITY_CLASSES)}

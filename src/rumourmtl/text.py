@@ -1,16 +1,15 @@
 """Tweet preprocessing and embedding lookup.
 
 Tweets are lowercased, stripped to alphabetic tokens and represented by the
-mean of their word vectors. ``pad_and_mask`` and ``BranchTensor``, a
-branch as a fixed-length matrix with a validity mask, are called by nothing
-in the package; they are kept because the bench tracer wraps them by name.
+mean of their word vectors. ``pad_and_mask``, a branch as a fixed-length
+matrix with a validity mask, is called by nothing in the package; it is kept
+because the bench tracer wraps it by name.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -130,18 +129,10 @@ def embed_tweet(tokens: Sequence[str], table: EmbeddingTable) -> np.ndarray:
     return np.add.reduce(vectors, axis=0) / len(vectors)
 
 
-@dataclass(frozen=True)
-class BranchTensor:
-    """Zero-padded sequence of tweet vectors with a validity mask."""
-
-    matrix: np.ndarray  # (max_len, dimension)
-    mask: np.ndarray    # (max_len,) bool
-    true_length: int
-
-
-def pad_and_mask(vectors: Sequence[np.ndarray], max_len: int) -> BranchTensor:
-    """Stack tweet vectors into a fixed-length matrix, truncating from the
-    leaf end (the source-first prefix is kept)."""
+def pad_and_mask(vectors: Sequence[np.ndarray], max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stack tweet vectors into a zero-padded (max_len, dimension) matrix and
+    a (max_len,) bool mask of its filled rows, truncating from the leaf end
+    (the source-first prefix is kept)."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     if len(vectors) == 0:
@@ -153,4 +144,4 @@ def pad_and_mask(vectors: Sequence[np.ndarray], max_len: int) -> BranchTensor:
         matrix[i] = vectors[i]
     mask = np.zeros(max_len, dtype=bool)
     mask[:n] = True
-    return BranchTensor(matrix=matrix, mask=mask, true_length=n)
+    return matrix, mask

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from corpora import RUMOUREVAL_TEST, RUMOUREVAL_TRAIN, bare_thread, corpus_from_veracity_counts
 from rumourmtl.baselines import (
-    BowVocabulary,
+    VOCABULARY_CAP,
+    bow_vocabulary,
     extract_features,
     majority_fit,
     majority_predict,
@@ -20,7 +23,9 @@ from rumourmtl.corpus import (
     Post,
     Thread,
     generate_synthetic,
+    split_loeo,
 )
+from rumourmtl.text import preprocess
 
 
 def thread_with_stances(stances, text="some claim", veracity="true", event="ev",
@@ -69,32 +74,33 @@ class TestStanceProportions:
 class TestFeatures:
     def test_bow_counts_and_flags(self):
         train = Corpus((thread_with_stances([], text="fire fire alarm"),))
-        vocab = BowVocabulary.build(train)
-        assert set(vocab.index) == {"fire", "alarm"}
+        vocab = bow_vocabulary(train)
+        assert set(vocab) == {"fire", "alarm"}
         thread = thread_with_stances(["support", "deny"],
                                      text="fire! see http://x.co #fire")
         vec = extract_features(thread, vocab)
-        assert vec[vocab.index["fire"]] == 2.0  # "#fire" tokenizes to "fire"
+        assert vec[vocab["fire"]] == 2.0  # "#fire" tokenizes to "fire"
         assert vec[len(vocab)] == 1.0      # URL flag
         assert vec[len(vocab) + 1] == 1.0  # hashtag flag
         np.testing.assert_allclose(vec[len(vocab) + 2:], [0.5, 0.5, 0.0])
 
     def test_vocabulary_cap_keeps_most_frequent(self):
-        train = Corpus((
-            thread_with_stances([], text="aaa aaa aaa bbb bbb ccc"),
-        ))
-        vocab = BowVocabulary.build(train, size_cap=2)
-        assert set(vocab.index) == {"aaa", "bbb"}
+        # Base-26 a-z tokens, since ``preprocess`` drops digits.
+        tokens = ["".join(chr(97 + i // 26 ** k % 26) for k in range(3))
+                  for i in range(VOCABULARY_CAP + 2)]
+        text = " ".join(tokens + tokens[:VOCABULARY_CAP])
+        vocab = bow_vocabulary(Corpus((thread_with_stances([], text=text),)))
+        assert set(vocab) == set(tokens[:VOCABULARY_CAP])
 
     def test_vocabulary_deterministic_order(self):
         train = Corpus((thread_with_stances([], text="zebra apple zebra apple"),))
-        vocab = BowVocabulary.build(train)
+        vocab = bow_vocabulary(train)
         # equal counts: token-ascending
-        assert vocab.index == {"apple": 0, "zebra": 1}
+        assert vocab == {"apple": 0, "zebra": 1}
 
     def test_out_of_vocabulary_ignored(self):
         train = Corpus((thread_with_stances([], text="known words"),))
-        vocab = BowVocabulary.build(train)
+        vocab = bow_vocabulary(train)
         vec = extract_features(thread_with_stances([], text="unknown tokens"), vocab)
         assert np.all(vec[:len(vocab)] == 0.0)
 
@@ -111,30 +117,28 @@ class TestLinearClassifier:
 
     def test_separable_data_learned(self):
         feats, labels = self.separable_data()
-        model = svm_fit(feats, labels, epochs=30)
-        preds = svm_predict(model, feats)
+        preds = svm_predict(*svm_fit(feats, labels, epochs=30), feats)
         acc = sum(p == g for p, g in zip(preds, labels)) / len(labels)
         assert acc > 0.95
 
     def test_identical_features_predict_single_class(self):
         feats = np.ones((12, 3))
         labels = ["true"] * 8 + ["false"] * 4
-        model = svm_fit(feats, labels, epochs=50)
-        preds = svm_predict(model, feats)
+        preds = svm_predict(*svm_fit(feats, labels, epochs=50), feats)
         assert len(set(preds)) == 1
 
     def test_large_l2_shrinks_weights(self):
         feats, labels = self.separable_data()
-        small = svm_fit(feats, labels, l2=1e-4, epochs=20)
-        large = svm_fit(feats, labels, l2=10.0, epochs=20)
-        assert np.linalg.norm(large.weights) < np.linalg.norm(small.weights)
+        small, _ = svm_fit(feats, labels, l2=1e-4, epochs=20)
+        large, _ = svm_fit(feats, labels, l2=10.0, epochs=20)
+        assert np.linalg.norm(large) < np.linalg.norm(small)
 
     def test_deterministic(self):
         feats, labels = self.separable_data()
-        a = svm_fit(feats, labels, seed=3, epochs=5)
-        b = svm_fit(feats, labels, seed=3, epochs=5)
-        np.testing.assert_array_equal(a.weights, b.weights)
-        np.testing.assert_array_equal(a.biases, b.biases)
+        weights_a, biases_a = svm_fit(feats, labels, seed=3, epochs=5)
+        weights_b, biases_b = svm_fit(feats, labels, seed=3, epochs=5)
+        np.testing.assert_array_equal(weights_a, weights_b)
+        np.testing.assert_array_equal(biases_a, biases_b)
 
     def test_single_class_raises(self):
         with pytest.raises(ValueError, match="two classes"):
@@ -143,7 +147,7 @@ class TestLinearClassifier:
     def test_zero_weights_tie_is_alphabetical(self):
         model = svm_fit(np.zeros((4, 2)), ["true", "false", "true", "false"],
                         epochs=0)
-        assert svm_predict(model, np.zeros((1, 2))) == ["false"]
+        assert svm_predict(*model, np.zeros((1, 2))) == ["false"]
 
 
 def textbook_svm_fit(features, labels, l2=1e-3, epochs=100, seed=0):
@@ -172,10 +176,10 @@ def textbook_svm_fit(features, labels, l2=1e-3, epochs=100, seed=0):
 
 class TestSvmMatchesTextbook:
     def assert_matches(self, features, labels, **kwargs):
-        model = svm_fit(features, labels, **kwargs)
-        weights, biases = textbook_svm_fit(features, labels, **kwargs)
-        np.testing.assert_array_equal(model.weights, weights)
-        np.testing.assert_array_equal(model.biases, biases)
+        weights, biases = svm_fit(features, labels, **kwargs)
+        ref_weights, ref_biases = textbook_svm_fit(features, labels, **kwargs)
+        np.testing.assert_array_equal(weights, ref_weights)
+        np.testing.assert_array_equal(biases, ref_biases)
 
     def random_labels(self, rng, n):
         return [str(lbl) for lbl in rng.choice(VERACITY_CLASSES, size=n)]
@@ -190,14 +194,14 @@ class TestSvmMatchesTextbook:
         corpus = generate_synthetic(GeneratorSpec(events=3, threads_per_event=30), 12)
         held_out = corpus.threads[0].event
         train = Corpus(tuple(t for t in corpus.threads if t.event != held_out))
-        vocab = BowVocabulary.build(train)
+        vocab = bow_vocabulary(train)
         labeled = [t for t in train.threads if t.veracity_label is not None]
         features = np.stack([extract_features(t, vocab) for t in labeled])
         self.assert_matches(features, [t.veracity_label for t in labeled], epochs=100, seed=3)
 
     def test_no_epochs(self):
-        model = svm_fit(np.ones((4, 3)), ["true", "false", "true", "false"], epochs=0)
-        assert not model.weights.any() and not model.biases.any()
+        weights, biases = svm_fit(np.ones((4, 3)), ["true", "false", "true", "false"], epochs=0)
+        assert not weights.any() and not biases.any()
         self.assert_matches(np.ones((4, 3)), ["true", "false", "true", "false"], epochs=0)
 
     def test_large_l2_negative_early_decays(self):
@@ -228,7 +232,7 @@ class TestNilePipeline:
         train, test = Corpus(threads[:120]), Corpus(threads[120:])
         gold = [t.veracity_label for t in test.threads]
 
-        nile = nile_fit(train, epochs=40, seed=0)
+        nile = nile_fit(train, seed=0)
         nile_f = compute_metrics(gold, nile_predict(nile, test), VERACITY_CLASSES).macro_f
         maj_f = compute_metrics(gold, majority_predict(majority_fit(train), test),
                                 VERACITY_CLASSES).macro_f
@@ -241,7 +245,27 @@ class TestNilePipeline:
                            veracity_label=None)
         other = thread_with_stances([], text="claim three", veracity="false",
                                     source_id="b")
-        model = nile_fit(Corpus((labeled, unlabeled, other)), epochs=2)
+        model = nile_fit(Corpus((labeled, unlabeled, other)))
         preds = nile_predict(model, Corpus((labeled, unlabeled, other)))
         assert len(preds) == 3
         assert all(p in ("false", "true", "unverified") for p in preds)
+
+    def test_matches_textbook_pipeline_on_a_loeo_fold(self):
+        corpus = generate_synthetic(GeneratorSpec(events=3, threads_per_event=20), 7)
+        train, test = split_loeo(corpus, corpus.events[0])
+        counts = Counter(tok for t in train.threads for tok in preprocess(t.source.text))
+        ranked = sorted(counts, key=lambda tok: (-counts[tok], tok))
+        vocab = {tok: i for i, tok in enumerate(ranked)}
+        labeled = [t for t in train.threads if t.veracity_label is not None]
+        assert len(labeled) < len(train.threads)
+        features = np.stack([extract_features(t, vocab) for t in labeled])
+        test_features = np.stack([extract_features(t, vocab) for t in test.threads])
+        for seed in (0, 5):
+            weights, biases = textbook_svm_fit(
+                features, [t.veracity_label for t in labeled], seed=seed)
+            nile = nile_fit(train, seed=seed)
+            assert nile.vocab == vocab
+            np.testing.assert_array_equal(nile.weights, weights)
+            np.testing.assert_array_equal(nile.biases, biases)
+            expected = svm_predict(weights, biases, test_features)
+            assert nile_predict(nile, test) == expected

@@ -1,6 +1,7 @@
 """The per-metric verdict and report of ``tools/bench_pairs.py``, loaded by path."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -80,3 +81,20 @@ def test_a_ref_that_git_cannot_archive_exits_1_with_its_name(tmp_path, capsys):
         tool.unpack("no-such-ref", tmp_path / "tree")
     assert exc.value.code == 1
     assert capsys.readouterr().err.startswith("error: git archive no-such-ref: ")
+
+
+def test_report_names_the_allocator_settings_the_runs_inherit(capsys, monkeypatch):
+    for name in list(os.environ):
+        if name.startswith("MALLOC_") or name == "GLIBC_TUNABLES":
+            monkeypatch.delenv(name)
+    results = {"ref": [], "change": []}
+    tool.report(results, {"end_to_end": []})
+    assert "allocator (both sides): none set" in capsys.readouterr().out.splitlines()
+    monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "131072")
+    monkeypatch.setenv("GLIBC_TUNABLES", "glibc.malloc.arena_max=2")
+    monkeypatch.setenv("MALLOC_ARENA_MAX", "4")
+    monkeypatch.setenv("NOT_MALLOC_X", "1")
+    tool.report(results, {"end_to_end": []})
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "allocator (both sides): GLIBC_TUNABLES=glibc.malloc.arena_max=2 "
+        "MALLOC_ARENA_MAX=4 MALLOC_TRIM_THRESHOLD_=131072")

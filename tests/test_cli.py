@@ -64,6 +64,10 @@ class TestConfigParsing:
         with pytest.raises(UsageError, match="bad value"):
             RunConfig.from_values({"corpus": "c", "epochs": "many"})
 
+    def test_empty_embeddings_means_hash_embeddings(self):
+        cfg = RunConfig.from_values({"corpus": "c", "embeddings": ""})
+        assert cfg.embeddings is None and cfg.output_dir == "out"
+
     def test_tasks_must_include_veracity(self):
         with pytest.raises(UsageError, match="must include veracity"):
             RunConfig.from_values({"corpus": "c", "tasks": "stance"})
@@ -583,6 +587,17 @@ BAD_INPUTS = {
         ["validate", _rename_event(corpus, tmp, "new\nline")], "renamed.ndjson:1"),
     "validate event with a control character": lambda tmp, corpus: (
         ["validate", _rename_event(corpus, tmp, "bell\x07")], "renamed.ndjson:1"),
+    "empty corpus key": lambda tmp, corpus: (
+        ["loeo", run_config(tmp, corpus, corpus=""), "--models", "majority"], "'corpus'"),
+    "empty output_dir key": lambda tmp, corpus: (
+        ["train", run_config(tmp, corpus, output_dir="")], "'output_dir'"),
+    "train --output-dir empty": lambda tmp, corpus: (
+        ["train", run_config(tmp, corpus), "--output-dir", ""], "--output-dir"),
+    "synth -o empty": lambda tmp, corpus: (
+        ["synth", _write(tmp / "spec.cfg", "events = 1\n"), "-o", ""], "--output"),
+    # Every command checks every run-config key, so loeo rejects tasks it never reads.
+    "loeo with tasks lacking veracity": lambda tmp, corpus: (
+        ["loeo", run_config(tmp, corpus, tasks="stance"), "--models", "majority"], "tasks"),
 }
 
 
@@ -597,10 +612,14 @@ def test_event_names_with_punctuation_and_non_ascii_work(event, tmp_path, corpus
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
-def test_bad_input_exit_1(case, tmp_path, corpus_path, capsys):
+def test_bad_input_exit_1(case, tmp_path, corpus_path, capsys, monkeypatch):
     argv, named = BAD_INPUTS[case](tmp_path, corpus_path)
     capsys.readouterr()
+    workdir = tmp_path / "workdir"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
     assert dispatch([str(a) for a in argv]) == 1
+    assert list(workdir.iterdir()) == []
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and named in errors[0]
 

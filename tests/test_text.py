@@ -145,26 +145,26 @@ class TestPadAndMask:
         return [rng.standard_normal(dim) for _ in range(n)]
 
     def test_padding(self):
-        t = pad_and_mask(self.vectors(2), 5)
-        assert list(t.mask) == [True, True, False, False, False]
-        assert t.true_length == 2
-        assert np.all(t.matrix[2:] == 0.0)
+        matrix, mask = pad_and_mask(self.vectors(2), 5)
+        assert list(mask) == [True, True, False, False, False]
+        assert matrix.shape == (5, 4)
+        assert np.all(matrix[2:] == 0.0)
 
     def test_exact_fit(self):
-        t = pad_and_mask(self.vectors(5), 5)
-        assert t.mask.all() and t.true_length == 5
+        matrix, mask = pad_and_mask(self.vectors(5), 5)
+        assert mask.all() and matrix.shape == (5, 4)
 
     def test_truncation_keeps_prefix(self):
         vecs = self.vectors(7)
-        t = pad_and_mask(vecs, 5)
-        assert t.true_length == 5
+        matrix, mask = pad_and_mask(vecs, 5)
+        assert mask.all()
         for i in range(5):
-            np.testing.assert_array_equal(t.matrix[i], vecs[i])
+            np.testing.assert_array_equal(matrix[i], vecs[i])
 
     def test_mask_sum_equals_true_length(self):
         for n in (1, 3, 5, 9):
-            t = pad_and_mask(self.vectors(n), 5)
-            assert int(t.mask.sum()) == t.true_length
+            _, mask = pad_and_mask(self.vectors(n), 5)
+            assert int(mask.sum()) == min(n, 5)
 
     def test_bad_max_len(self):
         with pytest.raises(ValueError):

@@ -16,9 +16,10 @@ It prints, per end-to-end metric of the working tree's BENCHMARK.json and
 over the same pairs (see ``paired``): each side's median and quartiles, the
 ratio of the medians (change over ref), how many pairs the change won in
 the metric's better direction, how many pairs were skipped, and a verdict
-(see ``verdict``). Then the failed-check counts of every run, and the
-numpy, BLAS and thread settings each side reported. Exit status 1 when
-git cannot archive the ref or a run fails to produce its result.
+(see ``verdict``). Then the failed-check counts of every run, the numpy,
+BLAS and thread settings each side reported, and the allocator settings
+both sides inherit (see ``allocator_settings``). Exit status 1 when git
+cannot archive the ref or a run fails to produce its result.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -104,6 +106,14 @@ def paired(ref_runs: list[dict], new_runs: list[dict], name: str
     return [a for a, _ in pairs], [b for _, b in pairs], len(ref_runs) - len(pairs)
 
 
+def allocator_settings() -> str:
+    """The glibc allocator settings of this process's environment, which
+    every run inherits: each ``MALLOC_*`` variable and ``GLIBC_TUNABLES``,
+    or ``none set``."""
+    names = sorted(k for k in os.environ if k.startswith("MALLOC_") or k == "GLIBC_TUNABLES")
+    return " ".join(f"{k}={os.environ[k]}" for k in names) or "none set"
+
+
 def report(results: dict[str, list[dict]], definition: dict) -> None:
     ref_runs, new_runs = results["ref"], results["change"]
     print(f"{'metric':24s} {'ref median':>12s} {'q1':>12s} {'q3':>12s} {'change median':>14s}"
@@ -126,6 +136,7 @@ def report(results: dict[str, list[dict]], definition: dict) -> None:
                            sort_keys=True) for r in runs}
         for env in sorted(envs):
             print(f"{side}: {env}")
+    print(f"allocator (both sides): {allocator_settings()}")
 
 
 def main(argv: list[str] | None = None) -> int:
