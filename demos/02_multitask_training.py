@@ -1,10 +1,11 @@
 """Training the shared-LSTM multi-task classifier.
 
-Branches are embedded (averaged word vectors per tweet), padded into a
-common tensor, and fed through one shared LSTM with a task-specific
-dense/softmax head per task. Veracity is the main task; stance (per step)
-and rumour detection (per branch) are auxiliary. Labels a branch does not
-carry contribute exactly zero loss.
+Each tweet is embedded once (averaged word vectors) into one table, a
+branch is its tweets' rows of that table, and a batch of branches is fed
+through one shared LSTM with a task-specific dense/softmax head per task.
+Veracity is the main task; stance (per step) and rumour detection (per
+branch) are auxiliary. Labels a branch does not carry contribute exactly
+zero loss.
 
 Run:  python3 demos/02_multitask_training.py        (about 20 seconds)
 """
@@ -21,7 +22,7 @@ corpus = generate_synthetic(GeneratorSpec(events=3, threads_per_event=25, coupli
 table = hash_embeddings(dimension=32, seed=0)
 instances = build_instances(corpus, table)
 print(f"{len(corpus)} threads -> {len(instances)} branch instances, "
-      f"padded to length {instances[0].x.shape[0]}")
+      f"the longest {max(inst.true_length for inst in instances)} tweets")
 
 # -- 2. train a three-task model --------------------------------------------
 # Miniature widths keep this fast; the full-scale defaults (300-wide dense,

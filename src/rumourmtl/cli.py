@@ -178,6 +178,19 @@ def _loeo_fold(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, model_name
     return evaluation.loeo_fold(corpus, event, fit_predict, VERACITY_CLASSES)
 
 
+_worker_fold = None  # in a loeo pool worker: _loeo_fold bound by _init_loeo_worker
+
+
+def _init_loeo_worker(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable) -> None:
+    global _worker_fold
+    np.seterr("ignore")
+    _worker_fold = partial(_loeo_fold, cfg, corpus, table)
+
+
+def _run_worker_fold(model_name: str, event: str) -> Optional[evaluation.FoldResult]:
+    return _worker_fold(model_name, event)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -293,13 +306,13 @@ def cmd_loeo(args: argparse.Namespace) -> int:
     file_names = [f"predictions_{name}_{event}.ndjson" for name, event in zip(names, events)]
     if bad := [e for e, f in zip(events, file_names) if not is_file_name(f)]:
         raise UsageError(f"event {bad[0]!r} cannot be part of a file name")
-    run_fold = partial(_loeo_fold, cfg, corpus, _embedding_table(cfg))
-    if args.jobs > 1:
+    shared = (cfg, corpus, _embedding_table(cfg))
+    if args.jobs > 1:  # the workers get ``shared`` once; a task is its (model, event)
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(names)),
-                                 initializer=np.seterr, initargs=("ignore",)) as pool:
-            outcomes = list(pool.map(run_fold, names, events))
+                                 initializer=_init_loeo_worker, initargs=shared) as pool:
+            outcomes = list(pool.map(_run_worker_fold, names, events))
     else:
-        outcomes = list(map(run_fold, names, events))
+        outcomes = list(map(partial(_loeo_fold, *shared), names, events))
     out_dir = Path(cfg.output_dir)
     fold_results: dict[str, list[evaluation.FoldResult]] = {name: [] for name in model_names}
     for name, fold, file_name in zip(names, outcomes, file_names):

@@ -297,6 +297,11 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # Synthetic corpus generation
 
+#: Most tokens a ``GeneratorSpec``'s corpus may have: about half a gigabyte
+#: of posts, at the generator's 50 bytes a token.
+MAX_CORPUS_TOKENS = 10 ** 7
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Configuration for the synthetic corpus generator.
@@ -331,6 +336,11 @@ class GeneratorSpec:
         if (not all(math.isfinite(p) for p in self.veracity_priors)
                 or abs(sum(self.veracity_priors) - 1.0) > 1e-9 or min(self.veracity_priors) < 0):
             raise ValueError(f"veracity_priors must be a distribution, got {self.veracity_priors}")
+        tokens = (self.events * self.threads_per_event * (1 + self.replies_range[1])
+                  * self.tokens_per_post)
+        if tokens > MAX_CORPUS_TOKENS:
+            raise ValueError(f"events * threads_per_event * (1 + max replies) * tokens_per_post "
+                             f"is {tokens} tokens, above {MAX_CORPUS_TOKENS}")
 
 
 # Token pools: each label family gets its own small vocabulary so averaged

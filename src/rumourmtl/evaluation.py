@@ -53,9 +53,7 @@ def metrics_from_confusion(matrix: np.ndarray, classes: Sequence[str]) -> Metric
         pred_n = float(matrix[:, i].sum())
         precision = tp / pred_n if pred_n else 0.0
         recall = tp / gold_n if gold_n else 0.0
-        f1 = (2 * precision * recall / (precision + recall)
-              if precision + recall else 0.0)
-        per_class[c] = f1
+        per_class[c] = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     macro = float(np.mean([per_class[c] for c in classes]))
     return Metrics(accuracy=accuracy, per_class_f1=per_class, macro_f=macro)
 

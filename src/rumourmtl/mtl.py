@@ -6,13 +6,14 @@ detection and veracity from the final valid step. The joint loss sums the
 active tasks' cross-entropies; instances lacking a task's label contribute
 exactly zero to that task's term. Thread-level answers come from majority
 voting over branch predictions. One node table (``Forest``) numbers and
-embeds each post that a branch reaches, once. Training instances are
-gathered from it. Training and prediction share one forward over node rows:
-a batch runs as the node table of its rows' chains, and prediction walks
-the ``Forest`` top-down, so each post goes through the LSTM once and gets
-one stance, and each branch's end node gives its veracity and detection
-votes. ``neural.lstm_forward``/``lstm_backward``, the masked-batch layer
-API, are kept for the tests and the bench tracer.
+embeds each post that a branch reaches, once; a training instance is its
+branch's rows of the table's float32 inputs, which every instance shares.
+Training and prediction share one forward over node rows: a batch runs as
+the node table of its instances' chains, and prediction walks the
+``Forest`` top-down, so each post goes through the LSTM once and gets one
+stance, and each branch's end node gives its veracity and detection votes.
+``neural.lstm_forward``/``lstm_backward``, the masked-batch layer API, are
+kept for the tests and the bench tracer.
 
 A model computes in the dtype of its parameters: single precision as built
 or loaded. Each head's softmax, the loss and the thread probabilities are
@@ -102,12 +103,15 @@ class HyperParams:
 class TrainingInstance:
     """One branch as a model input, with whatever labels the thread carries.
 
-    ``stance_labels`` has length ``true_length`` with -1 marking steps whose
-    post has no stance annotation; it is None when no step is annotated.
+    Its inputs are ``x[rows]``, root first: rows of a node table shared by
+    every instance ``build_instances`` makes, or, by default, the first
+    ``true_length`` rows of a hand-built instance's own steps. ``stance_labels``
+    has length ``true_length`` with -1 marking steps whose post has no stance
+    annotation; it is None when no step is annotated.
     """
 
-    x: np.ndarray       # (T, dim)
-    mask: np.ndarray    # (T,) bool
+    x: np.ndarray                 # (N, dim) input rows
+    mask: Optional[np.ndarray]    # unread: a hand-built instance's (T,) prefix mask
     true_length: int
     stance_labels: Optional[np.ndarray]
     detection_label: Optional[int]
@@ -115,6 +119,11 @@ class TrainingInstance:
     thread_id: str
     event: str
     post_ids: tuple[str, ...] = ()
+    rows: Optional[np.ndarray] = None   # (true_length,) rows of x; None: the first ones
+
+    def __post_init__(self) -> None:
+        if self.rows is None:
+            object.__setattr__(self, "rows", np.arange(self.true_length))
 
 
 def normalize_tasks(tasks: Iterable[str]) -> tuple[str, ...]:
@@ -170,20 +179,28 @@ class MTLModel:
     def _layer(self, prefix: str, keys: tuple[str, ...]) -> Params:
         return {key: self.params[f"{prefix}/{key}"] for key in keys}
 
-    def forward(self, x: np.ndarray, mask: np.ndarray,
+    def forward(self, batch: Sequence[TrainingInstance],
                 dropout_rng: Optional[np.random.Generator] = None) -> tuple[dict, dict]:
-        """Run the full model on a batch (B, T, dim) as the forest of its rows'
-        chains (``neural.chains``): stance reads every live cell, row after
-        row, and the thread tasks each row's last live cell.
+        """Run the full model on a batch as the forest of its instances'
+        chains (``neural.chains``; step t of every instance is level t, and
+        the inputs are gathered in that order): stance reads every step,
+        instance after instance, and the thread tasks each instance's last step.
 
         Returns each head's probability rows, laid out as ``_head_labels``
         describes, and the cache for backward, which only this forward keeps.
         Given ``dropout_rng`` (in training), dropout masks are drawn from it
         and recorded in the cache.
         """
-        cells, parent, levels, last = neural.chains(mask)
+        lengths = np.array([inst.true_length for inst in batch])
+        live = np.arange(lengths.max()) < lengths[:, None]
+        (b, t), parent, levels, last = neural.chains(live)
+        steps = np.cumsum(lengths)[b] - lengths[b] + t  # into the instances' rows, concatenated
+        if all(inst.x is batch[0].x for inst in batch):  # one shared table: one gather
+            x = batch[0].x[np.concatenate([inst.rows for inst in batch])[steps]]
+        else:  # hand-built instances, each with its own x
+            x = np.concatenate([inst.x[inst.rows] for inst in batch])[steps]
         cache: dict = {"lstm": [], "heads": {}}
-        return self._forward(x[cells], parent, levels, last[mask], last[:, -1], dropout_rng,
+        return self._forward(x, parent, levels, last[live], last[:, -1], dropout_rng,
                              cache), cache
 
     def _forward(self, x: np.ndarray, parent: np.ndarray, levels: Sequence[int],
@@ -238,7 +255,7 @@ class MTLModel:
     def batch_loss(self, batch: Sequence[TrainingInstance],
                    dropout_rng: Optional[np.random.Generator] = None) -> float:
         """Forward-only batch-mean data loss (used by the finite-difference oracle)."""
-        outputs, _ = self.forward(*_stack(batch), dropout_rng=dropout_rng)
+        outputs, _ = self.forward(batch, dropout_rng=dropout_rng)
         return self.batch_data_loss(batch, outputs)[0]
 
     def loss_and_grads(self, batch: Sequence[TrainingInstance],
@@ -246,7 +263,7 @@ class MTLModel:
                        ) -> tuple[float, Params]:
         """Batch-mean data loss and its exact gradients for one mini-batch,
         in the parameters' dtype; ``train`` adds the L2 term."""
-        outputs, cache = self.forward(*_stack(batch), dropout_rng=dropout_rng)
+        outputs, cache = self.forward(batch, dropout_rng=dropout_rng)
         loss, dlogits = self.batch_data_loss(batch, outputs)
         dlogits = {task: d.astype(self.dtype, copy=False) for task, d in dlogits.items()}
 
@@ -305,17 +322,6 @@ class MTLModel:
 
 # ---------------------------------------------------------------------------
 # Joint loss (data term; ``train`` adds L2)
-
-def _stack(batch: Sequence[TrainingInstance]) -> tuple[np.ndarray, np.ndarray]:
-    """Inputs and masks of a batch, trimmed to its longest branch.
-
-    Masks are prefixes of ``true_length`` steps. Masked steps are never
-    computed, so the trim only keeps the stacked copy small.
-    """
-    T = max(inst.true_length for inst in batch)
-    return (np.stack([inst.x[:T] for inst in batch]),
-            np.stack([inst.mask[:T] for inst in batch]))
-
 
 def _head_labels(batch: Sequence[TrainingInstance], task: str
                  ) -> tuple[np.ndarray, np.ndarray]:
@@ -381,7 +387,7 @@ def joint_loss(outputs: dict, inst: TrainingInstance) -> float:
 
 def instance_outputs(model: MTLModel, inst: TrainingInstance) -> dict:
     """Eval-mode head rows of a single instance; a thread task's one row as a vector."""
-    outputs, _ = model.forward(inst.x[None], inst.mask[None])
+    outputs, _ = model.forward([inst])
     return {t: p if t in PER_STEP_TASKS else p[0] for t, p in outputs.items()}
 
 
@@ -393,44 +399,38 @@ def build_instances(corpus: Corpus, table: EmbeddingTable,
                     pad_to: Optional[int] = None) -> list[TrainingInstance]:
     """Turn every branch of every thread into a training instance.
 
-    Thread-level labels are replicated to each branch. All instances share
-    one padded length (the longest surviving branch, or ``pad_to``, which
-    must not be shorter). The branch inputs, masks and stance labels are
-    gathered from the corpus's ``Forest`` by one (branches, T) table of its
-    rows, the inputs thread by thread; instances hold views of them.
+    Thread-level labels are replicated to each branch. Every instance holds
+    the corpus's ``Forest`` inputs, cast to float32 once, and its branch's
+    rows of them. Nothing is padded; ``pad_to`` must not be shorter than the
+    longest branch.
     """
     threads = corpus.threads
     if not threads:
         return []
     forest = build_forest(threads, table, max_branch_len)
-    longest = max(map(len, forest.branches))
-    if pad_to is not None and pad_to < longest:
-        raise ValueError(f"pad_to {pad_to} is shorter than the longest branch ({longest} posts)")
-    T = pad_to if pad_to is not None else longest
-    index = np.array([[rows[pid] for pid in branch.post_ids] + [-1] * (T - len(branch))
-                      for rows, span in zip(forest.rows, forest.spans)
-                      for branch in forest.branches[span]])
-    # Padding (index -1) reads the last row; each gather resets those cells.
-    mask = index >= 0
+    lengths = [len(branch) for branch in forest.branches]
+    if pad_to is not None and pad_to < max(lengths):
+        raise ValueError(f"pad_to {pad_to} is shorter than the longest branch "
+                         f"({max(lengths)} posts)")
+    x = forest.x.astype(np.float32)
+    # Every branch's rows and stance labels, branch after branch.
+    rows = np.array([ids[pid] for ids, span in zip(forest.rows, forest.spans)
+                     for branch in forest.branches[span] for pid in branch.post_ids])
     stance = np.array([-1 if (y := post.stance_label) is None else STANCE_CLASSES.index(y)
-                       for post in forest.posts], dtype=np.int64)[index]
-    stance[~mask] = -1
-    labelled = (stance >= 0).any(axis=1).tolist()
+                       for post in forest.posts], dtype=np.int64)[rows]
+    bounds = [0, *itertools.accumulate(lengths)]
+    labelled = np.logical_or.reduceat(stance >= 0, bounds[:-1]).tolist()
     instances = []
     for thread, span in zip(threads, forest.spans):
-        # Inputs are gathered per thread: under glibc, one corpus-sized array takes fresh
-        # pages where these reuse freed memory (10% more peak on the bench's paper run).
-        x = forest.x[index[span]]
-        x[~mask[span]] = 0.0
         det = None if (y := thread.detection_label) is None else DETECTION_CLASSES.index(y)
         ver = None if (y := thread.veracity_label) is None else VERACITY_CLASSES.index(y)
-        instances += [TrainingInstance(
-            x=x_i, mask=mask_i, true_length=len(branch),
-            stance_labels=stance_i[:len(branch)] if labelled_i else None,
-            detection_label=det, veracity_label=ver,
-            thread_id=thread.id, event=thread.event, post_ids=branch.post_ids)
-            for branch, x_i, mask_i, stance_i, labelled_i in zip(
-                forest.branches[span], x, mask[span], stance[span], labelled[span])]
+        for i in range(span.start, span.stop):
+            steps = slice(bounds[i], bounds[i + 1])
+            instances.append(TrainingInstance(
+                x=x, mask=None, true_length=lengths[i],
+                stance_labels=stance[steps] if labelled[i] else None,
+                detection_label=det, veracity_label=ver, thread_id=thread.id,
+                event=thread.event, post_ids=forest.branches[i].post_ids, rows=rows[steps]))
     return instances
 
 
@@ -479,7 +479,7 @@ def branch_accuracy(model: MTLModel, instances: Sequence[TrainingInstance]) -> d
     totals = dict.fromkeys(model.tasks, 0)
     for start in range(0, len(instances), 256):
         batch = instances[start:start + 256]
-        outputs, _ = model.forward(*_stack(batch))
+        outputs, _ = model.forward(batch)
         for task, p in outputs.items():
             labels, _ = _head_labels(batch, task)
             live = labels >= 0
@@ -502,20 +502,13 @@ class ThreadPrediction:
     stance: Optional[tuple[tuple[str, str], ...]] = None  # (post id, predicted stance)
 
     def to_json_obj(self) -> dict:
-        obj = {
-            "thread": self.thread_id,
-            "event": self.event,
-            "veracity": {"pred": self.veracity,
-                         "probs": [float(p) for p in self.veracity_probs]},
-            "detection": None,
-            "stance": None,
-        }
-        if self.detection is not None:
-            obj["detection"] = {"pred": self.detection,
-                                "probs": [float(p) for p in self.detection_probs]}
-        if self.stance is not None:
-            obj["stance"] = [{"post": pid, "pred": s} for pid, s in self.stance]
-        return obj
+        def head(pred, probs):
+            return None if pred is None else {"pred": pred, "probs": [float(p) for p in probs]}
+        return {"thread": self.thread_id, "event": self.event,
+                "veracity": head(self.veracity, self.veracity_probs),
+                "detection": head(self.detection, self.detection_probs),
+                "stance": None if self.stance is None else [
+                    {"post": pid, "pred": s} for pid, s in self.stance]}
 
 
 def _majority_vote(branch_probs: np.ndarray, classes: Sequence[str]) -> tuple[str, np.ndarray]:
@@ -538,7 +531,7 @@ class Forest:
     reaches. Rows are nodes sorted by depth, so the nodes of depth k are the
     rows ``levels[k]:levels[k + 1]`` and every parent lies in the level
     before its child, as ``neural.lstm_tree_forward`` takes them.
-    ``build_instances`` gathers each branch's inputs from the same rows.
+    ``build_instances``' instances refer to the same rows.
     """
 
     x: np.ndarray                       # (N, dim): each node's post, embedded once
@@ -689,13 +682,9 @@ def check_gradients(hp: HyperParams, tasks: Iterable[str], input_dim: int, seed:
     batch = []
     for i in range(2):
         length = int(rng.integers(1, steps + 1)) if i > 0 else steps
-        mask = np.zeros(steps, dtype=bool)
-        mask[:length] = True
-        x = np.zeros((steps, input_dim))
-        x[:length] = rng.standard_normal((length, input_dim))
         drop_task = i == 1
         batch.append(TrainingInstance(
-            x=x, mask=mask, true_length=length,
+            x=rng.standard_normal((length, input_dim)), mask=None, true_length=length,
             stance_labels=(None if drop_task else
                            rng.integers(0, len(STANCE_CLASSES), size=length)),
             detection_label=None if drop_task else int(rng.integers(0, 2)),

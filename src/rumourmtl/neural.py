@@ -70,9 +70,7 @@ def cross_entropy(probs: np.ndarray, gold: int | np.ndarray) -> float | np.ndarr
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
                    shape: Optional[tuple[int, ...]] = None) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    if shape is None:
-        shape = (fan_in, fan_out)
-    return rng.uniform(-limit, limit, size=shape)
+    return rng.uniform(-limit, limit, size=shape or (fan_in, fan_out))
 
 
 def init_lstm_layer(rng: np.random.Generator, input_dim: int, hidden: int) -> Params:
@@ -283,11 +281,8 @@ class OptimizerState:
 
 
 def optimizer_init(params: Params, lr: float = 1e-3) -> OptimizerState:
-    state = OptimizerState(lr=lr)
-    for name, p in params.items():
-        state.m[name] = np.zeros_like(p)
-        state.v[name] = np.zeros_like(p)
-    return state
+    return OptimizerState(lr=lr, m={name: np.zeros_like(p) for name, p in params.items()},
+                          v={name: np.zeros_like(p) for name, p in params.items()})
 
 
 def optimizer_step(params: Params, grads: Params, state: OptimizerState) -> None:
@@ -385,7 +380,5 @@ def load_params(path: str | Path) -> tuple[Params, dict]:
     blocks = payload.get("params")
     if not isinstance(blocks, dict) or not all(isinstance(e, dict) for e in blocks.values()):
         raise ValueError(f"{path}: 'params' must map block names to objects")
-    params = {}
-    for name, entry in blocks.items():
-        params[name] = np.array(entry["data"], dtype=float).reshape(entry["shape"])
-    return params, payload["meta"]
+    return {name: np.array(entry["data"], dtype=float).reshape(entry["shape"])
+            for name, entry in blocks.items()}, payload["meta"]

@@ -137,11 +137,7 @@ def pad_and_mask(vectors: Sequence[np.ndarray], max_len: int) -> tuple[np.ndarra
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     if len(vectors) == 0:
         raise ValueError("need at least one vector")
-    dim = len(vectors[0])
     n = min(len(vectors), max_len)
-    matrix = np.zeros((max_len, dim))
-    for i in range(n):
-        matrix[i] = vectors[i]
-    mask = np.zeros(max_len, dtype=bool)
-    mask[:n] = True
-    return matrix, mask
+    matrix = np.zeros((max_len, len(vectors[0])))
+    matrix[:n] = vectors[:n]
+    return matrix, np.arange(max_len) < n

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -284,12 +285,17 @@ class TestLoeo:
         assert len(outputs["1"]) == 11  # 3 models x 3 events + report.csv/txt
         assert outputs["1"] == outputs["2"]
 
-    def test_pool_capped_at_task_count(self, tmp_path, corpus_path, capsys, monkeypatch):
-        workers = []
+    @staticmethod
+    def in_process_pool(monkeypatch):
+        """Replace ``loeo``'s process pool by one that runs its initializer and
+        its tasks in this process; returns the list of what each pool was
+        given: ``max_workers`` and the (function, arguments) of every task."""
+        pools = []
 
-        class SerialPool:
-            def __init__(self, max_workers, **_):
-                workers.append(max_workers)
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append({"max_workers": max_workers, "tasks": []})
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -298,12 +304,32 @@ class TestLoeo:
                 return False
 
             def map(self, fn, *iterables):
+                pools[-1]["tasks"] += [(fn, *args) for args in zip(*iterables)]
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        # The initializer installs the worker's state in the module.
+        monkeypatch.setattr(cli, "_worker_fold", None)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        return pools
+
+    def test_pool_capped_at_task_count(self, tmp_path, corpus_path, capsys, monkeypatch):
+        pools = self.in_process_pool(monkeypatch)
         cfg = run_config(tmp_path, corpus_path)
         assert dispatch(["loeo", str(cfg), "--models", "majority", "--jobs", "8"]) == 0
-        assert workers == [3]  # one (model, event) task per event
+        assert [pool["max_workers"] for pool in pools] == [3]  # one (model, event) task per event
+
+    def test_pool_task_sends_only_model_and_event(self, tmp_path, corpus_path, capsys,
+                                                  monkeypatch):
+        """The config, corpus and table reach each worker once, through the
+        pool's initializer; a task pickles to under 1 KB."""
+        pools = self.in_process_pool(monkeypatch)
+        cfg = run_config(tmp_path, corpus_path, epochs=1)
+        assert dispatch(["loeo", str(cfg), "--models", "majority,nile,single", "--jobs", "2"]) == 0
+        tasks = pools[0]["tasks"]
+        assert [task[1:] for task in tasks] == [
+            (model, event) for model in ("majority", "nile", "single")
+            for event in ("event00", "event01", "event02")]
+        assert max(len(pickle.dumps(task)) for task in tasks) < 1024
 
     def test_corpus_loaded_once(self, tmp_path, corpus_path, capsys, monkeypatch):
         calls = []
@@ -519,6 +545,9 @@ BAD_INPUTS = {
     "synth tokens_per_post -2": lambda tmp, corpus: (
         ["synth", _write(tmp / "spec.cfg", "tokens_per_post = -2\n"), "-o", tmp / "x.ndjson"],
         "tokens_per_post"),
+    "synth of a corpus too large to hold": lambda tmp, corpus: (
+        ["synth", _write(tmp / "spec.cfg", "events = 99999999999999999999\n"), "-o",
+         tmp / "x.ndjson"], "(1 + max replies) * tokens_per_post is 41999999999999999999580"),
     "nan synth prior": lambda tmp, corpus: (
         ["synth", _write(tmp / "nan.cfg", "prior_false = nan\n"), "-o", tmp / "x.ndjson"],
         "veracity_priors"),

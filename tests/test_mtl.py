@@ -220,8 +220,7 @@ class TestSingleLoss:
 
     def test_clipped_row_gets_zero_dlogits(self):
         model, batch = self.mixed_batch()
-        outputs, cache = model.forward(np.stack([i.x for i in batch]),
-                                       np.stack([i.mask for i in batch]))
+        outputs, cache = model.forward(batch)
         assert outputs["veracity"][2, 0] <= PROB_CLIP
         _, dlogits = model.batch_data_loss(
             batch, {t: cache["heads"][t]["probs"] for t in model.tasks})
@@ -318,10 +317,8 @@ class TestTraining:
 
     def test_single_task_and_stripped_mtl3_share_veracity_trajectory(self):
         instances = self.corpus_instances()
-        stripped = [TrainingInstance(
-            x=i.x, mask=i.mask, true_length=i.true_length, stance_labels=None,
-            detection_label=None, veracity_label=i.veracity_label,
-            thread_id=i.thread_id, event=i.event) for i in instances]
+        stripped = [dataclasses.replace(i, stance_labels=None, detection_label=None)
+                    for i in instances]
         hp = HyperParams(num_dense_layers=1, num_lstm_layers=1, dense_width=6,
                          lstm_width=5, dropout=0.0, epochs=3, l2=0.0)
         single = MTLModel(hp, ("veracity",), DIM, 21)
@@ -368,12 +365,19 @@ class TestPaddingInvariance:
     """Padding past a batch's longest branch changes nothing, to the bit."""
 
     def test_extra_padding_bit_identical(self):
+        """Built instances, which refer to rows of one shared table, against
+        hand-built copies of them padded with zero rows and ``False`` mask
+        cells to four steps past the longest branch."""
         corpus = generate_synthetic(GeneratorSpec(events=2, threads_per_event=5), 3)
         table = hash_embeddings(DIM, 0)
         tight = build_instances(corpus, table)
-        T = tight[0].x.shape[0]
-        padded = build_instances(corpus, table, pad_to=T + 4)
-        assert padded[0].x.shape[0] == T + 4
+        T = max(inst.true_length for inst in tight) + 4
+        padded = []
+        for inst in tight:
+            x = np.zeros((T, DIM), np.float32)
+            x[:inst.true_length] = inst.x[inst.rows]
+            padded.append(dataclasses.replace(inst, x=x, mask=np.arange(T) < inst.true_length,
+                                              rows=None))
         hp = HyperParams(num_dense_layers=1, num_lstm_layers=2, dense_width=6,
                          lstm_width=5, dropout=0.5, epochs=2, batch_size=8)
         tasks = ("veracity", "stance", "detection")
@@ -407,7 +411,11 @@ def masked_layer_loss_and_grads(model, batch, dropout_rng):
     def layer(prefix, keys):
         return {k: params[f"{prefix}/{k}"] for k in keys}
 
-    x, mask = mtl_module._stack(batch)
+    T = max(inst.true_length for inst in batch)
+    x = np.zeros((len(batch), T, batch[0].x.shape[1]), batch[0].x.dtype)
+    for row, inst in zip(x, batch):
+        row[:inst.true_length] = inst.x[inst.rows]
+    mask = np.arange(T) < np.array([[inst.true_length] for inst in batch])
     caches, H = [], x
     for l in range(hp.num_lstm_layers):
         H, cache = neural.lstm_forward(layer(f"lstm{l}", ("Wx", "Wh", "b")), H, mask)
@@ -590,8 +598,7 @@ class TestTreePass:
         labels_seen = set()
         for k, (thread, pred) in enumerate(zip(threads, preds)):
             instances = build_instances(Corpus((thread,)), table, max_branch_len=max_branch_len)
-            outputs, _ = model.forward(np.stack([inst.x for inst in instances]),
-                                       np.stack([inst.mask for inst in instances]))
+            outputs, _ = model.forward(instances)
             branches = slice(start, start + len(instances))
             start += len(instances)
             for task, classes in (("veracity", VERACITY_CLASSES),
@@ -655,8 +662,8 @@ class TestTreePass:
         assert alive == [0, 0, 0]
         gates.clear()
         rng = np.random.default_rng(3)
-        mask = np.arange(6) < rng.integers(1, 7, size=(5, 1))
-        _, cache = model.forward(rng.standard_normal((5, 6, DIM)), mask)
+        batch = [make_instance(rng, length=int(n), steps=6) for n in rng.integers(1, 7, size=5)]
+        _, cache = model.forward(batch)
         gc.collect()
         assert len(gates) == len(cache["lstm"]) == 3
         assert all(ref() is layer["ifo"] for ref, layer in zip(gates, cache["lstm"]))
@@ -762,13 +769,14 @@ class TestInstances:
             embedded.append(tuple(tokens))
             return embed_tweet(tokens, table)
 
-        reference = build_instances(corpus, table)
+        reference = per_branch_instances(corpus, table, 25, None)
         monkeypatch.setattr(mtl_module, "embed_tweet", counting_embed)
         instances = build_instances(corpus, table)
         n_posts = sum(len(t.posts) for t in corpus.threads)
         assert len(embedded) == n_posts < sum(inst.true_length for inst in instances)
-        for a, b in zip(instances, reference):
-            np.testing.assert_array_equal(a.x, b.x)
+        assert len(instances) == len(reference)
+        for inst, (x, _, n, *_) in zip(instances, reference):
+            assert inst.x[inst.rows].tobytes() == x[:n].astype(np.float32).tobytes()
         embedded.clear()
         model = MTLModel(MINI, ("veracity",), DIM, 1)
         predict_thread(model, corpus.threads[0], table)
@@ -776,6 +784,22 @@ class TestInstances:
 
     def test_empty_corpus(self):
         assert build_instances(Corpus(()), hash_embeddings(DIM, 0)) == []
+
+    def test_inputs_held_once_in_float32(self):
+        """The instances' inputs take no more than the node table in float32:
+        each distinct array they hold counts once, a view as its base."""
+        corpus = generate_synthetic(GeneratorSpec(events=2, threads_per_event=6), 6)
+        table = hash_embeddings(DIM, 0)
+        instances = build_instances(corpus, table, pad_to=20)
+        held = {}
+        for inst in instances:
+            array = inst.x if inst.x.base is None else inst.x.base
+            held[id(array)] = array
+        nodes = len(build_forest(corpus.threads, table).posts)
+        assert sum(inst.true_length for inst in instances) > nodes
+        assert sum(a.nbytes for a in held.values()) <= nodes * DIM * 4
+        assert {a.dtype for a in held.values()} == {inst.x.dtype for inst in instances} == {
+            np.dtype(np.float32)}
 
     def test_stance_alignment(self):
         corpus = generate_synthetic(GeneratorSpec(events=1, threads_per_event=4), 6)
@@ -836,10 +860,9 @@ class TestInstancesMatchPerBranch:
         got = build_instances(corpus, table, max_branch_len=max_branch_len, pad_to=pad_to)
         want = per_branch_instances(corpus, table, max_branch_len, pad_to)
         assert len(got) == len(want)
-        for inst, (x, mask, n, stances, labels, thread_id, event, post_ids) in zip(got, want):
-            assert inst.x.tobytes() == x.tobytes() and inst.x.shape == x.shape
-            np.testing.assert_array_equal(inst.mask, mask)
-            assert inst.mask.dtype == bool and inst.true_length == n
+        for inst, (x, _, n, stances, labels, thread_id, event, post_ids) in zip(got, want):
+            assert inst.true_length == len(inst.rows) == n
+            assert inst.x[inst.rows].tobytes() == x[:n].astype(np.float32).tobytes()
             if stances is None:
                 assert inst.stance_labels is None
             else:
@@ -865,7 +888,7 @@ class TestInstancesMatchPerBranch:
         corpus = Corpus(tuple(labelled_trees(6, self.SIZES)))
         got = self.assert_matches(corpus, table)
         self.assert_matches(corpus, table, max_branch_len=3, pad_to=9)
-        zero_steps = sum(int((~inst.x[:inst.true_length].any(axis=1)).sum()) for inst in got)
+        zero_steps = sum(int((~inst.x[inst.rows].any(axis=1)).sum()) for inst in got)
         assert zero_steps > 0
 
 
