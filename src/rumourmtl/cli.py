@@ -145,31 +145,30 @@ def _embedding_table(cfg: RunConfig) -> EmbeddingTable:
 
 
 # ---------------------------------------------------------------------------
-# Model runners shared by train/loeo
+# The held-out fold shared by loeo and search
 
-def _train_mtl(corpus: Corpus, table: EmbeddingTable, cfg: RunConfig,
-               tasks: Sequence[str], seed: int) -> tuple[MTLModel, list[float]]:
-    instances = mtl.build_instances(corpus, table, max_branch_len=cfg.max_branch_len)
-    model = MTLModel(cfg.hp, tasks, table.dimension, seed)
-    return model, mtl.train(model, instances, seed)
-
-
-def _loeo_fold(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, model_name: str,
-               event: str) -> Optional[evaluation.FoldResult]:
-    """One (model, event) fold; module-level so that a process pool can run it."""
-    fold_seed = int(derive_rng(cfg.seed, f"fold:{event}").integers(2 ** 31))
+def _loeo_fold(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable,
+               instances: Sequence[mtl.TrainingInstance], model_name: str, event: str,
+               seed: Optional[int] = None) -> Optional[evaluation.FoldResult]:
+    """One (model, event) fold, module-level so that a process pool can run it: a
+    neural model trains on the training split's share of ``instances`` (built over a
+    corpus that holds that split). ``seed`` defaults to the fold's own."""
+    if seed is None:
+        seed = int(derive_rng(cfg.seed, f"fold:{event}").integers(2 ** 31))
 
     def fit_predict(train: Corpus, labeled: Corpus) -> tuple[list[str], list]:
         if model_name == "majority":
             preds = baselines.majority_predict(baselines.majority_fit(train), labeled)
         elif model_name == "nile":
             try:
-                nile = baselines.nile_fit(train, seed=fold_seed)
+                nile = baselines.nile_fit(train, seed=seed)
             except ValueError as exc:
                 raise CorpusError(f"fold {event}: nile: {exc}") from None
             preds = baselines.nile_predict(nile, labeled)
         else:
-            model, _ = _train_mtl(train, table, cfg, mtl.MODEL_TASKS[model_name], fold_seed)
+            train_ids = {t.id for t in train.threads}
+            model = MTLModel(cfg.hp, mtl.MODEL_TASKS[model_name], table.dimension, seed)
+            mtl.train(model, [inst for inst in instances if inst.thread_id in train_ids], seed)
             thread_preds = mtl.predict_threads(model, labeled.threads, table,
                                                max_branch_len=cfg.max_branch_len)
             return [p.veracity for p in thread_preds], [p.veracity_probs for p in thread_preds]
@@ -181,10 +180,11 @@ def _loeo_fold(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable, model_name
 _worker_fold = None  # in a loeo pool worker: _loeo_fold bound by _init_loeo_worker
 
 
-def _init_loeo_worker(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable) -> None:
+def _init_loeo_worker(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable,
+                      instances: Sequence[mtl.TrainingInstance]) -> None:
     global _worker_fold
     np.seterr("ignore")
-    _worker_fold = partial(_loeo_fold, cfg, corpus, table)
+    _worker_fold = partial(_loeo_fold, cfg, corpus, table, instances)
 
 
 def _run_worker_fold(model_name: str, event: str) -> Optional[evaluation.FoldResult]:
@@ -252,7 +252,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     if all(t.veracity_label is None for t in corpus.threads):
         raise UsageError(f"corpus {cfg.corpus} has no veracity-labeled thread to train on")
     out_dir = Path(cfg.output_dir)
-    model, history = _train_mtl(corpus, _embedding_table(cfg), cfg, cfg.tasks, cfg.seed)
+    table = _embedding_table(cfg)
+    instances = mtl.build_instances(corpus, table, max_branch_len=cfg.max_branch_len)
+    model = MTLModel(cfg.hp, cfg.tasks, table.dimension, cfg.seed)
+    history = mtl.train(model, instances, cfg.seed)
     model_path = out_dir / "model.json"
     model.save(model_path)
     write_json(out_dir / "loss_history.json", {"epoch_loss": history})
@@ -306,7 +309,11 @@ def cmd_loeo(args: argparse.Namespace) -> int:
     file_names = [f"predictions_{name}_{event}.ndjson" for name, event in zip(names, events)]
     if bad := [e for e, f in zip(events, file_names) if not is_file_name(f)]:
         raise UsageError(f"event {bad[0]!r} cannot be part of a file name")
-    shared = (cfg, corpus, _embedding_table(cfg))
+    table = _embedding_table(cfg)
+    # Every neural fold trains on its share of one build; baselines need none.
+    instances = (mtl.build_instances(corpus, table, max_branch_len=cfg.max_branch_len)
+                 if any(name in mtl.MODEL_TASKS for name in model_names) else [])
+    shared = (cfg, corpus, table, instances)
     if args.jobs > 1:  # the workers get ``shared`` once; a task is its (model, event)
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(names)),
                                  initializer=_init_loeo_worker, initargs=shared) as pool:
@@ -347,13 +354,12 @@ def cmd_search(args: argparse.Namespace) -> int:
                          f"{dev_event!r} and outside it")
     table = _embedding_table(cfg)
     instances = mtl.build_instances(train_corpus, table, max_branch_len=cfg.max_branch_len)
+    model_name = next(name for name, tasks in mtl.MODEL_TASKS.items() if tasks == cfg.tasks)
 
     def evaluate_config(config: dict, trial_seed: int):
-        model = MTLModel(replace(cfg.hp, **config), cfg.tasks, table.dimension, trial_seed)
-        mtl.train(model, instances, trial_seed)
-        preds = [p.veracity for p in mtl.predict_threads(model, dev.threads, table,
-                                                         max_branch_len=cfg.max_branch_len)]
-        metrics = evaluation.fold_result(dev_event, dev, preds, VERACITY_CLASSES).metrics
+        trial_cfg = replace(cfg, hp=replace(cfg.hp, **config))
+        metrics = _loeo_fold(trial_cfg, corpus, table, instances, model_name, dev_event,
+                             seed=trial_seed).metrics
         return {"veracity": metrics.macro_f}, metrics.accuracy
 
     out_dir = Path(cfg.output_dir)

@@ -8,6 +8,7 @@ directory of ``*.json`` files or a single newline-delimited file.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import unicodedata
@@ -419,11 +420,9 @@ def generate_synthetic(spec: GeneratorSpec, seed: int) -> Corpus:
             n_replies = int(rng.integers(spec.replies_range[0], spec.replies_range[1] + 1))
             max_depth = int(rng.integers(spec.depth_range[0], spec.depth_range[1] + 1))
             depth = {source.id: 0}
+            candidates = [source.id]  # sorted ids of the posts a reply may answer
             replies: list[Post] = []
             for r in range(n_replies):
-                candidates = sorted(pid for pid, d in depth.items() if d < max_depth)
-                if not candidates:
-                    break
                 parent_id = candidates[rng.integers(len(candidates))]
                 stance = _draw(rng, stance_dist)
                 reply = Post(
@@ -434,6 +433,8 @@ def generate_synthetic(spec: GeneratorSpec, seed: int) -> Corpus:
                 )
                 replies.append(reply)
                 depth[reply.id] = depth[parent_id] + 1
+                if depth[reply.id] < max_depth:
+                    bisect.insort(candidates, reply.id)
             threads.append(Thread(
                 source=source,
                 replies=tuple(replies),

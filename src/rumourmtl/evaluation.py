@@ -88,20 +88,6 @@ def held_out_split(corpus: Corpus, event: str) -> tuple[Corpus, Corpus]:
     return train, Corpus(tuple(t for t in test.threads if t.veracity_label is not None))
 
 
-def fold_result(event: str, labeled: Corpus, preds: Sequence[str], classes: Sequence[str],
-                probs: Optional[Sequence] = None) -> FoldResult:
-    """Score one veracity prediction per labeled held-out thread."""
-    preds = tuple(preds)
-    gold = tuple(t.veracity_label for t in labeled.threads)
-    if len(preds) != len(gold):
-        raise ValueError(
-            f"fold {event}: predictor returned {len(preds)} predictions "
-            f"for {len(gold)} labeled threads")
-    return FoldResult(event=event, thread_ids=tuple(t.id for t in labeled.threads),
-                      gold=gold, preds=preds, metrics=compute_metrics(preds, gold, classes),
-                      probs=probs)
-
-
 def loeo_fold(corpus: Corpus, event: str,
               fit_predict: Callable[[Corpus, Corpus], tuple[Sequence[str], Optional[Sequence]]],
               classes: Sequence[str]) -> Optional[FoldResult]:
@@ -118,7 +104,14 @@ def loeo_fold(corpus: Corpus, event: str,
     if all(t.veracity_label is None for t in train.threads):
         raise CorpusError(f"fold {event}: no labeled thread outside the held-out event")
     preds, probs = fit_predict(train, labeled)
-    return fold_result(event, labeled, preds, classes, probs)
+    preds = tuple(preds)
+    gold = tuple(t.veracity_label for t in labeled.threads)
+    if len(preds) != len(gold):
+        raise ValueError(f"fold {event}: predictor returned {len(preds)} predictions "
+                         f"for {len(gold)} labeled threads")
+    return FoldResult(event=event, thread_ids=tuple(t.id for t in labeled.threads),
+                      gold=gold, preds=preds, metrics=compute_metrics(preds, gold, classes),
+                      probs=probs)
 
 
 def pool_folds(folds: Sequence[FoldResult], classes: Sequence[str]) -> Metrics:

@@ -104,8 +104,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
                 vec = np.array([float(v) for v in values], dtype=float)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric field: {exc}") from None
-            if not np.isfinite(vec).all():
-                raise ValueError(f"{path}:{lineno}: non-finite value")
+            if not (np.abs(vec) <= np.finfo(np.float32).max).all():
+                raise ValueError(f"{path}:{lineno}: a value is not finite in float32")
             if dimension is None:
                 dimension = len(vec)
             if len(vec) != dimension:

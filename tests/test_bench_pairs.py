@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -98,3 +99,30 @@ def test_report_names_the_allocator_settings_the_runs_inherit(capsys, monkeypatc
     assert capsys.readouterr().out.splitlines()[-1] == (
         "allocator (both sides): GLIBC_TUNABLES=glibc.malloc.arena_max=2 "
         "MALLOC_ARENA_MAX=4 MALLOC_TRIM_THRESHOLD_=131072")
+
+
+def test_change_side_is_the_working_tree_as_on_disk(tmp_path):
+    """An uncommitted edit and an untracked file are copied; an ignored file
+    and a tracked file deleted from the disk are not."""
+    repo, copy = tmp_path / "repo", tmp_path / "copy"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    for name, text in {".gitignore": "ignored.txt\n", "edited.txt": "old\n",
+                       "deleted.txt": "gone\n", "sub/kept.txt": "kept\n"}.items():
+        (repo / name).parent.mkdir(exist_ok=True)
+        (repo / name).write_text(text)
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "edited.txt").write_text("new\n")
+    (repo / "deleted.txt").unlink()
+    (repo / "sub" / "untracked.txt").write_text("untracked\n")
+    (repo / "ignored.txt").write_text("ignored\n")
+    tool.copy_worktree(repo, copy)
+    copied = {str(p.relative_to(copy)): p.read_text() for p in copy.rglob("*") if p.is_file()}
+    assert copied == {".gitignore": "ignored.txt\n", "edited.txt": "new\n",
+                      "sub/kept.txt": "kept\n", "sub/untracked.txt": "untracked\n"}

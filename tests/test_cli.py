@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rumourmtl import cli, mtl
+from rumourmtl import cli, evaluation, mtl
 from rumourmtl.cli import RunConfig, UsageError, dispatch, parse_config_text
-from rumourmtl.corpus import Corpus, load_corpus, save_corpus
+from rumourmtl.corpus import VERACITY_CLASSES, Corpus, load_corpus, save_corpus, split_loeo
 from rumourmtl.text import preprocess
 
 
@@ -46,6 +46,19 @@ def run_config(tmp_path, corpus_path, name="run.cfg", **overrides):
     path = tmp_path / name
     path.write_text("\n".join(f"{k} = {v}" for k, v in values.items()) + "\n")
     return path
+
+
+def count_builds(monkeypatch):
+    """The corpora that ``mtl.build_instances`` is called on, one per call."""
+    built = []
+    build = mtl.build_instances
+
+    def counting_build(corpus, *args, **kwargs):
+        built.append(corpus)
+        return build(corpus, *args, **kwargs)
+
+    monkeypatch.setattr(mtl, "build_instances", counting_build)
+    return built
 
 
 class TestConfigParsing:
@@ -343,6 +356,46 @@ class TestLoeo:
         assert dispatch(["loeo", str(cfg), "--models", "majority"]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("models, builds", [("majority,nile", 0), ("single", 1),
+                                                ("majority,nile,single,mtl2vs", 1)])
+    def test_instances_built_once_per_command(self, models, builds, tmp_path, corpus_path,
+                                              capsys, monkeypatch):
+        built = count_builds(monkeypatch)
+        cfg = run_config(tmp_path, corpus_path, epochs=1)
+        assert dispatch(["loeo", str(cfg), "--models", models]) == 0
+        assert len(built) == builds
+
+    def test_fold_trains_on_the_build_of_its_training_split(self, tmp_path, corpus_path,
+                                                           capsys, monkeypatch):
+        """Each fold's share of the command's one build equals, instance by
+        instance, ``build_instances`` of that fold's training split."""
+        trained = []
+        train = mtl.train
+
+        def recording_train(model, instances, *args):
+            trained.append(instances)
+            return train(model, instances, *args)
+
+        monkeypatch.setattr(mtl, "train", recording_train)
+        cfg_path = run_config(tmp_path, corpus_path, epochs=1)
+        assert dispatch(["loeo", str(cfg_path), "--models", "single"]) == 0
+        cfg = cli._load_run_config(cli.build_parser().parse_args(["loeo", str(cfg_path)]))
+        corpus, table = load_corpus(corpus_path), cli._embedding_table(cfg)
+        assert len(trained) == len(corpus.events) == 3
+        for event, got in zip(corpus.events, trained):
+            train_split, _ = split_loeo(corpus, event)
+            want = mtl.build_instances(train_split, table, max_branch_len=cfg.max_branch_len)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.x[a.rows].tobytes() == b.x[b.rows].tobytes()
+                assert (a.true_length, a.detection_label, a.veracity_label, a.thread_id,
+                        a.event, a.post_ids) == (b.true_length, b.detection_label,
+                                                 b.veracity_label, b.thread_id, b.event,
+                                                 b.post_ids)
+                assert (a.stance_labels is None) == (b.stance_labels is None)
+                if a.stance_labels is not None:
+                    assert a.stance_labels.tolist() == b.stance_labels.tolist()
+
 
 class TestSearch:
     def test_trials_logged_and_best_written(self, tmp_path, corpus_path, capsys):
@@ -368,6 +421,35 @@ class TestSearch:
         cfg = run_config(tmp_path, corpus_path, epochs=1, tasks="veracity")
         assert dispatch(["search", str(cfg), "--trials", "1", "--tasks", "veracity,stance"]) == 0
         assert trained == [("veracity", "stance")]
+
+    def test_instances_built_once_per_command(self, tmp_path, corpus_path, capsys,
+                                              monkeypatch):
+        built = count_builds(monkeypatch)
+        cfg = run_config(tmp_path, corpus_path, epochs=1, tasks="veracity")
+        assert dispatch(["search", str(cfg), "--trials", "3"]) == 0
+        assert len(built) == 1
+
+    def test_trial_scores_the_dev_event_fold(self, tmp_path, corpus_path, capsys):
+        """A trial's scores are those of a model with its hyperparameters and
+        seed, trained on the training split and scored on the dev event's
+        labelled threads."""
+        cfg_path = run_config(tmp_path, corpus_path, epochs=1, tasks="veracity,stance")
+        assert dispatch(["search", str(cfg_path), "--trials", "2"]) == 0
+        cfg = cli._load_run_config(cli.build_parser().parse_args(["search", str(cfg_path)]))
+        corpus, table = load_corpus(corpus_path), cli._embedding_table(cfg)
+        train_split, held_out = split_loeo(corpus, evaluation.dev_event(corpus))
+        dev = [t for t in held_out.threads if t.veracity_label is not None]
+        instances = mtl.build_instances(train_split, table, max_branch_len=cfg.max_branch_len)
+        for line in (tmp_path / "out" / "trials.ndjson").read_text().splitlines():
+            trial = json.loads(line)
+            model = mtl.MTLModel(dataclasses.replace(cfg.hp, **trial["config"]), cfg.tasks,
+                                 table.dimension, trial["seed"])
+            mtl.train(model, instances, trial["seed"])
+            preds = mtl.predict_threads(model, dev, table, max_branch_len=cfg.max_branch_len)
+            metrics = evaluation.compute_metrics(
+                [p.veracity for p in preds], [t.veracity_label for t in dev], VERACITY_CLASSES)
+            assert (trial["macro_f"], trial["dev_accuracy"]) == (
+                {"veracity": metrics.macro_f}, metrics.accuracy)
 
     def test_unlabeled_dev_or_training_split_exit_1(self, tmp_path, corpus_path, capsys):
         # event02 is the dev event: all events have 6 threads, ties go to the later name
@@ -452,7 +534,7 @@ def _corpus_tokens(corpus_path):
 
 
 def _huge_embeddings(tmp_path, corpus_path):
-    """Finite values so large that the mean vector of a tweet overflows."""
+    """Finite float64 values beyond the float32 range, refused at load."""
     return _write(tmp_path / "huge.vec",
                   "".join(f"{tok} 1e308 -1e308\n" for tok in _corpus_tokens(corpus_path)))
 
@@ -462,7 +544,27 @@ def _evaluate_huge_embeddings(tmp_path, corpus_path):
     assert dispatch(["train", str(cfg)]) == 0
     cfg = run_config(tmp_path, corpus_path, name="huge.cfg",
                      embeddings=_huge_embeddings(tmp_path, corpus_path))
-    return ["evaluate", cfg, "--model", tmp_path / "out" / "model.json"], "embeddings"
+    return ["evaluate", cfg, "--model", tmp_path / "out" / "model.json"], "huge.vec:1"
+
+
+def _overflowing_config(tmp_path, corpus_path):
+    """A run whose first optimizer step moves every weight by about 1e30, so
+    that the next batch's float32 logits overflow."""
+    return run_config(tmp_path, corpus_path, learning_rate=1e30)
+
+
+def _evaluate_overflowing_checkpoint(tmp_path, corpus_path):
+    """A checkpoint whose veracity logits overflow in float32, although
+    every value in it is within that range: each unit of the last dense
+    layer outputs 3e38 and each output weight is 3e38."""
+    cfg = run_config(tmp_path, corpus_path, epochs=1)
+    assert dispatch(["train", str(cfg)]) == 0
+    payload = json.loads((tmp_path / "out" / "model.json").read_text())
+    for block in ("veracity/dense0/b", "veracity/out/W"):
+        data = payload["params"][block]["data"]
+        data[:] = [3e38] * len(data)
+    return ["evaluate", cfg, "--model", _write(tmp_path / "huge.json", json.dumps(payload))], \
+        "numerical overflow"
 
 
 def _one_class_corpus(tmp_path):
@@ -577,10 +679,16 @@ BAD_INPUTS = {
         ["train", run_config(tmp, corpus, embeddings=_write(tmp / "big.vec", "a 1e400 1\n"))],
         "big.vec:1"),
     "evaluate with a nan embedding": _evaluate_nan_embeddings,
+    "train with a 1e39 embedding": lambda tmp, corpus: (
+        ["train", run_config(tmp, corpus, embeddings=_write(tmp / "big.vec", "a 1e39 1\n"))],
+        "big.vec:1"),
     "train with overflowing embeddings": lambda tmp, corpus: (
         ["train", run_config(tmp, corpus, embeddings=_huge_embeddings(tmp, corpus))],
-        "embeddings"),
+        "huge.vec:1"),
     "evaluate with overflowing embeddings": _evaluate_huge_embeddings,
+    "train whose learning_rate overflows": lambda tmp, corpus: (
+        ["train", _overflowing_config(tmp, corpus)], "numerical overflow"),
+    "evaluate with an overflowing checkpoint": _evaluate_overflowing_checkpoint,
     "non-integer config seed": lambda tmp, corpus: (
         ["train", run_config(tmp, corpus, seed="abc")], "config key 'seed'"),
     "non-integer embedding_dim": lambda tmp, corpus: (
@@ -588,8 +696,8 @@ BAD_INPUTS = {
     "non-integer max_branch_len": lambda tmp, corpus: (
         ["train", run_config(tmp, corpus, max_branch_len="x")], "config key 'max_branch_len'"),
     "search whose every trial fails": lambda tmp, corpus: (
-        ["search", run_config(tmp, corpus, embeddings=_huge_embeddings(tmp, corpus)),
-         "--trials", "2", "--epochs", "1"], "all trials failed; trial 0 error:"),
+        ["search", _overflowing_config(tmp, corpus), "--trials", "2", "--epochs", "1"],
+        "all trials failed; trial 0 error:"),
     "loeo nile on one veracity class": lambda tmp, corpus: (
         ["loeo", run_config(tmp, _one_class_corpus(tmp)), "--models", "nile"],
         "fold event00: nile"),
@@ -890,7 +998,7 @@ LOEO_JOBS = ["loeo", "--models", "majority,mtl2vs", "--jobs", "2"]
 def test_json_errors_overflow_is_one_stderr_line(args, start_method, tmp_path, corpus_path):
     """Numpy's overflow warnings stay off stderr, pool workers' included,
     whether they are forked (Linux's default before Python 3.14) or spawned."""
-    cfg = run_config(tmp_path, corpus_path, embeddings=_huge_embeddings(tmp_path, corpus_path))
+    cfg = _overflowing_config(tmp_path, corpus_path)
     proc = run_cli(["--json-errors", args[0], cfg, *args[1:]], tmp_path,
                    start_method=start_method)
     assert proc.returncode == 1

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpora import RUMOUREVAL_TEST, corpus_from_veracity_counts, pheme_shaped_corpus, random_tree_thread
+import rumourmtl.corpus as corpus_mod
 from rumourmtl.corpus import (
     DETECTION_CLASSES,
     STANCE_CLASSES,
@@ -365,11 +366,65 @@ class TestGenerator:
         _, p_value, _, _ = chi2_contingency(matrix)
         assert p_value > 0.01  # independence not rejected
 
+    @pytest.mark.parametrize("spec", [
+        GeneratorSpec(),
+        GeneratorSpec(events=5, threads_per_event=40, replies_range=(5, 30), depth_range=(2, 10)),
+        # Beyond 999 replies, ids no longer sort in the order they were made.
+        GeneratorSpec(events=1, threads_per_event=2, replies_range=(1500, 2500),
+                      depth_range=(2, 6), tokens_per_post=1),
+    ], ids=["default", "paper", "2000-replies"])
+    def test_matches_resorting_every_candidate_list(self, spec):
+        assert generate_synthetic(spec, 3) == _generate_by_resorting(spec, 3)
+
     def test_invalid_ranges(self):
         with pytest.raises(ValueError):
             generate_synthetic(GeneratorSpec(coupling=1.5), seed=0)
         with pytest.raises(ValueError):
             generate_synthetic(GeneratorSpec(depth_range=(3, 1)), seed=0)
+
+
+def _generate_by_resorting(spec: GeneratorSpec, seed: int) -> Corpus:
+    """``generate_synthetic`` as it was before it kept its candidate parents
+    sorted: every reply sorts the ids of the posts above ``max_depth`` anew."""
+    rng = np.random.default_rng(seed)
+    threads = []
+    for e in range(spec.events):
+        event = f"event{e:02d}"
+        event_pool = [f"{event}tok{i}" for i in range(4)]
+        for t in range(spec.threads_per_event):
+            tid = f"{event}-t{t:03d}"
+            is_rumour = rng.random() >= spec.nonrumour_fraction
+            detection = "rumour" if is_rumour else "non-rumour"
+            veracity = None
+            if is_rumour:
+                veracity = corpus_mod._draw(rng, dict(zip(VERACITY_CLASSES, spec.veracity_priors)))
+            src_pools = [corpus_mod._DETECTION_POOLS[detection], [corpus_mod._COMMON_POOL[0]],
+                         event_pool]
+            if veracity is not None:
+                src_pools.insert(1, corpus_mod._VERACITY_POOLS[veracity])
+            source = Post(id=f"{tid}-p000",
+                          text=corpus_mod._make_text(rng, src_pools, spec.tokens_per_post))
+            coupled = corpus_mod._COUPLED_STANCE[veracity]
+            stance_dist = {s: (1 - spec.coupling) * corpus_mod._BASE_STANCE[s]
+                           + spec.coupling * coupled[s] for s in STANCE_CLASSES}
+            n_replies = int(rng.integers(spec.replies_range[0], spec.replies_range[1] + 1))
+            max_depth = int(rng.integers(spec.depth_range[0], spec.depth_range[1] + 1))
+            depth = {source.id: 0}
+            replies = []
+            for r in range(n_replies):
+                candidates = sorted(pid for pid, d in depth.items() if d < max_depth)
+                parent_id = candidates[rng.integers(len(candidates))]
+                stance = corpus_mod._draw(rng, stance_dist)
+                replies.append(Post(
+                    id=f"{tid}-p{r + 1:03d}",
+                    text=corpus_mod._make_text(
+                        rng, [corpus_mod._STANCE_POOLS[stance], corpus_mod._COMMON_POOL],
+                        spec.tokens_per_post),
+                    parent_id=parent_id, stance_label=stance))
+                depth[replies[-1].id] = depth[parent_id] + 1
+            threads.append(Thread(source=source, replies=tuple(replies), event=event,
+                                  detection_label=detection, veracity_label=veracity))
+    return Corpus(tuple(threads))
 
 
 @pytest.mark.parametrize("build", [

@@ -4,10 +4,13 @@ Run from the repository root:
 
     python3 tools/bench_pairs.py --ref HEAD --workload paper --pairs 5 --first-seed 11
 
-The committed files of ``--ref`` are unpacked with ``git archive`` into a
-temporary directory (under ``$TMPDIR``), a checkout such as a fresh clone
-would give; the other side is the working tree, uncommitted edits included.
-For each seed ``first-seed .. first-seed + pairs - 1`` the script runs
+The committed files of ``--ref`` are unpacked with ``git archive``, a
+checkout such as a fresh clone would give; the other side is a copy of the
+working tree, uncommitted edits and untracked files that git does not ignore
+included (see ``copy_worktree``). Both sides run from sibling directories of
+one temporary directory (under ``$TMPDIR``), with names of one length,
+because the path a tree runs from moves its timings by a few percent. For
+each seed ``first-seed .. first-seed + pairs - 1`` the script runs
 ``python3 bench/run.py --workload W --seed S`` once on each side, the ref
 first on even pairs and the working tree first on odd ones, so drift of a
 shared host falls on both sides alike.
@@ -28,6 +31,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -48,6 +52,19 @@ def unpack(ref: str, target: Path) -> None:
         sys.exit(1)
     with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
         tar.extractall(target, filter="data")
+
+
+def copy_worktree(root: Path, target: Path) -> None:
+    """The working tree of the git repository ``root`` under ``target``: its
+    tracked files as they are on disk and its untracked files that git does
+    not ignore. A tracked file deleted from the disk is left out."""
+    listing = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                              "--exclude-standard"], cwd=root, capture_output=True, check=True)
+    for name in map(os.fsdecode, listing.stdout.split(b"\0")):
+        source = root / name
+        if name and source.is_file():
+            (target / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target / name)
 
 
 def run_bench(tree: Path, workload: str, seed: int) -> dict:
@@ -151,9 +168,9 @@ def main(argv: list[str] | None = None) -> int:
     definition = json.loads((ROOT / "BENCHMARK.json").read_text())
     results: dict[str, list[dict]] = {"ref": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        ref_tree = Path(tmp)
-        unpack(args.ref, ref_tree)
-        trees = {"ref": ref_tree, "change": ROOT}
+        trees = {"ref": Path(tmp, "ref"), "change": Path(tmp, "new")}
+        unpack(args.ref, trees["ref"])
+        copy_worktree(ROOT, trees["change"])
         for i in range(args.pairs):
             seed = args.first_seed + i
             order = ("ref", "change") if i % 2 == 0 else ("change", "ref")
