@@ -13,7 +13,8 @@ Run:  python3 demos/03_evaluation_and_baselines.py   (about a minute)
 from rumourmtl.baselines import majority_fit, majority_predict, nile_fit, nile_predict
 from rumourmtl.corpus import VERACITY_CLASSES, GeneratorSpec, generate_synthetic
 from rumourmtl.evaluation import emit_report, loeo_evaluate
-from rumourmtl.mtl import HyperParams, MTLModel, build_instances, predict_threads, train
+from rumourmtl.mtl import (HyperParams, MTLModel, build_forest, build_instances, predict_threads,
+                           train)
 from rumourmtl.text import hash_embeddings
 
 corpus = generate_synthetic(GeneratorSpec(events=4, threads_per_event=30, coupling=1.0), seed=3)
@@ -38,7 +39,8 @@ def mtl_trainer(train_corpus, seed, dev_event):
     instances = build_instances(train_corpus, table)
     model = MTLModel(hp, ("veracity", "stance"), table.dimension, seed)
     train(model, instances, seed)
-    return lambda test: [p.veracity for p in predict_threads(model, test.threads, table)]
+    return lambda test: [p.veracity
+                         for p in predict_threads(model, build_forest(test.threads, table))]
 
 
 # -- run all three and emit the comparison report ----------------------------

@@ -147,12 +147,12 @@ def _embedding_table(cfg: RunConfig) -> EmbeddingTable:
 # ---------------------------------------------------------------------------
 # The held-out fold shared by loeo and search
 
-def _loeo_fold(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable,
+def _loeo_fold(cfg: RunConfig, corpus: Corpus, forest: Optional[mtl.Forest],
                instances: Sequence[mtl.TrainingInstance], model_name: str, event: str,
                seed: Optional[int] = None) -> Optional[evaluation.FoldResult]:
     """One (model, event) fold, module-level so that a process pool can run it: a
-    neural model trains on the training split's share of ``instances`` (built over a
-    corpus that holds that split). ``seed`` defaults to the fold's own."""
+    neural model trains on the training split's share of the corpus ``forest``'s
+    ``instances`` and predicts on ``forest.select`` of the labelled held-out threads."""
     if seed is None:
         seed = int(derive_rng(cfg.seed, f"fold:{event}").integers(2 ** 31))
 
@@ -166,11 +166,11 @@ def _loeo_fold(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable,
                 raise CorpusError(f"fold {event}: nile: {exc}") from None
             preds = baselines.nile_predict(nile, labeled)
         else:
-            train_ids = {t.id for t in train.threads}
-            model = MTLModel(cfg.hp, mtl.MODEL_TASKS[model_name], table.dimension, seed)
+            train_ids, held_out = {t.id for t in train.threads}, {t.id for t in labeled.threads}
+            model = MTLModel(cfg.hp, mtl.MODEL_TASKS[model_name], forest.x.shape[1], seed)
             mtl.train(model, [inst for inst in instances if inst.thread_id in train_ids], seed)
-            thread_preds = mtl.predict_threads(model, labeled.threads, table,
-                                               max_branch_len=cfg.max_branch_len)
+            thread_preds = mtl.predict_threads(model, forest.select(
+                [k for k, t in enumerate(forest.threads) if t.id in held_out]))
             return [p.veracity for p in thread_preds], [p.veracity_probs for p in thread_preds]
         return preds, [[float(c == p) for c in VERACITY_CLASSES] for p in preds]
 
@@ -180,11 +180,11 @@ def _loeo_fold(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable,
 _worker_fold = None  # in a loeo pool worker: _loeo_fold bound by _init_loeo_worker
 
 
-def _init_loeo_worker(cfg: RunConfig, corpus: Corpus, table: EmbeddingTable,
+def _init_loeo_worker(cfg: RunConfig, corpus: Corpus, forest: Optional[mtl.Forest],
                       instances: Sequence[mtl.TrainingInstance]) -> None:
     global _worker_fold
     np.seterr("ignore")
-    _worker_fold = partial(_loeo_fold, cfg, corpus, table, instances)
+    _worker_fold = partial(_loeo_fold, cfg, corpus, forest, instances)
 
 
 def _run_worker_fold(model_name: str, event: str) -> Optional[evaluation.FoldResult]:
@@ -252,10 +252,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     if all(t.veracity_label is None for t in corpus.threads):
         raise UsageError(f"corpus {cfg.corpus} has no veracity-labeled thread to train on")
     out_dir = Path(cfg.output_dir)
-    table = _embedding_table(cfg)
-    instances = mtl.build_instances(corpus, table, max_branch_len=cfg.max_branch_len)
-    model = MTLModel(cfg.hp, cfg.tasks, table.dimension, cfg.seed)
-    history = mtl.train(model, instances, cfg.seed)
+    forest = mtl.build_forest(corpus.threads, _embedding_table(cfg), cfg.max_branch_len)
+    model = MTLModel(cfg.hp, cfg.tasks, forest.x.shape[1], cfg.seed)
+    history = mtl.train(model, mtl.forest_instances(forest), cfg.seed)
     model_path = out_dir / "model.json"
     model.save(model_path)
     write_json(out_dir / "loss_history.json", {"epoch_loss": history})
@@ -275,8 +274,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise UsageError(f"embedding dimension {table.dimension} does not match the "
                          f"input dimension {model.input_dim} of checkpoint {args.model}")
     out_dir = Path(cfg.output_dir)
-    predictions = mtl.predict_threads(model, corpus.threads, table,
-                                      max_branch_len=cfg.max_branch_len)
+    predictions = mtl.predict_threads(
+        model, mtl.build_forest(corpus.threads, table, cfg.max_branch_len))
     mtl.dump_predictions(predictions, out_dir / "predictions.ndjson")
     labeled = [(p, t) for p, t in zip(predictions, corpus.threads)
                if t.veracity_label is not None]
@@ -309,11 +308,11 @@ def cmd_loeo(args: argparse.Namespace) -> int:
     file_names = [f"predictions_{name}_{event}.ndjson" for name, event in zip(names, events)]
     if bad := [e for e, f in zip(events, file_names) if not is_file_name(f)]:
         raise UsageError(f"event {bad[0]!r} cannot be part of a file name")
-    table = _embedding_table(cfg)
-    # Every neural fold trains on its share of one build; baselines need none.
-    instances = (mtl.build_instances(corpus, table, max_branch_len=cfg.max_branch_len)
-                 if any(name in mtl.MODEL_TASKS for name in model_names) else [])
-    shared = (cfg, corpus, table, instances)
+    table = _embedding_table(cfg)  # read for every model: a bad file fails the baselines too
+    # Every neural fold reads one Forest of the corpus; baselines need none.
+    forest = (mtl.build_forest(corpus.threads, table, cfg.max_branch_len)
+              if any(name in mtl.MODEL_TASKS for name in model_names) else None)
+    shared = (cfg, corpus, forest, [] if forest is None else mtl.forest_instances(forest))
     if args.jobs > 1:  # the workers get ``shared`` once; a task is its (model, event)
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(names)),
                                  initializer=_init_loeo_worker, initargs=shared) as pool:
@@ -352,13 +351,13 @@ def cmd_search(args: argparse.Namespace) -> int:
     if not dev.threads or all(t.veracity_label is None for t in train_corpus.threads):
         raise UsageError(f"search needs veracity-labeled threads both in the dev event "
                          f"{dev_event!r} and outside it")
-    table = _embedding_table(cfg)
-    instances = mtl.build_instances(train_corpus, table, max_branch_len=cfg.max_branch_len)
+    forest = mtl.build_forest(corpus.threads, _embedding_table(cfg), cfg.max_branch_len)
+    instances = mtl.forest_instances(forest)
     model_name = next(name for name, tasks in mtl.MODEL_TASKS.items() if tasks == cfg.tasks)
 
     def evaluate_config(config: dict, trial_seed: int):
         trial_cfg = replace(cfg, hp=replace(cfg.hp, **config))
-        metrics = _loeo_fold(trial_cfg, corpus, table, instances, model_name, dev_event,
+        metrics = _loeo_fold(trial_cfg, corpus, forest, instances, model_name, dev_event,
                              seed=trial_seed).metrics
         return {"veracity": metrics.macro_f}, metrics.accuracy
 

@@ -214,9 +214,9 @@ def _thread_from_obj(obj: dict) -> Thread:
         raise CorpusError("'posts' must be a non-empty list")
     if not isinstance(event, str):
         raise CorpusError(f"'event' must be a string, got {event!r}")
-    if any(unicodedata.category(ch) == "Cc" for ch in event):
-        # It names output rows and prediction files.
-        raise CorpusError(f"'event' must hold no control character, got {event!r}")
+    if any(unicodedata.category(ch) in ("Cc", "Cs") for ch in event):
+        # It names output rows and prediction files, which UTF-8 text cannot hold a surrogate in.
+        raise CorpusError(f"'event' must hold no control character or surrogate, got {event!r}")
     posts = []
     for rp in raw_posts:
         try:

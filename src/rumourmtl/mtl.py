@@ -5,11 +5,13 @@ softmax heads (hard parameter sharing). Stance is predicted per step,
 detection and veracity from the final valid step. The joint loss sums the
 active tasks' cross-entropies; instances lacking a task's label contribute
 exactly zero to that task's term. Thread-level answers come from majority
-voting over branch predictions. One node table (``Forest``) numbers and
-embeds each post that a branch reaches, once; a training instance is its
-branch's rows of the table's float32 inputs, which every instance shares.
+voting over branch predictions. One node table (``Forest``) numbers each
+post that a branch reaches and embeds it once, in float32; a command builds
+one of its corpus. A training instance is its branch's rows of the table
+(``forest_instances``), and a held-out set is a selection of its threads
+(``Forest.select``), equal to the table built of those threads alone.
 Training and prediction share one forward over node rows: a batch runs as
-the node table of its instances' chains, and prediction walks the
+the node table of its instances' chains, and ``predict_threads`` walks a
 ``Forest`` top-down, so each post goes through the LSTM once and gets one
 stance, and each branch's end node gives its veracity and detection votes.
 ``neural.lstm_forward``/``lstm_backward``, the masked-batch layer API, are
@@ -103,8 +105,8 @@ class HyperParams:
 class TrainingInstance:
     """One branch as a model input, with whatever labels the thread carries.
 
-    Its inputs are ``x[rows]``, root first: rows of a node table shared by
-    every instance ``build_instances`` makes, or, by default, the first
+    Its inputs are ``x[rows]``, root first: rows of a ``Forest``'s table,
+    shared by every instance ``forest_instances`` makes, or, by default, the first
     ``true_length`` rows of a hand-built instance's own steps. ``stance_labels``
     has length ``true_length`` with -1 marking steps whose post has no stance
     annotation; it is None when no step is annotated.
@@ -118,7 +120,6 @@ class TrainingInstance:
     veracity_label: Optional[int]
     thread_id: str
     event: str
-    post_ids: tuple[str, ...] = ()
     rows: Optional[np.ndarray] = None   # (true_length,) rows of x; None: the first ones
 
     def __post_init__(self) -> None:
@@ -237,12 +238,6 @@ class MTLModel:
                 cache["heads"][task] = dict(rows=rows, dense_caches=dense_caches, a_drop=a_drop,
                                             dropout_mask=dmask, probs=outputs[task])
         return outputs
-
-    def tree_forward(self, forest: Forest) -> dict:
-        """Eval-mode head rows over a forest: stance one row per node,
-        thread tasks one row per branch, read at the branch's end node; with
-        no backward cache, one layer's state is held at a time."""
-        return self._forward(forest.x, forest.parent, forest.levels, slice(None), forest.ends)
 
     # -- loss ------------------------------------------------------------
 
@@ -397,40 +392,37 @@ def instance_outputs(model: MTLModel, inst: TrainingInstance) -> dict:
 def build_instances(corpus: Corpus, table: EmbeddingTable,
                     max_branch_len: int = DEFAULT_MAX_BRANCH_LEN,
                     pad_to: Optional[int] = None) -> list[TrainingInstance]:
-    """Turn every branch of every thread into a training instance.
+    """``forest_instances`` of the corpus's ``Forest``. Nothing is padded;
+    ``pad_to`` must not be shorter than the longest branch."""
+    forest = build_forest(corpus.threads, table, max_branch_len)
+    longest = max(map(len, forest.branches), default=0)
+    if pad_to is not None and pad_to < longest:
+        raise ValueError(f"pad_to {pad_to} is shorter than the longest branch ({longest} posts)")
+    return forest_instances(forest)
 
-    Thread-level labels are replicated to each branch. Every instance holds
-    the corpus's ``Forest`` inputs, cast to float32 once, and its branch's
-    rows of them. Nothing is padded; ``pad_to`` must not be shorter than the
-    longest branch.
-    """
-    threads = corpus.threads
-    if not threads:
-        return []
-    forest = build_forest(threads, table, max_branch_len)
+
+def forest_instances(forest: Forest) -> list[TrainingInstance]:
+    """Each branch of the forest as a training instance, which holds the
+    forest's table and its rows; thread labels are replicated to each branch."""
     lengths = [len(branch) for branch in forest.branches]
-    if pad_to is not None and pad_to < max(lengths):
-        raise ValueError(f"pad_to {pad_to} is shorter than the longest branch "
-                         f"({max(lengths)} posts)")
-    x = forest.x.astype(np.float32)
     # Every branch's rows and stance labels, branch after branch.
     rows = np.array([ids[pid] for ids, span in zip(forest.rows, forest.spans)
-                     for branch in forest.branches[span] for pid in branch.post_ids])
+                     for branch in forest.branches[span] for pid in branch.post_ids], dtype=np.intp)
     stance = np.array([-1 if (y := post.stance_label) is None else STANCE_CLASSES.index(y)
                        for post in forest.posts], dtype=np.int64)[rows]
     bounds = [0, *itertools.accumulate(lengths)]
     labelled = np.logical_or.reduceat(stance >= 0, bounds[:-1]).tolist()
     instances = []
-    for thread, span in zip(threads, forest.spans):
+    for thread, span in zip(forest.threads, forest.spans):
         det = None if (y := thread.detection_label) is None else DETECTION_CLASSES.index(y)
         ver = None if (y := thread.veracity_label) is None else VERACITY_CLASSES.index(y)
         for i in range(span.start, span.stop):
             steps = slice(bounds[i], bounds[i + 1])
             instances.append(TrainingInstance(
-                x=x, mask=None, true_length=lengths[i],
+                x=forest.x, mask=None, true_length=lengths[i],
                 stance_labels=stance[steps] if labelled[i] else None,
                 detection_label=det, veracity_label=ver, thread_id=thread.id,
-                event=thread.event, post_ids=forest.branches[i].post_ids, rows=rows[steps]))
+                event=thread.event, rows=rows[steps]))
     return instances
 
 
@@ -531,10 +523,10 @@ class Forest:
     reaches. Rows are nodes sorted by depth, so the nodes of depth k are the
     rows ``levels[k]:levels[k + 1]`` and every parent lies in the level
     before its child, as ``neural.lstm_tree_forward`` takes them.
-    ``build_instances``' instances refer to the same rows.
+    ``forest_instances``' instances refer to the same rows.
     """
 
-    x: np.ndarray                       # (N, dim): each node's post, embedded once
+    x: np.ndarray                       # (N, dim) float32: each node's post, embedded once
     posts: tuple[Post, ...]             # (N,): each node's post
     parent: np.ndarray                  # (N,): the parent's row, -1 at a root
     levels: list[int]
@@ -542,6 +534,32 @@ class Forest:
     ends: np.ndarray                    # end row of each of ``branches``
     rows: tuple[dict[str, int], ...]    # per thread: post id -> row
     spans: tuple[slice, ...]            # per thread: its slice of ``branches`` and ``ends``
+    threads: tuple[Thread, ...]
+
+    def select(self, keep: Sequence[int]) -> Forest:
+        """The ``Forest`` of the threads at the ascending indices ``keep``,
+        equal to ``build_forest`` of them: the stable depth sort keeps each
+        level's rows in thread order, so the kept rows keep theirs."""
+        taken = np.zeros(len(self.posts), dtype=bool)
+        for k in keep:
+            taken[list(self.rows[k].values())] = True
+        old = np.flatnonzero(taken)
+        rank = np.append(np.cumsum(taken) - 1, -1)  # rank[-1] = -1 keeps a root's parent at -1
+        depth = np.repeat(np.arange(len(self.levels) - 1), np.diff(self.levels))
+        spans = [self.spans[k] for k in keep]
+        branch_ids = [i for span in spans for i in range(span.start, span.stop)]
+        starts = [0, *itertools.accumulate(span.stop - span.start for span in spans)]
+        return Forest(
+            x=self.x[old],
+            posts=tuple(self.posts[r] for r in old.tolist()),
+            parent=rank[self.parent[old]],
+            levels=[0, *itertools.accumulate(np.bincount(depth[old]).tolist())],
+            branches=tuple(self.branches[i] for i in branch_ids),
+            ends=rank[self.ends[branch_ids]],
+            rows=tuple({pid: int(rank[r]) for pid, r in self.rows[k].items()} for k in keep),
+            spans=tuple(map(slice, starts, starts[1:])),
+            threads=tuple(self.threads[k] for k in keep),
+        )
 
 
 def build_forest(threads: Sequence[Thread], table: EmbeddingTable,
@@ -580,7 +598,7 @@ def build_forest(threads: Sequence[Thread], table: EmbeddingTable,
     rank[-1] = -1
     row_of = rank.tolist()
     row_posts = tuple(posts[n] for n in order.tolist())
-    x = np.empty((len(row_posts), table.dimension))
+    x = np.empty((len(row_posts), table.dimension), dtype=np.float32)
     for r, post in enumerate(row_posts):
         x[r] = embed_tweet(preprocess(post.text), table)
     return Forest(
@@ -592,26 +610,25 @@ def build_forest(threads: Sequence[Thread], table: EmbeddingTable,
         ends=rank[ends],
         rows=tuple({pid: row_of[n] for pid, n in nodes.items()} for nodes in found),
         spans=tuple(spans),
+        threads=tuple(threads),
     )
 
 
-def predict_threads(model: MTLModel, threads: Sequence[Thread], table: EmbeddingTable,
-                    max_branch_len: int = DEFAULT_MAX_BRANCH_LEN) -> list[ThreadPrediction]:
+def predict_threads(model: MTLModel, forest: Forest) -> list[ThreadPrediction]:
     """Predict thread-level classes by majority vote over each thread's
-    branches, and per-tweet stance, in one top-down pass over all threads.
+    branches, and per-tweet stance, in one top-down pass over the forest.
 
-    Each node of the threads' ``Forest`` goes through the LSTM once, one
-    depth level of every thread at a time, so a post that several branches
-    share is computed once. Stance reads every node; veracity and detection
-    read each branch's end node, so a truncated branch that appears twice
-    keeps both votes.
+    Each node goes through the LSTM once, one depth level of every thread at
+    a time, so a post that several branches share is computed once. Stance
+    reads every node; veracity and detection read each branch's end node,
+    so a truncated branch that appears twice keeps both votes. No backward
+    cache is kept: one layer's state is held at a time.
     """
-    forest = build_forest(threads, table, max_branch_len)
-    outputs = model.tree_forward(forest)
+    outputs = model._forward(forest.x, forest.parent, forest.levels, slice(None), forest.ends)
     if not math.isfinite(sum(p.sum() for p in outputs.values())):
         # Name the first thread with a non-finite row in any head: stance
         # rows are its nodes, the other heads' rows its branches.
-        for thread, rows, span in zip(threads, forest.rows, forest.spans):
+        for thread, rows, span in zip(forest.threads, forest.rows, forest.spans):
             if not all(np.isfinite(p[list(rows.values()) if task in PER_STEP_TASKS else span]).all()
                        for task, p in outputs.items()):
                 raise FloatingPointError(f"thread {thread.id}: non-finite model output")
@@ -620,7 +637,7 @@ def predict_threads(model: MTLModel, threads: Sequence[Thread], table: Embedding
     if "stance" in model.tasks:
         stance_of = [STANCE_CLASSES[v] for v in np.argmax(outputs["stance"], axis=1).tolist()]
     predictions = []
-    for thread, rows, span in zip(threads, forest.rows, forest.spans):
+    for thread, rows, span in zip(forest.threads, forest.rows, forest.spans):
         veracity, v_probs = _majority_vote(outputs["veracity"][span], VERACITY_CLASSES)
         detection = d_probs = None
         if "detection" in model.tasks:
@@ -642,8 +659,8 @@ def predict_threads(model: MTLModel, threads: Sequence[Thread], table: Embedding
 
 def predict_thread(model: MTLModel, thread: Thread, table: EmbeddingTable,
                    max_branch_len: int = DEFAULT_MAX_BRANCH_LEN) -> ThreadPrediction:
-    """``predict_threads`` of one thread."""
-    return predict_threads(model, [thread], table, max_branch_len)[0]
+    """``predict_threads`` of one thread's ``Forest``."""
+    return predict_threads(model, build_forest([thread], table, max_branch_len))[0]
 
 
 def dump_predictions(predictions: Sequence[ThreadPrediction], path: str | Path,

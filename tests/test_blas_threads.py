@@ -37,7 +37,7 @@ mtl.train(model, mtl.build_instances(corpus, table), 11)
 np.savez(sys.argv[1] + ".npz", **model.params)
 with open(sys.argv[1] + ".json", "w") as fh:
     json.dump([(p.veracity, p.detection, p.stance)
-               for p in mtl.predict_threads(model, corpus.threads, table)], fh)
+               for p in mtl.predict_threads(model, mtl.build_forest(corpus.threads, table))], fh)
 """
 
 

@@ -49,16 +49,22 @@ def run_config(tmp_path, corpus_path, name="run.cfg", **overrides):
 
 
 def count_builds(monkeypatch):
-    """The corpora that ``mtl.build_instances`` is called on, one per call."""
-    built = []
-    build = mtl.build_instances
+    """The Forests that ``mtl.build_forest`` returns, one per call, and the
+    list that gets one entry per ``embed_tweet`` call."""
+    built, embedded = [], []
+    build, embed = mtl.build_forest, mtl.embed_tweet
 
-    def counting_build(corpus, *args, **kwargs):
-        built.append(corpus)
-        return build(corpus, *args, **kwargs)
+    def counting_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
 
-    monkeypatch.setattr(mtl, "build_instances", counting_build)
-    return built
+    def counting_embed(*args):
+        embedded.append(None)
+        return embed(*args)
+
+    monkeypatch.setattr(mtl, "build_forest", counting_build)
+    monkeypatch.setattr(mtl, "embed_tweet", counting_embed)
+    return built, embedded
 
 
 class TestConfigParsing:
@@ -360,10 +366,15 @@ class TestLoeo:
                                                 ("majority,nile,single,mtl2vs", 1)])
     def test_instances_built_once_per_command(self, models, builds, tmp_path, corpus_path,
                                               capsys, monkeypatch):
-        built = count_builds(monkeypatch)
+        """Every neural fold trains and predicts from one Forest of the
+        corpus, so each post is embedded once; baselines embed nothing."""
+        built, embedded = count_builds(monkeypatch)
         cfg = run_config(tmp_path, corpus_path, epochs=1)
         assert dispatch(["loeo", str(cfg), "--models", models]) == 0
         assert len(built) == builds
+        assert len(embedded) == sum(len(forest.posts) for forest in built)
+        if builds:
+            assert built[0].threads == load_corpus(corpus_path).threads
 
     def test_fold_trains_on_the_build_of_its_training_split(self, tmp_path, corpus_path,
                                                            capsys, monkeypatch):
@@ -381,17 +392,19 @@ class TestLoeo:
         assert dispatch(["loeo", str(cfg_path), "--models", "single"]) == 0
         cfg = cli._load_run_config(cli.build_parser().parse_args(["loeo", str(cfg_path)]))
         corpus, table = load_corpus(corpus_path), cli._embedding_table(cfg)
+        posts = mtl.build_forest(corpus.threads, table, cfg.max_branch_len).posts
         assert len(trained) == len(corpus.events) == 3
         for event, got in zip(corpus.events, trained):
             train_split, _ = split_loeo(corpus, event)
-            want = mtl.build_instances(train_split, table, max_branch_len=cfg.max_branch_len)
+            forest = mtl.build_forest(train_split.threads, table, cfg.max_branch_len)
+            want = mtl.forest_instances(forest)
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert a.x[a.rows].tobytes() == b.x[b.rows].tobytes()
+                assert [posts[r].id for r in a.rows] == [forest.posts[r].id for r in b.rows]
                 assert (a.true_length, a.detection_label, a.veracity_label, a.thread_id,
-                        a.event, a.post_ids) == (b.true_length, b.detection_label,
-                                                 b.veracity_label, b.thread_id, b.event,
-                                                 b.post_ids)
+                        a.event) == (b.true_length, b.detection_label, b.veracity_label,
+                                     b.thread_id, b.event)
                 assert (a.stance_labels is None) == (b.stance_labels is None)
                 if a.stance_labels is not None:
                     assert a.stance_labels.tolist() == b.stance_labels.tolist()
@@ -424,10 +437,13 @@ class TestSearch:
 
     def test_instances_built_once_per_command(self, tmp_path, corpus_path, capsys,
                                               monkeypatch):
-        built = count_builds(monkeypatch)
+        """Every trial trains and predicts from one Forest of the corpus, so
+        each post is embedded once."""
+        built, embedded = count_builds(monkeypatch)
         cfg = run_config(tmp_path, corpus_path, epochs=1, tasks="veracity")
         assert dispatch(["search", str(cfg), "--trials", "3"]) == 0
         assert len(built) == 1
+        assert len(embedded) == len(built[0].posts)
 
     def test_trial_scores_the_dev_event_fold(self, tmp_path, corpus_path, capsys):
         """A trial's scores are those of a model with its hyperparameters and
@@ -440,12 +456,13 @@ class TestSearch:
         train_split, held_out = split_loeo(corpus, evaluation.dev_event(corpus))
         dev = [t for t in held_out.threads if t.veracity_label is not None]
         instances = mtl.build_instances(train_split, table, max_branch_len=cfg.max_branch_len)
+        dev_forest = mtl.build_forest(dev, table, cfg.max_branch_len)
         for line in (tmp_path / "out" / "trials.ndjson").read_text().splitlines():
             trial = json.loads(line)
             model = mtl.MTLModel(dataclasses.replace(cfg.hp, **trial["config"]), cfg.tasks,
                                  table.dimension, trial["seed"])
             mtl.train(model, instances, trial["seed"])
-            preds = mtl.predict_threads(model, dev, table, max_branch_len=cfg.max_branch_len)
+            preds = mtl.predict_threads(model, dev_forest)
             metrics = evaluation.compute_metrics(
                 [p.veracity for p in preds], [t.veracity_label for t in dev], VERACITY_CLASSES)
             assert (trial["macro_f"], trial["dev_accuracy"]) == (
@@ -724,6 +741,9 @@ BAD_INPUTS = {
         ["validate", _rename_event(corpus, tmp, "new\nline")], "renamed.ndjson:1"),
     "validate event with a control character": lambda tmp, corpus: (
         ["validate", _rename_event(corpus, tmp, "bell\x07")], "renamed.ndjson:1"),
+    "validate event with a lone surrogate": lambda tmp, corpus: (
+        ["validate", _rename_event(corpus, tmp, "half\ud800")], "renamed.ndjson:1"),
+    "loeo event with a lone surrogate": lambda tmp, corpus: _loeo_event(tmp, corpus, "\udfff"),
     "empty corpus key": lambda tmp, corpus: (
         ["loeo", run_config(tmp, corpus, corpus=""), "--models", "majority"], "'corpus'"),
     "empty output_dir key": lambda tmp, corpus: (
@@ -912,6 +932,57 @@ class TestTrainLoaderFuzz:
         vec = _write(tmp / "fuzz.vec", "\n".join(lines) + "\n")
         cfg = run_config(tmp, corpus, name="fuzz-vec.cfg", epochs=1, embeddings=vec)
         assert dispatch(["train", str(cfg)]) in (0, 1)
+
+
+#: Values of another type than a corpus field holds.
+WRONG_TYPES = st.sampled_from([None, 0, -1, 2.5, True, [], {}, ["x"], {"id": "x"}, "x"])
+#: Empty values of each type a corpus field holds.
+EMPTY_VALUES = st.sampled_from(["", [], {}, None])
+#: Labels of none of the tasks.
+UNKNOWN_LABELS = st.sampled_from(["bogus", "True", "rumor", "FALSE", " query", "non rumour"])
+
+
+class TestCorpusFuzz:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_validate_and_baseline_loeo_exit_0_or_1(self, train_case, data):
+        """One field of one record of a valid corpus given a wrong type, an
+        empty value, an unknown label, a dangling parent, a duplicate id or a
+        control character or lone surrogate: ``validate`` and a baseline
+        ``loeo`` succeed or report bad input."""
+        tmp, corpus, _ = train_case
+        records = [json.loads(line) for line in corpus.read_text().splitlines()]
+        record = data.draw(st.sampled_from(records))
+        post = data.draw(st.sampled_from(record["posts"]))
+        fields = [(record, key) for key in sorted(record)] + [(post, key) for key in sorted(post)]
+        labels = [(record, "detection"), (record, "veracity"), (post, "stance")]
+        kind = data.draw(st.sampled_from(["wrong type", "empty value", "unknown label",
+                                          "dangling parent", "duplicate id",
+                                          "control character or surrogate"]))
+        if kind == "wrong type":
+            target, key = data.draw(st.sampled_from(fields))
+            target[key] = data.draw(WRONG_TYPES)
+        elif kind == "empty value":
+            target, key = data.draw(st.sampled_from(fields))
+            target[key] = data.draw(EMPTY_VALUES)
+        elif kind == "unknown label":
+            target, key = data.draw(st.sampled_from(labels))
+            target[key] = data.draw(UNKNOWN_LABELS)
+        elif kind == "dangling parent":
+            post["parent"] = data.draw(st.sampled_from(["nope", post["id"]]))
+        elif kind == "duplicate id":
+            post["id"] = data.draw(st.sampled_from([p["id"] for r in records for p in r["posts"]]))
+        else:
+            target, key = data.draw(st.sampled_from(
+                [(record, "event"), (post, "id"), (post, "text"), (post, "parent"), *labels]))
+            value = target[key] if isinstance(target[key], str) else ""
+            at = data.draw(st.integers(0, len(value)))
+            char = data.draw(st.characters(whitelist_categories=("Cc", "Cs")))
+            target[key] = value[:at] + char + value[at:]
+        path = _write(tmp / "fuzzed.ndjson", "".join(json.dumps(r) + "\n" for r in records))
+        assert dispatch(["validate", str(path)]) in (0, 1)
+        cfg = run_config(tmp, path, name="fuzz-corpus.cfg", output_dir=tmp / "fuzz-out")
+        assert dispatch(["loeo", str(cfg), "--models", "majority,nile"]) in (0, 1)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

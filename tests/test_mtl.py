@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpora import random_tree_thread
 from rumourmtl import mtl as mtl_module
@@ -23,6 +25,7 @@ from rumourmtl.corpus import (
 )
 from rumourmtl.mtl import (
     MODEL_TASKS,
+    Forest,
     HyperParams,
     MTLModel,
     TrainingInstance,
@@ -531,9 +534,10 @@ class TestPredictThread:
         model = MTLModel(MINI, ("veracity", "stance"), DIM, 6)
         model.params["stance/out/W"] *= 20.0  # spread the posts over several classes
         expected = {}
-        for inst in build_instances(Corpus((thread,)), table, max_branch_len=max_branch_len):
+        for inst, branch in zip(build_instances(Corpus((thread,)), table, max_branch_len),
+                                decompose_branches(thread, max_branch_len)):
             rows = instance_outputs(model, inst)["stance"]
-            for t, pid in enumerate(inst.post_ids):
+            for t, pid in enumerate(branch.post_ids):
                 expected.setdefault(pid, STANCE_CLASSES[int(np.argmax(rows[t]))])
         pred = predict_thread(model, thread, table, max_branch_len=max_branch_len)
         assert dict(pred.stance) == expected
@@ -574,6 +578,12 @@ def worded_trees(seed, sizes):
     return threads
 
 
+def tree_heads(model, forest):
+    """Eval-mode head rows over a forest, as ``predict_threads`` reads them:
+    stance one row per node, the thread tasks one per branch end."""
+    return model._forward(forest.x, forest.parent, forest.levels, slice(None), forest.ends)
+
+
 class TestTreePass:
     SIZES = (1, 2, 6, 15, 30, 12)
 
@@ -592,8 +602,8 @@ class TestTreePass:
         table = hash_embeddings(DIM, 0)
         model = self.model(model_name)
         forest = build_forest(threads, table, max_branch_len)
-        tree_rows = model.tree_forward(forest)
-        preds = predict_threads(model, threads, table, max_branch_len)
+        tree_rows = tree_heads(model, forest)
+        preds = predict_threads(model, forest)
         start = 0
         labels_seen = set()
         for k, (thread, pred) in enumerate(zip(threads, preds)):
@@ -616,12 +626,13 @@ class TestTreePass:
             if "stance" not in model.tasks:
                 assert pred.stance is None
                 continue
-            post_rows = [forest.rows[k][pid] for inst in instances for pid in inst.post_ids]
+            step_ids = [pid for branch in forest.branches[forest.spans[k]]
+                        for pid in branch.post_ids]
+            post_rows = [forest.rows[k][pid] for pid in step_ids]
             np.testing.assert_allclose(tree_rows["stance"][post_rows], outputs["stance"],
                                        rtol=0, atol=1e-12)
             expected = {pid: STANCE_CLASSES[int(np.argmax(row))]
-                        for pid, row in zip((pid for inst in instances for pid in inst.post_ids),
-                                            outputs["stance"])}
+                        for pid, row in zip(step_ids, outputs["stance"])}
             assert pred.stance == tuple(sorted(expected.items()))
             labels_seen.update(("stance", label) for label in expected.values())
         assert start == len(forest.ends)
@@ -632,7 +643,7 @@ class TestTreePass:
         threads = worded_trees(6, self.SIZES)
         table = hash_embeddings(DIM, 0)
         model = self.model("mtl3")
-        batch = predict_threads(model, threads, table, max_branch_len)
+        batch = predict_threads(model, build_forest(threads, table, max_branch_len))
         for thread, together in zip(threads, batch):
             alone = predict_thread(model, thread, table, max_branch_len)
             assert (alone.thread_id, alone.veracity, alone.detection, alone.stance) == (
@@ -643,7 +654,7 @@ class TestTreePass:
                                        rtol=0, atol=1e-12)
 
     def test_prediction_keeps_no_layer_state(self, monkeypatch):
-        """``tree_forward`` lets each LSTM layer's cache go before the next
+        """``predict_threads`` lets each LSTM layer's cache go before the next
         layer starts; ``forward`` returns one live cache per layer."""
         hp = dataclasses.replace(MINI, num_lstm_layers=3)
         model = MTLModel(hp, MODEL_TASKS["mtl3"], DIM, 12)
@@ -658,7 +669,7 @@ class TestTreePass:
             return h, cache
 
         monkeypatch.setattr(neural, "lstm_tree_forward", lstm_tree_forward)
-        model.tree_forward(build_forest(worded_trees(10, self.SIZES), hash_embeddings(DIM, 0)))
+        predict_threads(model, build_forest(worded_trees(10, self.SIZES), hash_embeddings(DIM, 0)))
         assert alive == [0, 0, 0]
         gates.clear()
         rng = np.random.default_rng(3)
@@ -697,11 +708,32 @@ class TestTreePass:
             for pid, r in rows.items():
                 assert forest.posts[r].id == pid and forest.posts[r] == post_of[pid]
         for r, post in enumerate(forest.posts):
-            assert forest.x[r].tobytes() == embed_tweet(preprocess(post.text), table).tobytes()
+            want = embed_tweet(preprocess(post.text), table).astype(np.float32)
+            assert forest.x[r].tobytes() == want.tobytes()
+        assert forest.threads == tuple(threads)
+
+    @pytest.mark.parametrize("max_branch_len", [25, 3])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_select_equals_build_of_the_subset(self, max_branch_len, data):
+        """``select`` of ascending thread indices gives, field for field, the
+        ``build_forest`` of those threads alone."""
+        sizes = data.draw(st.lists(st.integers(1, 20), min_size=1, max_size=7))
+        threads = worded_trees(data.draw(st.integers(0, 1000)), sizes)
+        keep = sorted(data.draw(st.sets(st.integers(0, len(threads) - 1), min_size=1)))
+        table = hash_embeddings(DIM, 0)
+        got = build_forest(threads, table, max_branch_len).select(keep)
+        want = build_forest([threads[k] for k in keep], table, max_branch_len)
+        for field in dataclasses.fields(Forest):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, np.ndarray):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+            else:
+                assert a == b, field
 
     def test_empty(self):
-        assert predict_threads(self.model("mtl3"), [], hash_embeddings(DIM, 0)) == []
         forest = build_forest([], hash_embeddings(DIM, 0))
+        assert predict_threads(self.model("mtl3"), forest) == []
         assert forest.x.shape == (0, DIM) and forest.levels == [0] and forest.branches == ()
 
     def test_non_finite_output_names_its_thread(self):
@@ -714,9 +746,9 @@ class TestTreePass:
         table = EmbeddingTable(DIM, {"boom": np.array([1e308, -1e308, 1e308, -1e308]),
                                      **{w: np.full(DIM, 0.1 * i) for i, w in enumerate(WORDS)}})
         model = self.model("mtl3")
-        predict_threads(model, threads[:2] + threads[3:], table)
+        predict_threads(model, build_forest(threads[:2] + threads[3:], table))
         with pytest.raises(FloatingPointError, match=f"thread {bad.id}: non-finite"):
-            predict_threads(model, threads, table)
+            predict_threads(model, build_forest(threads, table))
 
     # Each poisoned head and thread: stance NaNs one node of the thread,
     # veracity every branch row of it, detection its last branch row.
@@ -726,11 +758,12 @@ class TestTreePass:
         threads = worded_trees(9, (3, 4, 5))
         table = hash_embeddings(DIM, 0)
         model = self.model("mtl3")
-        predict_threads(model, threads, table)
-        real = model.tree_forward
+        forest = build_forest(threads, table)
+        predict_threads(model, forest)
+        real = model._forward
 
-        def tree_forward(forest):
-            outputs = real(forest)
+        def poisoned_forward(*args):
+            outputs = real(*args)
             for task, k in poison.items():
                 rows = {"stance": max(forest.rows[k].values()),
                         "veracity": forest.spans[k],
@@ -738,9 +771,9 @@ class TestTreePass:
                 outputs[task][rows] = np.nan
             return outputs
 
-        monkeypatch.setattr(model, "tree_forward", tree_forward)
+        monkeypatch.setattr(model, "_forward", poisoned_forward)
         with pytest.raises(FloatingPointError, match=f"thread {threads[named].id}: non-finite"):
-            predict_threads(model, threads, table)
+            predict_threads(model, forest)
 
 
 class TestInstances:
@@ -859,6 +892,7 @@ class TestInstancesMatchPerBranch:
     def assert_matches(self, corpus, table, max_branch_len=25, pad_to=None):
         got = build_instances(corpus, table, max_branch_len=max_branch_len, pad_to=pad_to)
         want = per_branch_instances(corpus, table, max_branch_len, pad_to)
+        posts = build_forest(corpus.threads, table, max_branch_len).posts
         assert len(got) == len(want)
         for inst, (x, _, n, stances, labels, thread_id, event, post_ids) in zip(got, want):
             assert inst.true_length == len(inst.rows) == n
@@ -869,7 +903,8 @@ class TestInstancesMatchPerBranch:
                 assert inst.stance_labels.dtype == stances.dtype
                 np.testing.assert_array_equal(inst.stance_labels, stances)
             assert (inst.detection_label, inst.veracity_label) == labels
-            assert (inst.thread_id, inst.event, inst.post_ids) == (thread_id, event, post_ids)
+            assert (inst.thread_id, inst.event) == (thread_id, event)
+            assert tuple(posts[r].id for r in inst.rows) == post_ids
         return got
 
     @pytest.mark.parametrize("max_branch_len, pad_to", [(25, None), (3, None), (25, 40)])
@@ -952,7 +987,7 @@ class TestPrecision:
         neural.add_l2_grads(model.params, grads, 1e-3)
         neural.optimizer_step(model.params, grads, state)
         corpus = generate_synthetic(GeneratorSpec(events=1, threads_per_event=2), 4)
-        model.tree_forward(build_forest(corpus.threads, hash_embeddings(DIM, 0)))
+        predict_threads(model, build_forest(corpus.threads, hash_embeddings(DIM, 0)))
         for name, outputs in returned.items():
             assert outputs and self.float_dtypes(outputs) == {np.dtype(np.float32)}, name
         for arrays in (grads, state.m, state.v, model.params):
@@ -963,7 +998,7 @@ class TestPrecision:
         model = MTLModel(MINI, ("veracity", "stance", "detection"), DIM, 4)
         model.params["veracity/out/W"] *= 30.0  # far from uniform
         assert model.dtype == np.float32
-        for pred in predict_threads(model, corpus.threads, hash_embeddings(DIM, 0)):
+        for pred in predict_threads(model, build_forest(corpus.threads, hash_embeddings(DIM, 0))):
             for probs in (pred.veracity_probs, pred.detection_probs):
                 assert probs.dtype == np.float64
                 assert abs(probs.sum() - 1.0) < 1e-9

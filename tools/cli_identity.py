@@ -9,7 +9,7 @@ does; the other side is the working tree, uncommitted edits included. Each
 side runs ``python -m rumourmtl.cli`` from its own ``src`` (by ``PYTHONPATH``)
 in its own temporary root: ``synth``, ``validate``, ``analyze`` (to a file and
 to stdout), ``train``, ``evaluate``, ``loeo`` over every model, ``loeo`` of
-three models over a two-process pool, a three-trial ``search`` and an
+four models, two of them neural, over a two-process pool, a three-trial ``search`` and an
 eleven-trial ``search`` of the accuracy objective (past
 ``search.TPE_STARTUP``, so TPE's modelled suggestions run), on two synthetic
 corpora. Those runs use hash embeddings, which hold every token; so ``train``,
@@ -86,7 +86,7 @@ def model_commands(cfg: Path, out: Path) -> list[tuple[str, list[str]]]:
                       "--output-dir", str(out / "evaluate")]),
         ("loeo", ["loeo", str(cfg), "--models", "majority,nile,single,mtl2vs,mtl2vd,mtl3",
                   "--jobs", "1", "--output-dir", str(out / "loeo")]),
-        ("loeo-jobs2", ["loeo", str(cfg), "--models", "majority,nile,mtl3", "--jobs", "2",
+        ("loeo-jobs2", ["loeo", str(cfg), "--models", "majority,nile,mtl2vs,mtl3", "--jobs", "2",
                         "--output-dir", str(out / "loeo-jobs2")]),
         ("search", ["search", str(cfg), "--trials", "3", "--epochs", "1",
                     "--output-dir", str(out / "search")]),
