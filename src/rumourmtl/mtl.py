@@ -437,7 +437,8 @@ def train(model: MTLModel, instances: Sequence[TrainingInstance], seed: int,
     the given seed, so identical (model, data, seed) reproduce identical
     parameters. A batch's objective is its data loss plus ``l2_penalty`` of
     the parameters before its step; returns the per-epoch mean objective
-    history.
+    history. The L2 gradient and the step run over ``neural.pack_slabs`` of
+    ``model.params``, each element's arithmetic that of a block-wise step.
     """
     if not any(inst.veracity_label is not None for inst in instances):
         raise ValueError("training needs at least one veracity-labeled instance")
@@ -445,7 +446,9 @@ def train(model: MTLModel, instances: Sequence[TrainingInstance], seed: int,
     n_epochs = hp.epochs if epochs is None else epochs
     rng_shuffle = derive_rng(seed, "shuffle")
     rng_dropout = derive_rng(seed, "dropout")
-    state = neural.optimizer_init(model.params, lr=hp.learning_rate)
+    slabs, packed = neural.pack_slabs(model.params)
+    slab_grads = {name: np.empty_like(slabs[name]) for name in packed}
+    state = neural.optimizer_init(slabs, lr=hp.learning_rate)
     history = []
     n = len(instances)
     for epoch in range(n_epochs):
@@ -458,8 +461,11 @@ def train(model: MTLModel, instances: Sequence[TrainingInstance], seed: int,
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}, batch {start // hp.batch_size}")
             loss += neural.l2_penalty(model.params, hp.l2)
-            neural.add_l2_grads(model.params, grads, hp.l2)
-            neural.optimizer_step(model.params, grads, state)
+            for name, blocks in packed.items():
+                grads[name] = np.concatenate([grads.pop(b) for b in blocks], axis=None,
+                                             out=slab_grads[name])
+            neural.add_l2_grads(slabs, grads, hp.l2)
+            neural.optimizer_step(slabs, grads, state)
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
     return history

@@ -3,7 +3,8 @@
 One LSTM recurrence (a top-down pass over a forest of nodes; ``chains``
 makes a masked branch batch one) and dense-ReLU layers, each with
 hand-written reverse-mode gradients; softmax/cross-entropy, inverted
-dropout, L2 regularization, an adaptive-moment optimizer and
+dropout, L2 regularization, an adaptive-moment optimizer, slabs that pack
+runs of small parameter blocks into one buffer for it, and
 finite-difference gradient checking. Every layer, its backward and the
 optimizer compute in the dtype of their inputs (the model's parameters are
 single precision; the gradient checks run in double); parameter sets are
@@ -171,8 +172,11 @@ def lstm_tree_backward(params: Params, cache: dict, d_h: np.ndarray, input_grad:
     dh = np.vstack([d_h, np.zeros((1, h_dim), d_h.dtype)])
     dc = np.zeros((n + 1, h_dim), d_h.dtype)
     dz = np.empty((n, 4 * h_dim), d_h.dtype)
+    # Flat views with element indices scatter faster; a root's parent -1 is row N.
+    up_rows, cols = np.where(parent < 0, n, parent), np.arange(h_dim)
+    dh_flat, dc_flat = dh.reshape(-1), dc.reshape(-1)
     for start, stop in reversed(list(zip(levels[:-1], levels[1:]))):
-        s, up = slice(start, stop), parent[start:stop]
+        s, up = slice(start, stop), up_rows[start:stop]
         dc_s = dc[s] + dh[s] * ifo[s, 2 * h_dim:] * (1.0 - tanh_c[s] ** 2)
         dz_s = dz[s]
         # d(i, f, o) through the packed sigmoid, then d(g) through tanh.
@@ -182,8 +186,9 @@ def lstm_tree_backward(params: Params, cache: dict, d_h: np.ndarray, input_grad:
         dz_s[:, :3 * h_dim] *= ifo[s]
         dz_s[:, :3 * h_dim] *= 1.0 - ifo[s]
         dz_s[:, 3 * h_dim:] = dc_s * ifo[s, :h_dim] * (1.0 - g[s] ** 2)
-        np.add.at(dh, up, dz_s @ params["Wh"].T)
-        np.add.at(dc, up, dc_s * ifo[s, h_dim:2 * h_dim])
+        at = (up[:, None] * h_dim + cols).ravel()
+        np.add.at(dh_flat, at, (dz_s @ params["Wh"].T).ravel())
+        np.add.at(dc_flat, at, (dc_s * ifo[s, h_dim:2 * h_dim]).ravel())
     grads = {"Wx": cache["x"].T @ dz, "Wh": cache["h"][parent].T @ dz, "b": dz.sum(axis=0)}
     if not input_grad:
         return None, grads
@@ -272,7 +277,7 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class OptimizerState:
-    """Bias-corrected first/second moment accumulators per parameter block."""
+    """Bias-corrected first/second moment accumulators per parameter block or slab."""
 
     lr: float = 1e-3
     t: int = 0
@@ -316,6 +321,44 @@ def optimizer_step(params: Params, grads: Params, state: OptimizerState) -> None
         step *= state.lr
         step /= tmp
         p -= step
+
+
+#: A parameter block of at least this many elements is a slab of its own.
+SLAB = 65536
+
+
+def pack_slabs(params: Params) -> tuple[Params, dict[str, list[str]]]:
+    """The parameters as slabs, which ``add_l2_grads`` and ``optimizer_step``
+    update in a few numpy calls where each block would take its own.
+
+    Runs of consecutive blocks are cut before they would reach ``SLAB``
+    elements. A run of several blocks is copied into one new 1-D buffer, and
+    its blocks in ``params`` (the dict itself) are rebound to views of it,
+    with their names, shapes and values; any other block is its own slab, in
+    place. Returns the slabs by name, a packed one's ``first..last``, and
+    each packed slab's blocks, in the order their gradients concatenate.
+    """
+    runs: list[list[str]] = []
+    fill = SLAB  # elements in the last run; SLAB or more closes it
+    for name, p in params.items():
+        if fill + p.size < SLAB:
+            runs[-1].append(name)
+        else:
+            runs.append([name])
+            fill = 0
+        fill += p.size
+    slabs: Params = {}
+    packed: dict[str, list[str]] = {}
+    for run in runs:
+        if len(run) == 1:
+            slabs[run[0]] = params[run[0]]
+            continue
+        name = f"{run[0]}..{run[-1]}"
+        slabs[name] = buf = np.concatenate([params[b] for b in run], axis=None)
+        packed[name] = run
+        for b, view in zip(run, np.split(buf, np.cumsum([params[b].size for b in run[:-1]]))):
+            params[b] = view.reshape(params[b].shape)
+    return slabs, packed
 
 
 # ---------------------------------------------------------------------------

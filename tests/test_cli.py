@@ -985,6 +985,40 @@ class TestCorpusFuzz:
         assert dispatch(["loeo", str(cfg), "--models", "majority,nile"]) in (0, 1)
 
 
+#: Run-config values by kind, as config text.
+RUN_CONFIG_VALUES = {
+    "wrong type": st.sampled_from(["x", "2.5", "true", "[1]", "veracity", "1e3"]),
+    "empty value": st.just(""),
+    "zero": st.sampled_from(["0", "0.0", "-0"]),
+    "negative": st.sampled_from(["-1", "-2.5", "-64"]),
+    "huge": st.sampled_from([str(10**30), "1e30", f"-{10**30}"]),
+    "nan or inf": st.sampled_from(["nan", "inf", "-inf"]),
+}
+
+
+class TestRunConfigFuzz:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_baseline_loeo_exits_0_or_1(self, train_case, data):
+        """One key of a valid run config given a wrong type, an empty value,
+        zero, a negative or huge number, or nan or inf: ``loeo`` of the
+        baselines, which train and allocate nothing by the value, succeeds
+        or reports bad input."""
+        tmp, corpus, _ = train_case
+        key = data.draw(st.sampled_from(sorted(cli._RUN_KEYS)))
+        value = data.draw(RUN_CONFIG_VALUES[data.draw(st.sampled_from(sorted(RUN_CONFIG_VALUES)))])
+        cfg = run_config(tmp, corpus, name="fuzz-run.cfg",
+                         **{"output_dir": tmp / "fuzz-run-out", key: value})
+        workdir = tmp / "fuzz-run-cwd"  # where a relative corpus or output_dir points
+        workdir.mkdir(exist_ok=True)
+        cwd = os.getcwd()
+        os.chdir(workdir)
+        try:
+            assert dispatch(["loeo", str(cfg), "--models", "majority,nile"]) in (0, 1)
+        finally:
+            os.chdir(cwd)
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 

@@ -256,9 +256,9 @@ class TestHardSharing:
 
 
 class TestTraining:
-    def corpus_instances(self, seed=0):
+    def corpus_instances(self, seed=0, dim=DIM):
         corpus = generate_synthetic(GeneratorSpec(events=2, threads_per_event=8), seed)
-        table = hash_embeddings(DIM, 0)
+        table = hash_embeddings(dim, 0)
         return build_instances(corpus, table)
 
     def test_loss_decreases(self):
@@ -335,15 +335,30 @@ class TestTraining:
     def test_train_matches_l2_reference_loop(self):
         """``train`` against a written-out loop over the same shuffles and
         dropout draws: each batch's data loss plus ``l2_penalty`` of the
-        parameters before the step, ``add_l2_grads``, then the step."""
-        instances = self.corpus_instances()
-        hp = HyperParams(num_dense_layers=1, num_lstm_layers=2, dense_width=6, lstm_width=5,
-                         dropout=0.5, epochs=3, batch_size=8, l2=1e-3)
+        parameters before the step, ``add_l2_grads``, then the step, block
+        by block. In the second shape, blocks of ``neural.SLAB`` or more
+        elements (``lstm0/Wx`` and ``Wh``, each head's ``dense0/W``) stand
+        between runs of small blocks, so ``train`` steps both kinds of slab."""
+        shapes = [
+            (DIM, HyperParams(num_dense_layers=1, num_lstm_layers=2, dense_width=6,
+                              lstm_width=5, dropout=0.5, epochs=3, batch_size=8, l2=1e-3)),
+            (64, HyperParams(num_dense_layers=1, num_lstm_layers=1, dense_width=256,
+                             lstm_width=256, dropout=0.5, epochs=2, batch_size=8, l2=1e-3)),
+        ]
+        for dim, hp in shapes:
+            params = self.check_l2_reference_loop(self.corpus_instances(dim=dim), hp, dim)
+        # The large blocks stayed as they were; the small ones after them share a buffer.
+        assert params["lstm0/Wx"].size == neural.SLAB and params["lstm0/Wx"].base is None
+        assert params["veracity/dense0/b"].base is params["veracity/out/b"].base is not None
+
+    @staticmethod
+    def check_l2_reference_loop(instances, hp, dim):
+        """``train``'s parameters, after checking them against the loop."""
         tasks = ("veracity", "stance", "detection")
-        model = MTLModel(hp, tasks, DIM, 5)
+        model = MTLModel(hp, tasks, dim, 5)
         history = train(model, instances, 5)
 
-        ref = MTLModel(hp, tasks, DIM, 5)
+        ref = MTLModel(hp, tasks, dim, 5)
         rng_shuffle = mtl_module.derive_rng(5, "shuffle")
         rng_dropout = mtl_module.derive_rng(5, "dropout")
         state = neural.optimizer_init(ref.params, lr=hp.learning_rate)
@@ -362,6 +377,7 @@ class TestTraining:
         for name in ref.params:
             assert np.array_equal(model.params[name], ref.params[name]), name
         assert history == ref_history
+        return model.params
 
 
 class TestPaddingInvariance:

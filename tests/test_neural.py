@@ -444,6 +444,60 @@ class TestOptimizer:
         np.testing.assert_array_equal(run(), run())
 
 
+class TestPackSlabs:
+    @staticmethod
+    def blocks(rng, sizes):
+        """Float32 blocks named a, b, c, ... of the given shapes."""
+        return {chr(ord("a") + i): rng.standard_normal(shape).astype(np.float32)
+                for i, shape in enumerate(sizes)}
+
+    def test_large_blocks_stay_and_small_runs_share_one_buffer(self):
+        rng = np.random.default_rng(30)
+        params = self.blocks(rng, [(3, 4), (neural.SLAB,), (2, 5), (7,), (4, 3, 2),
+                                   (neural.SLAB + 1,), (6,)])
+        before = dict(params)
+        slabs, packed = neural.pack_slabs(params)
+        assert packed == {"c..e": ["c", "d", "e"]}
+        assert list(slabs) == ["a", "b", "c..e", "f", "g"]
+        # A large block, and a small one alone in its run, are used in place.
+        for name in "abfg":
+            assert slabs[name] is params[name] is before[name]
+        buf = slabs["c..e"]
+        assert buf.shape == (10 + 7 + 24,) and buf.dtype == np.float32
+        start = 0
+        for name in "cde":
+            assert params[name].base is buf and params[name].shape == before[name].shape
+            assert np.shares_memory(params[name], buf[start:start + params[name].size])
+            np.testing.assert_array_equal(params[name], before[name])
+            start += params[name].size
+        buf[:] = np.arange(buf.size)
+        np.testing.assert_array_equal(params["d"], np.arange(10, 17))
+
+    def test_run_is_cut_before_it_reaches_slab(self):
+        params = self.blocks(np.random.default_rng(31), [(neural.SLAB // 2,),
+                                                         (neural.SLAB // 2 - 1,), (1,), (5,)])
+        slabs, packed = neural.pack_slabs(params)
+        assert packed == {"a..b": ["a", "b"], "c..d": ["c", "d"]}
+        assert [s.size for s in slabs.values()] == [neural.SLAB - 1, 6]
+
+    def test_packing_twice(self):
+        rng = np.random.default_rng(32)
+        params = self.blocks(rng, [(3,), (2, 2), (neural.SLAB,), (5,), (1,)])
+        values = {name: p.copy() for name, p in params.items()}
+        first, _ = neural.pack_slabs(params)
+        second, packed = neural.pack_slabs(params)
+        assert packed == {"a..b": ["a", "b"], "d..e": ["d", "e"]}
+        for name, blocks in packed.items():
+            assert second[name] is not first[name]
+            for b in blocks:
+                assert params[b].base is second[name]
+        for name, p in params.items():
+            np.testing.assert_array_equal(p, values[name])
+        second["a..b"] += 1.0
+        np.testing.assert_array_equal(params["b"], values["b"] + 1.0)
+        np.testing.assert_array_equal(first["a..b"][3:], values["b"].ravel())
+
+
 class TestGradCheckHarness:
     def test_identity_constant_loss(self):
         params = {"w": np.array([1.0, 2.0])}

@@ -1,5 +1,6 @@
 """``tools/rss_phases.py`` runs one round of the tiny workload and prints the
-resident memory after every phase, in the benchmark's order."""
+resident memory and the minor page faults after every phase, in the
+benchmark's order."""
 
 import re
 import subprocess
@@ -7,7 +8,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-LINE = re.compile(r"(\S+(?: \d+)?)\s+rss\s+(\d+\.\d) MB\s+peak\s+(\d+\.\d) MB")
+LINE = re.compile(r"(\S+(?: \d+)?)\s+rss\s+(\d+\.\d) MB\s+peak\s+(\d+\.\d) MB"
+                  r"\s+minflt\s+(\d+)")
 
 
 def test_tiny_round_reports_rss_after_every_phase():
@@ -23,4 +25,6 @@ def test_tiny_round_reports_rss_after_every_phase():
     assert phases[-7:] == ["fit", "build", "train", "predict", "loeo", "search", "setup"]
     current = [float(row[2]) for row in rows]
     peaks = [float(row[3]) for row in rows]
+    faults = [int(row[4]) for row in rows]
     assert min(current) > 0 and peaks == sorted(peaks)
+    assert faults[0] > 0 and faults == sorted(faults)

@@ -11,9 +11,10 @@ fit, one pass of each short phase (build, train, predict), ``loeo``,
 ``search``, and the set-up that follows every round. After each phase it
 prints the process's current resident set (``VmRSS`` of
 ``/proc/self/status``) and its peak so far (``ru_maxrss``), in MB, so that a
-memory claim can say which phase holds the peak of ``peak_rss_mb``. BLAS runs
-one thread, as in ``bench/run.py``. Exit status 1 when a benchmark check
-fails.
+memory claim can say which phase holds the peak of ``peak_rss_mb``, and its
+minor page faults so far (``ru_minflt``), which count the fresh pages the
+allocator took from the kernel. BLAS runs one thread, as in
+``bench/run.py``. Exit status 1 when a benchmark check fails.
 """
 
 from __future__ import annotations
@@ -36,17 +37,20 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import workloads  # noqa: E402
 
 
-def rss_mb() -> tuple[float, float]:
+def memory() -> tuple[float, float, int]:
     """The current resident set (``VmRSS``) and the peak so far
-    (``ru_maxrss``) of this process, in MB."""
+    (``ru_maxrss``) of this process, in MB, and its minor page faults so far
+    (``ru_minflt``)."""
     status = Path("/proc/self/status").read_text().splitlines()
     current_kb = next(int(line.split()[1]) for line in status if line.startswith("VmRSS:"))
-    return current_kb / 1024, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return current_kb / 1024, usage.ru_maxrss / 1024, usage.ru_minflt
 
 
 def report(phase: str) -> None:
-    current, peak = rss_mb()
-    print(f"{phase:10s} rss {current:8.1f} MB  peak {peak:8.1f} MB", flush=True)
+    current, peak, faults = memory()
+    print(f"{phase:10s} rss {current:8.1f} MB  peak {peak:8.1f} MB  minflt {faults:9d}",
+          flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:
