@@ -89,6 +89,10 @@ _HP_KEYS = {f.name: type(f.default) for f in fields(HyperParams)}
 #: Integer run keys and the least value of each.
 _INT_KEYS = {"seed": 0, "embedding_dim": 1, "max_branch_len": 1}
 _RUN_KEYS = {"corpus", "output_dir", "embeddings", "tasks", *_INT_KEYS, *_HP_KEYS}
+#: The keys of a ``synth`` spec.
+_SYNTH_KEYS = {"seed", "events", "threads_per_event", "depth_min", "depth_max", "coupling",
+               "nonrumour_fraction", "replies_min", "replies_max", "tokens_per_post",
+               *(f"prior_{c}" for c in VERACITY_CLASSES)}
 
 
 @dataclass
@@ -206,10 +210,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     if not args.output:
         raise UsageError("-o/--output is empty")
-    spec_keys = {"seed", "events", "threads_per_event", "depth_min", "depth_max", "coupling",
-                 "nonrumour_fraction", "replies_min", "replies_max", "tokens_per_post",
-                 *(f"prior_{c}" for c in VERACITY_CLASSES)}
-    read = partial(config_value, load_config_file(args.spec, spec_keys))  # (key, cast, default)
+    read = partial(config_value, load_config_file(args.spec, _SYNTH_KEYS))  # (key, cast, default)
     default = GeneratorSpec()
     try:
         spec = GeneratorSpec(

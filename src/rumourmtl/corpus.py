@@ -103,16 +103,20 @@ class Thread:
                 raise CorpusError(f"{where}: reply {r.id} has no parent")
             if r.parent_id not in id_set:
                 raise CorpusError(f"{where}: reply {r.id} has orphan parent {r.parent_id!r}")
-        # Parent links must reach the source without cycles.
+        # Parent links must reach the source without cycles. A walk stops at
+        # a post that an earlier walk passed on its way to the source, so
+        # each post is passed once.
         parent = {r.id: r.parent_id for r in self.replies}
+        reached = {self.source.id}
         for r in self.replies:
             seen = set()
             node = r.id
-            while node != self.source.id:
+            while node not in reached:
                 if node in seen:
                     raise CorpusError(f"{where}: cyclic reply chain through post {r.id}")
                 seen.add(node)
                 node = parent[node]
+            reached |= seen
 
 
 @dataclass(frozen=True)
@@ -374,10 +378,15 @@ _COUPLED_STANCE = {
 _BASE_STANCE = {"comment": 0.25, "deny": 0.25, "query": 0.25, "support": 0.25}
 
 
-def _draw(rng: np.random.Generator, dist: dict[str, float]) -> str:
+def _distribution(dist: dict[str, float]) -> tuple[list[str], np.ndarray]:
+    """The names of ``dist`` in sorted order and their normalised probabilities."""
     names = sorted(dist)
     probs = np.array([dist[n] for n in names], dtype=float)
     probs /= probs.sum()
+    return names, probs
+
+
+def _draw(rng: np.random.Generator, names: list[str], probs: np.ndarray) -> str:
     return names[rng.choice(len(names), p=probs)]
 
 
@@ -392,6 +401,7 @@ def _make_text(rng: np.random.Generator, pools: list[list[str]], n_tokens: int) 
 def generate_synthetic(spec: GeneratorSpec, seed: int) -> Corpus:
     """Generate a labeled corpus, deterministic for a fixed (spec, seed)."""
     rng = np.random.default_rng(seed)
+    veracity_dist = _distribution(dict(zip(VERACITY_CLASSES, spec.veracity_priors)))
     threads: list[Thread] = []
     for e in range(spec.events):
         event = f"event{e:02d}"
@@ -402,7 +412,7 @@ def generate_synthetic(spec: GeneratorSpec, seed: int) -> Corpus:
             detection = "rumour" if is_rumour else "non-rumour"
             veracity = None
             if is_rumour:
-                veracity = _draw(rng, dict(zip(VERACITY_CLASSES, spec.veracity_priors)))
+                veracity = _draw(rng, *veracity_dist)
             src_pools = [_DETECTION_POOLS[detection], [_COMMON_POOL[0]], event_pool]
             if veracity is not None:
                 src_pools.insert(1, _VERACITY_POOLS[veracity])
@@ -413,10 +423,10 @@ def generate_synthetic(spec: GeneratorSpec, seed: int) -> Corpus:
             # Stance distribution for replies: interpolate between the base
             # (veracity-independent) profile and the fully coupled one.
             coupled = _COUPLED_STANCE[veracity]
-            stance_dist = {
+            stance_dist = _distribution({
                 s: (1 - spec.coupling) * _BASE_STANCE[s] + spec.coupling * coupled[s]
                 for s in STANCE_CLASSES
-            }
+            })
             n_replies = int(rng.integers(spec.replies_range[0], spec.replies_range[1] + 1))
             max_depth = int(rng.integers(spec.depth_range[0], spec.depth_range[1] + 1))
             depth = {source.id: 0}
@@ -424,7 +434,7 @@ def generate_synthetic(spec: GeneratorSpec, seed: int) -> Corpus:
             replies: list[Post] = []
             for r in range(n_replies):
                 parent_id = candidates[rng.integers(len(candidates))]
-                stance = _draw(rng, stance_dist)
+                stance = _draw(rng, *stance_dist)
                 reply = Post(
                     id=f"{tid}-p{r + 1:03d}",
                     text=_make_text(rng, [_STANCE_POOLS[stance], _COMMON_POOL], spec.tokens_per_post),

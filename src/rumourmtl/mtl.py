@@ -49,7 +49,7 @@ from rumourmtl.corpus import (
     decompose_branches,
 )
 from rumourmtl.neural import Params
-from rumourmtl.text import EmbeddingTable, embed_tweet, preprocess
+from rumourmtl.text import EmbeddingTable, embed_tweets, preprocess
 
 #: stance is annotated per tweet; detection/veracity per thread.
 PER_STEP_TASKS = frozenset({"stance"})
@@ -604,11 +604,8 @@ def build_forest(threads: Sequence[Thread], table: EmbeddingTable,
     rank[-1] = -1
     row_of = rank.tolist()
     row_posts = tuple(posts[n] for n in order.tolist())
-    x = np.empty((len(row_posts), table.dimension), dtype=np.float32)
-    for r, post in enumerate(row_posts):
-        x[r] = embed_tweet(preprocess(post.text), table)
     return Forest(
-        x=x,
+        x=embed_tweets([preprocess(post.text) for post in row_posts], table),
         posts=row_posts,
         parent=rank[np.asarray(parent, dtype=np.intp)[order]],
         levels=[0, *itertools.accumulate(np.bincount(depth).tolist())],

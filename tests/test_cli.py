@@ -1,9 +1,11 @@
+import contextlib
 import csv
 import dataclasses
 import io
 import json
 import os
 import pickle
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -50,20 +52,20 @@ def run_config(tmp_path, corpus_path, name="run.cfg", **overrides):
 
 def count_builds(monkeypatch):
     """The Forests that ``mtl.build_forest`` returns, one per call, and the
-    list that gets one entry per ``embed_tweet`` call."""
+    token lists given to ``embed_tweets``, one per post embedded."""
     built, embedded = [], []
-    build, embed = mtl.build_forest, mtl.embed_tweet
+    build, embed = mtl.build_forest, mtl.embed_tweets
 
     def counting_build(*args, **kwargs):
         built.append(build(*args, **kwargs))
         return built[-1]
 
-    def counting_embed(*args):
-        embedded.append(None)
-        return embed(*args)
+    def counting_embed(token_lists, table):
+        embedded.extend(token_lists)
+        return embed(token_lists, table)
 
     monkeypatch.setattr(mtl, "build_forest", counting_build)
-    monkeypatch.setattr(mtl, "embed_tweet", counting_embed)
+    monkeypatch.setattr(mtl, "embed_tweets", counting_embed)
     return built, embedded
 
 
@@ -985,8 +987,8 @@ class TestCorpusFuzz:
         assert dispatch(["loeo", str(cfg), "--models", "majority,nile"]) in (0, 1)
 
 
-#: Run-config values by kind, as config text.
-RUN_CONFIG_VALUES = {
+#: Run-config and synth-spec values by kind, as config text.
+CONFIG_VALUES = {
     "wrong type": st.sampled_from(["x", "2.5", "true", "[1]", "veracity", "1e3"]),
     "empty value": st.just(""),
     "zero": st.sampled_from(["0", "0.0", "-0"]),
@@ -1006,7 +1008,7 @@ class TestRunConfigFuzz:
         or reports bad input."""
         tmp, corpus, _ = train_case
         key = data.draw(st.sampled_from(sorted(cli._RUN_KEYS)))
-        value = data.draw(RUN_CONFIG_VALUES[data.draw(st.sampled_from(sorted(RUN_CONFIG_VALUES)))])
+        value = data.draw(CONFIG_VALUES[data.draw(st.sampled_from(sorted(CONFIG_VALUES)))])
         cfg = run_config(tmp, corpus, name="fuzz-run.cfg",
                          **{"output_dir": tmp / "fuzz-run-out", key: value})
         workdir = tmp / "fuzz-run-cwd"  # where a relative corpus or output_dir points
@@ -1017,6 +1019,38 @@ class TestRunConfigFuzz:
             assert dispatch(["loeo", str(cfg), "--models", "majority,nile"]) in (0, 1)
         finally:
             os.chdir(cwd)
+
+
+@contextlib.contextmanager
+def address_space_limit(extra_bytes):
+    """The process's address space held to its present size plus
+    ``extra_bytes``; the soft limit it had is restored on leaving."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm", encoding="ascii") as fh:
+        size = int(fh.read().split()[0]) * resource.getpagesize()
+    limit = size + extra_bytes if hard == resource.RLIM_INFINITY else min(size + extra_bytes, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+class TestSynthSpecFuzz:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_synth_exits_0_or_1(self, tmp_path_factory, data):
+        """One key of a ``synth`` spec given a wrong type, an empty value,
+        zero, a negative or huge number, or nan or inf: ``synth`` succeeds or
+        reports bad input, in one gigabyte more address space than the test
+        process holds."""
+        tmp = tmp_path_factory.mktemp("synth-fuzz")
+        key = data.draw(st.sampled_from(sorted(cli._SYNTH_KEYS)))
+        value = data.draw(CONFIG_VALUES[data.draw(st.sampled_from(sorted(CONFIG_VALUES)))])
+        spec = _write(tmp / "spec.cfg", f"{key} = {value}\n")
+        with address_space_limit(2 ** 30):
+            status = dispatch(["synth", str(spec), "-o", str(tmp / "corpus.ndjson")])
+        assert status in (0, 1)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -134,6 +134,29 @@ class TestLoadErrors:
         with pytest.raises(CorpusError, match="requires detection label 'rumour'"):
             make_thread({}, detection="non-rumour", veracity="true")
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_cycle_named_as_by_walking_every_reply(self, data):
+        """The first reply whose walk up the parent links never meets the
+        source is named, as when every reply walked its whole chain."""
+        ids = [f"r{i}" for i in range(data.draw(st.integers(1, 12)))]
+        parents = {rid: data.draw(st.sampled_from(["s", *ids])) for rid in ids}
+        want = None
+        for rid in ids:
+            seen, node = set(), rid
+            while node != "s" and node not in seen:
+                seen.add(node)
+                node = parents[node]
+            if node != "s":
+                want = f"thread s: cyclic reply chain through post {rid}"
+                break
+        try:
+            make_thread(parents)
+            got = None
+        except CorpusError as exc:
+            got = str(exc)
+        assert got == want
+
 
 def _record(posts, event="ev"):
     return json.dumps({"event": event, "posts": posts})
@@ -383,9 +406,18 @@ class TestGenerator:
             generate_synthetic(GeneratorSpec(depth_range=(3, 1)), seed=0)
 
 
+def _draw_anew(rng: np.random.Generator, dist: dict[str, float]) -> str:
+    """A draw from ``dist`` that sorts its names and normalises it anew."""
+    names = sorted(dist)
+    probs = np.array([dist[n] for n in names], dtype=float)
+    probs /= probs.sum()
+    return names[rng.choice(len(names), p=probs)]
+
+
 def _generate_by_resorting(spec: GeneratorSpec, seed: int) -> Corpus:
     """``generate_synthetic`` as it was before it kept its candidate parents
-    sorted: every reply sorts the ids of the posts above ``max_depth`` anew."""
+    sorted and prepared each distribution once: every reply sorts the ids of
+    the posts above ``max_depth`` anew, and every draw its distribution."""
     rng = np.random.default_rng(seed)
     threads = []
     for e in range(spec.events):
@@ -397,7 +429,7 @@ def _generate_by_resorting(spec: GeneratorSpec, seed: int) -> Corpus:
             detection = "rumour" if is_rumour else "non-rumour"
             veracity = None
             if is_rumour:
-                veracity = corpus_mod._draw(rng, dict(zip(VERACITY_CLASSES, spec.veracity_priors)))
+                veracity = _draw_anew(rng, dict(zip(VERACITY_CLASSES, spec.veracity_priors)))
             src_pools = [corpus_mod._DETECTION_POOLS[detection], [corpus_mod._COMMON_POOL[0]],
                          event_pool]
             if veracity is not None:
@@ -414,7 +446,7 @@ def _generate_by_resorting(spec: GeneratorSpec, seed: int) -> Corpus:
             for r in range(n_replies):
                 candidates = sorted(pid for pid, d in depth.items() if d < max_depth)
                 parent_id = candidates[rng.integers(len(candidates))]
-                stance = corpus_mod._draw(rng, stance_dist)
+                stance = _draw_anew(rng, stance_dist)
                 replies.append(Post(
                     id=f"{tid}-p{r + 1:03d}",
                     text=corpus_mod._make_text(

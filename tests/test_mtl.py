@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 import json
@@ -43,7 +44,15 @@ from rumourmtl.mtl import (
 )
 from rumourmtl.neural import PROB_CLIP
 from rumourmtl.search import default_space
-from rumourmtl.text import EmbeddingTable, embed_tweet, hash_embeddings, load_embeddings, preprocess
+from rumourmtl.text import (
+    EMBED_BLOCK,
+    EmbeddingTable,
+    embed_tweet,
+    embed_tweets,
+    hash_embeddings,
+    load_embeddings,
+    preprocess,
+)
 
 MINI = HyperParams(num_dense_layers=1, num_lstm_layers=1, dense_width=6,
                    lstm_width=5, dropout=0.0, epochs=3, learning_rate=1e-2)
@@ -708,11 +717,40 @@ class TestTreePass:
         assert len(forest.x) == sum(len(rows) for rows in forest.rows)
         assert len(forest.ends) == forest.spans[-1].stop
 
-    @pytest.mark.parametrize("max_branch_len", [25, 3])
-    def test_forest_posts_branches_and_vectors(self, max_branch_len):
-        threads = worded_trees(7, self.SIZES)
-        table = hash_embeddings(DIM, 0)
+    @staticmethod
+    def vocabulary_case():
+        """Threads whose posts have zero to four words, the last three of
+        ``WORDS`` out of the table's vocabulary, and a star thread whose
+        replies have two in-vocabulary words each, more than ``EMBED_BLOCK``
+        of them."""
+        rng = np.random.default_rng(8)
+        table = EmbeddingTable(DIM, {w: rng.standard_normal(DIM) for w in WORDS[:5]})
+
+        def reword(post):
+            return dataclasses.replace(post, text=" ".join(rng.choice(WORDS, size=rng.integers(5))))
+
+        threads = [dataclasses.replace(t, source=reword(t.source),
+                                       replies=tuple(map(reword, t.replies)))
+                   for t in worded_trees(7, TestTreePass.SIZES)]
+        star = Post(id="star-p000", text="alpha")
+        threads.append(Thread(source=star, event="ev", replies=tuple(
+            Post(id=f"star-p{i:03d}", text="bravo foxtrot charlie", parent_id=star.id)
+            for i in range(1, EMBED_BLOCK + 40))))
+        return threads, table
+
+    @pytest.mark.parametrize("max_branch_len, vocabulary",
+                             [(25, False), (3, False), (25, True), (3, True)],
+                             ids=["25", "3", "vocabulary-25", "vocabulary-3"])
+    def test_forest_posts_branches_and_vectors(self, max_branch_len, vocabulary):
+        if vocabulary:
+            threads, table = self.vocabulary_case()
+        else:
+            threads, table = worded_trees(7, self.SIZES), hash_embeddings(DIM, 0)
         forest = build_forest(threads, table, max_branch_len)
+        if vocabulary:
+            known = collections.Counter(sum(t in table for t in preprocess(post.text))
+                                        for post in forest.posts)
+            assert known[0] > 0 and len(known) >= 4 and max(known.values()) > EMBED_BLOCK
         assert forest.branches == tuple(branch for thread in threads
                                         for branch in decompose_branches(thread, max_branch_len))
         assert len(forest.branches) == len(forest.ends) == forest.spans[-1].stop
@@ -814,12 +852,12 @@ class TestInstances:
         table = hash_embeddings(DIM, 0)
         embedded = []
 
-        def counting_embed(tokens, table):
-            embedded.append(tuple(tokens))
-            return embed_tweet(tokens, table)
+        def counting_embed(token_lists, table):
+            embedded.extend(token_lists)
+            return embed_tweets(token_lists, table)
 
         reference = per_branch_instances(corpus, table, 25, None)
-        monkeypatch.setattr(mtl_module, "embed_tweet", counting_embed)
+        monkeypatch.setattr(mtl_module, "embed_tweets", counting_embed)
         instances = build_instances(corpus, table)
         n_posts = sum(len(t.posts) for t in corpus.threads)
         assert len(embedded) == n_posts < sum(inst.true_length for inst in instances)

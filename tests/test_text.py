@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from rumourmtl.text import (
     EmbeddingTable,
     embed_tweet,
+    embed_tweets,
     hash_embeddings,
     load_embeddings,
     pad_and_mask,
@@ -85,13 +86,19 @@ class TestEmbedTweetMatchesMean:
         words = [f"w{i}" for i in range(50)]
         table = EmbeddingTable(dim, {w: rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4)
                                      for w in words})
+        token_lists = []
         for n in range(1, 41):
             tokens = list(rng.choice(words, size=n)) + ["oov"] * int(rng.integers(3))
             rng.shuffle(tokens)
+            token_lists.append(tokens)
+        bulk = embed_tweets(token_lists, table)
+        assert bulk.dtype == np.float32 and bulk.shape == (len(token_lists), dim)
+        for tokens, row in zip(token_lists, bulk):
             got = embed_tweet(tokens, table)
             want = np.mean([table.get(t) for t in tokens if t in table], axis=0)
             assert got.dtype == want.dtype and got.shape == (dim,)
             assert got.tobytes() == want.tobytes()
+            assert row.tobytes() == want.astype(np.float32).tobytes()
 
 
 class TestEmbeddingFiles:
