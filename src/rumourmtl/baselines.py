@@ -77,6 +77,11 @@ def extract_features(thread: Thread, vocab: dict[str, int]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # One-vs-rest linear classifier (hinge loss, stochastic subgradient descent)
 
+# The decay chain of ``svm_fit`` holds at most this many float64 values (1 MB),
+# or two rows when one row of weights is more than half of it.
+CHAIN_VALUES = 2 ** 17
+
+
 def svm_fit(features: np.ndarray, labels: Sequence[str], l2: float = 1e-3,
             epochs: int = 100, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Train one hinge-loss separator per veracity class against the rest:
@@ -85,29 +90,52 @@ def svm_fit(features: np.ndarray, labels: Sequence[str], l2: float = 1e-3,
 
     Step ``s`` (from 1) visits one example of a fresh permutation per epoch
     with rate ``1 / sqrt(s)``: it decays the weights by ``1 - rate * l2``
-    and moves each class whose margin is below 1 towards the example. The
-    classes move together, by one broadcast update of +-rate times the
-    example; a class without a violation adds an exact zero, and a step
-    without any skips the update.
+    and moves each class whose margin is below 1 towards the example, by
+    +-rate times the example (the biases by +-rate).
+
+    Most steps violate no margin and only decay, so the steps run in
+    blocks. A block's chain (the weights, then one row per step's decay,
+    multiplied up by ``np.multiply.accumulate``) holds the weights before
+    each of its steps, and one stacked gemv gives every step's margins.
+    The block ends at its first step with a violation, whose update runs
+    on its own; the next block starts after it, twice as long after a
+    clean block and half as long after a violation, and the chain holds
+    at most ``CHAIN_VALUES``. Each product and margin is the one a
+    step-by-step loop computes, so the result is the same bit for bit.
     """
     if len({lbl for lbl in labels}) < 2:
         raise ValueError("need at least two classes in the training labels")
     n, d = features.shape
-    weights = np.zeros((len(VERACITY_CLASSES), d))
-    biases = np.zeros(len(VERACITY_CLASSES))
+    classes = len(VERACITY_CLASSES)
+    weights = np.zeros((classes, d))
+    biases = np.zeros(classes)
     rng = np.random.default_rng(seed)
-    order = [i for _ in range(epochs) for i in rng.permutation(n).tolist()]
+    order = np.array([rng.permutation(n) for _ in range(epochs)], dtype=np.intp).reshape(-1)
     lrs = 1.0 / np.sqrt(np.arange(1, len(order) + 1))
+    decays = 1.0 - lrs * l2
     y = np.array([[1.0 if lbl == c else -1.0 for c in VERACITY_CLASSES] for lbl in labels])
-    xs, ys = list(features), list(y)  # row views, cheaper to pick from a list
-    for i, lr, decay in zip(order, lrs.tolist(), (1.0 - lrs * l2).tolist()):
-        xi, yi = xs[i], ys[i]
-        violated = (weights @ xi + biases) * yi < 1.0
-        weights *= decay
-        if True in violated.tolist():
-            ly = violated * (lr * yi)
-            weights += ly[:, None] * xi
-            biases += ly
+    longest = max(1, CHAIN_VALUES // max(classes * d, 1) - 1)
+    chain = np.empty((longest + 1, classes * d))
+    step, size = 0, 1
+    while step < len(order):
+        k = min(size, longest, len(order) - step)
+        rows, block = order[step:step + k], chain[:k + 1]
+        block[0] = weights.ravel()
+        block[1:] = decays[step:step + k, None]
+        np.multiply.accumulate(block, axis=0, out=block)
+        xs = features[rows]
+        margins = np.matmul(block[:k].reshape(k, classes, d), xs[:, :, None])[:, :, 0]
+        violated = (margins + biases) * y[rows] < 1.0
+        hit = int(violated.any(axis=1).argmax())
+        if not violated[hit].any():
+            weights = block[k].reshape(classes, d).copy()
+            step, size = step + k, 2 * size
+            continue
+        weights = block[hit + 1].reshape(classes, d).copy()
+        ly = violated[hit] * (lrs[step + hit] * y[rows[hit]])
+        weights += ly[:, None] * xs[hit]
+        biases += ly
+        step, size = step + hit + 1, max(1, size // 2)
     return weights, biases
 
 

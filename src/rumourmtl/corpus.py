@@ -379,15 +379,21 @@ _BASE_STANCE = {"comment": 0.25, "deny": 0.25, "query": 0.25, "support": 0.25}
 
 
 def _distribution(dist: dict[str, float]) -> tuple[list[str], np.ndarray]:
-    """The names of ``dist`` in sorted order and their normalised probabilities."""
+    """The names of ``dist`` in sorted order and the cumulative distribution
+    of their normalised probabilities, as ``Generator.choice`` builds it
+    from ``p``."""
     names = sorted(dist)
     probs = np.array([dist[n] for n in names], dtype=float)
     probs /= probs.sum()
-    return names, probs
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return names, cdf
 
 
-def _draw(rng: np.random.Generator, names: list[str], probs: np.ndarray) -> str:
-    return names[rng.choice(len(names), p=probs)]
+def _draw(rng: np.random.Generator, names: list[str], cdf: np.ndarray) -> str:
+    """``names[rng.choice(len(names), p=probs)]``, the same draw and RNG
+    state, without ``choice``'s checks of ``p``."""
+    return names[int(cdf.searchsorted(rng.random(), side="right"))]
 
 
 def _make_text(rng: np.random.Generator, pools: list[list[str]], n_tokens: int) -> str:

@@ -512,12 +512,13 @@ class ThreadPrediction:
 def _majority_vote(branch_probs: np.ndarray, classes: Sequence[str]) -> tuple[str, np.ndarray]:
     """Majority over branch argmaxes; ties break by summed class probability,
     then by class order (alphabetical for every task's class set)."""
-    votes = np.argmax(branch_probs, axis=1)
-    counts = np.bincount(votes, minlength=len(classes))
-    tied = np.nonzero(counts == counts.max())[0]
+    counts = np.bincount(branch_probs.argmax(axis=1), minlength=len(classes)).tolist()
     summed = branch_probs.sum(axis=0)
-    best = summed[tied].max()
-    winner = int(min(c for c in tied if summed[c] >= best - 1e-15))
+    sums = summed.tolist()
+    most = max(counts)
+    tied = [c for c, n in enumerate(counts) if n == most]
+    best = max(sums[c] for c in tied)
+    winner = next(c for c in tied if sums[c] >= best - 1e-15)
     return classes[winner], summed / len(branch_probs)
 
 

@@ -50,9 +50,10 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     """Shift-invariant softmax; safe for large logits."""
-    shifted = z - np.max(z, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = z - z.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def cross_entropy(probs: np.ndarray, gold: int | np.ndarray) -> float | np.ndarray:
@@ -144,7 +145,9 @@ def lstm_tree_forward(params: Params, x: np.ndarray, parent: np.ndarray,
     g, tanh_c = np.empty((2, n, h_dim), xw.dtype)
     for start, stop in zip(levels[:-1], levels[1:]):
         s, up = slice(start, stop), parent[start:stop]
-        z = xw[s] + h[up] @ params["Wh"] + params["b"]
+        z = h[up] @ params["Wh"]
+        z += xw[s]
+        z += params["b"]
         ifo[s] = sigmoid(z[:, :3 * h_dim])
         np.tanh(z[:, 3 * h_dim:], out=g[s])
         c[s] = ifo[s, h_dim:2 * h_dim] * c[up] + ifo[s, :h_dim] * g[s]

@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpora import RUMOUREVAL_TEST, RUMOUREVAL_TRAIN, bare_thread, corpus_from_veracity_counts
 from rumourmtl.baselines import (
@@ -105,18 +107,20 @@ class TestFeatures:
         assert np.all(vec[:len(vocab)] == 0.0)
 
 
-class TestLinearClassifier:
-    def separable_data(self, n=30, seed=0):
-        rng = np.random.default_rng(seed)
-        centers = {"false": [4.0, 0.0], "true": [-4.0, 0.0], "unverified": [0.0, 4.0]}
-        feats, labels = [], []
-        for label, center in centers.items():
-            feats.append(rng.standard_normal((n, 2)) * 0.3 + center)
-            labels.extend([label] * n)
-        return np.vstack(feats), labels
+def separable_data(n=30, seed=0):
+    """``n`` examples of each class around three well-separated centres."""
+    rng = np.random.default_rng(seed)
+    centers = {"false": [4.0, 0.0], "true": [-4.0, 0.0], "unverified": [0.0, 4.0]}
+    feats, labels = [], []
+    for label, center in centers.items():
+        feats.append(rng.standard_normal((n, 2)) * 0.3 + center)
+        labels.extend([label] * n)
+    return np.vstack(feats), labels
 
+
+class TestLinearClassifier:
     def test_separable_data_learned(self):
-        feats, labels = self.separable_data()
+        feats, labels = separable_data()
         preds = svm_predict(*svm_fit(feats, labels, epochs=30), feats)
         acc = sum(p == g for p, g in zip(preds, labels)) / len(labels)
         assert acc > 0.95
@@ -128,13 +132,13 @@ class TestLinearClassifier:
         assert len(set(preds)) == 1
 
     def test_large_l2_shrinks_weights(self):
-        feats, labels = self.separable_data()
+        feats, labels = separable_data()
         small, _ = svm_fit(feats, labels, l2=1e-4, epochs=20)
         large, _ = svm_fit(feats, labels, l2=10.0, epochs=20)
         assert np.linalg.norm(large) < np.linalg.norm(small)
 
     def test_deterministic(self):
-        feats, labels = self.separable_data()
+        feats, labels = separable_data()
         weights_a, biases_a = svm_fit(feats, labels, seed=3, epochs=5)
         weights_b, biases_b = svm_fit(feats, labels, seed=3, epochs=5)
         np.testing.assert_array_equal(weights_a, weights_b)
@@ -219,6 +223,56 @@ class TestSvmMatchesTextbook:
         rng = np.random.default_rng(3)
         labels = [str(lbl) for lbl in rng.choice(["false", "unverified"], size=15)]
         self.assert_matches(rng.standard_normal((15, 3)), labels, epochs=10, seed=5)
+
+    # ``svm_fit`` runs its steps in blocks that end at a margin violation; the
+    # cases below reach each edge of that schedule.
+    def test_wide_features_cap_the_block(self):
+        # 3 x 3000 weights: the chain holds at most 13 steps.
+        rng = np.random.default_rng(5)
+        self.assert_matches(rng.standard_normal((40, 3000)), self.random_labels(rng, 40),
+                            epochs=20, seed=5)
+
+    def test_long_clean_stretches(self):
+        # 10 violations in 9000 steps; the longest clean block runs 4096 steps.
+        feats, labels = separable_data(n=10)
+        self.assert_matches(feats, labels, epochs=300)
+
+    def test_violation_on_the_first_and_on_a_block_last_step(self):
+        # Zero weights violate every margin at step 1. With these seeds a
+        # violation also ends a block of 8 (seed 3) and two blocks of 4 (seed 6)
+        # on its last step.
+        for seed in (3, 6):
+            feats, labels = separable_data(n=5, seed=seed)
+            self.assert_matches(feats, labels, epochs=30, seed=seed)
+
+    def test_fortran_ordered_and_column_sliced_features(self):
+        rng = np.random.default_rng(6)
+        wide = rng.standard_normal((25, 30)) * 2.0
+        labels = self.random_labels(rng, 25)
+        for features in (np.asfortranarray(wide[:, :7]), wide[:, 3:11], wide[:, ::4]):
+            self.assert_matches(features, labels, epochs=15, seed=2)
+
+    def test_no_features(self):
+        labels = ["true", "false", "unverified", "true", "false", "false"]
+        weights, biases = svm_fit(np.zeros((6, 0)), labels, epochs=50)
+        assert weights.shape == (3, 0)
+        # The biases of the step-by-step loop that ``svm_fit`` replaced.
+        assert biases.tolist() == [0.17309036939588762, -1.0000641597726596, -1.0088623176694853]
+        self.assert_matches(np.zeros((6, 0)), labels, epochs=50)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 30), d=st.integers(0, 40), epochs=st.integers(0, 30),
+           l2=st.sampled_from([0.0, 1e-4, 1e-3, 0.1, 10.0]), seed=st.integers(0, 2 ** 16),
+           classes=st.sampled_from([VERACITY_CLASSES, VERACITY_CLASSES[:2],
+                                    VERACITY_CLASSES[1:], VERACITY_CLASSES[::2]]),
+           zero_rows=st.integers(0, 3), scale=st.sampled_from([0.1, 1.0, 5.0]))
+    def test_matches_textbook_on_drawn_fits(self, n, d, epochs, l2, seed, classes,
+                                            zero_rows, scale):
+        rng = np.random.default_rng(seed)
+        labels = [classes[0], classes[1]] + [str(c) for c in rng.choice(classes, size=n - 2)]
+        features = rng.standard_normal((n, d)) * scale
+        features[rng.choice(n, size=min(zero_rows, n), replace=False)] = 0.0
+        self.assert_matches(features, labels, l2=l2, epochs=epochs, seed=seed)
 
 
 class TestNilePipeline:

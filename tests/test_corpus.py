@@ -399,6 +399,23 @@ class TestGenerator:
     def test_matches_resorting_every_candidate_list(self, spec):
         assert generate_synthetic(spec, 3) == _generate_by_resorting(spec, 3)
 
+    @pytest.mark.parametrize("dist", [
+        dict(zip(VERACITY_CLASSES, GeneratorSpec().veracity_priors)),
+        {"false": 1.0, "true": 0.0, "unverified": 0.0},
+        {"false": 0.0, "true": 3.0, "unverified": 1e-12},
+        corpus_mod._COUPLED_STANCE[None],
+        {s: 0.3 * corpus_mod._BASE_STANCE[s] + 0.7 * corpus_mod._COUPLED_STANCE["true"][s]
+         for s in STANCE_CLASSES},
+        {"a": 0.1, "b": 0.2, "c": 0.7},
+    ], ids=["priors", "one-class", "tiny-weight", "nonrumour", "coupling-0.7", "tenths"])
+    def test_draw_matches_generator_choice(self, dist):
+        names, cdf = corpus_mod._distribution(dist)
+        for seed in range(20):
+            fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = [corpus_mod._draw(fast, names, cdf) for _ in range(500)]
+            assert drawn == [_draw_anew(reference, dist) for _ in range(500)]
+            assert fast.bit_generator.state == reference.bit_generator.state
+
     def test_invalid_ranges(self):
         with pytest.raises(ValueError):
             generate_synthetic(GeneratorSpec(coupling=1.5), seed=0)
